@@ -139,6 +139,63 @@ func (s *State) Move(v int) int {
 	return before - s.cut
 }
 
+// MoveWithGainDeltas is Move, first reporting through bump(u, d) every
+// change d to the Gain of another vertex u that the move causes, by
+// the standard Fiduccia–Mattheyses rules. For each net of v with
+// from-side count F and to-side count T before the move:
+//
+//	T == 0: every other cell on the net gains (the net could now be
+//	        uncut by following v);
+//	T == 1: the lone to-side cell loses (it can no longer uncut the
+//	        net by itself);
+//
+// and after the move, with F′ = F − 1:
+//
+//	F′ == 0: every other cell on the net loses;
+//	F′ == 1: the lone remaining from-side cell gains.
+//
+// bump sees the deltas net by net in that order, each vertex possibly
+// several times, and never sees v itself: v's own Gain after the move
+// is the negation of its Gain before. O(Σ pins of v's nets).
+func (s *State) MoveWithGainDeltas(v int, bump func(u, d int)) int {
+	from := s.p.Side(v)
+	for _, e := range s.h.VertexEdges(v) {
+		f, t := s.left[e], s.right[e]
+		if from == partition.Right {
+			f, t = t, f
+		}
+		switch t {
+		case 0:
+			for _, u := range s.h.EdgePins(e) {
+				if u != v {
+					bump(u, +1)
+				}
+			}
+		case 1:
+			for _, u := range s.h.EdgePins(e) {
+				if u != v && s.p.Side(u) != from {
+					bump(u, -1)
+				}
+			}
+		}
+		switch f - 1 {
+		case 0:
+			for _, u := range s.h.EdgePins(e) {
+				if u != v {
+					bump(u, -1)
+				}
+			}
+		case 1:
+			for _, u := range s.h.EdgePins(e) {
+				if u != v && s.p.Side(u) == from {
+					bump(u, +1)
+				}
+			}
+		}
+	}
+	return s.Move(v)
+}
+
 // SwapGain returns the exact cut decrease of swapping a and b (on
 // opposite sides), in O(deg(a)+deg(b)), without mutating the state.
 // Unlike Gain(a)+Gain(b) it accounts for nets containing both.

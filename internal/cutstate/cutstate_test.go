@@ -196,3 +196,54 @@ func TestPropertySwapGainExact(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMoveWithGainDeltasKeepsGainsExact: gains maintained only through
+// the reported deltas, plus the moved vertex's own negation, equal
+// Gain recomputed from scratch for every vertex after every move.
+func TestMoveWithGainDeltasKeepsGainsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(20)
+		b := hypergraph.NewBuilder(n)
+		for i := rng.Intn(3 * n); i >= 0; i-- {
+			pins := make([]int, 1+rng.Intn(6))
+			for j := range pins {
+				pins[j] = rng.Intn(n)
+			}
+			b.AddEdge(pins...)
+		}
+		h := b.MustBuild()
+		p := partition.New(n)
+		for v := 0; v < n; v++ {
+			p.Assign(v, partition.Side(rng.Intn(2)))
+		}
+		s, err := New(h, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gain := make([]int, n)
+		for v := range gain {
+			gain[v] = s.Gain(v)
+		}
+		for step := 0; step < 30; step++ {
+			v := rng.Intn(n)
+			if got := s.MoveWithGainDeltas(v, func(u, d int) {
+				if u == v {
+					t.Fatalf("trial %d: delta reported for the moved vertex %d", trial, v)
+				}
+				gain[u] += d
+			}); got != gain[v] {
+				t.Fatalf("trial %d: moving %d realized %d, its gain was %d", trial, v, got, gain[v])
+			}
+			gain[v] = -gain[v]
+			for u := range gain {
+				if want := s.Gain(u); gain[u] != want {
+					t.Fatalf("trial %d step %d: vertex %d has gain %d, recomputed %d", trial, step, u, gain[u], want)
+				}
+			}
+		}
+		if err := s.Verify(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

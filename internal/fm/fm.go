@@ -329,59 +329,14 @@ func runPass(s *cutstate.State, minSide int64, fixed, locked []bool, gain []int)
 	return bestCum
 }
 
-// updateGainsAndMove applies the standard FM incremental gain rules
-// around moving v, then performs the move. For each net of v with
-// from-side count F and to-side count T before the move:
-//
-//	T == 0: every unlocked cell on the net gains (the net could now be
-//	        uncut by following v);
-//	T == 1: the lone to-side cell loses (it can no longer uncut the
-//	        net by itself);
-//
-// and after the move, with F′ = F − 1:
-//
-//	F′ == 0: every unlocked cell on the net loses;
-//	F′ == 1: the lone remaining from-side cell gains.
+// updateGainsAndMove moves v, applying cutstate's incremental gain
+// rules to the unlocked cells and re-queueing each at its new gain.
 func updateGainsAndMove(s *cutstate.State, v int, locked []bool, gain []int, bq *buckets) {
-	h := s.Hypergraph()
-	from := s.Side(v)
-	bump := func(u, d int) {
-		if locked[u] || u == v {
+	s.MoveWithGainDeltas(v, func(u, d int) {
+		if locked[u] {
 			return
 		}
 		gain[u] += d
 		bq.push(u, gain[u])
-	}
-	for _, e := range h.VertexEdges(v) {
-		l, r := s.Counts(e)
-		f, t := l, r
-		if from == partition.Right {
-			f, t = r, l
-		}
-		switch t {
-		case 0:
-			for _, u := range h.EdgePins(e) {
-				bump(u, +1)
-			}
-		case 1:
-			for _, u := range h.EdgePins(e) {
-				if u != v && s.Side(u) != from {
-					bump(u, -1)
-				}
-			}
-		}
-		switch f - 1 {
-		case 0:
-			for _, u := range h.EdgePins(e) {
-				bump(u, -1)
-			}
-		case 1:
-			for _, u := range h.EdgePins(e) {
-				if u != v && s.Side(u) == from {
-					bump(u, +1)
-				}
-			}
-		}
-	}
-	s.Move(v)
+	})
 }

@@ -166,7 +166,7 @@ func BisectCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (*Re
 		Parallelism: opts.Parallelism,
 		Seed:        opts.Seed,
 		Run: func(ctx context.Context, _ int, rng *rand.Rand, scratch *engine.Scratch) (*Result, error) {
-			return vcycle(ctx, h, opts, rng, innerParallelism, scratch), nil
+			return vcycle(ctx, h, opts, rng, innerParallelism, scratch)
 		},
 		Better: func(a, b *Result) bool {
 			if a.CutSize != b.CutSize {
@@ -209,7 +209,7 @@ func BisectCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (*Re
 
 // vcycle runs one full coarsen → initial cut → uncoarsen+refine cycle.
 func vcycle(ctx context.Context, h *hypergraph.Hypergraph, opts Options, rng *rand.Rand,
-	innerParallelism int, scratch *engine.Scratch) *Result {
+	innerParallelism int, scratch *engine.Scratch) (*Result, error) {
 	c := opts.Constraint
 	var fineFixed []int8
 	if c.HasFixed() {
@@ -272,9 +272,10 @@ func vcycle(ctx context.Context, h *hypergraph.Hypergraph, opts Options, rng *ra
 	if !c.IsZero() {
 		// Refinement maintains the contract level by level, but a cycle
 		// cut short by ctx expiry may surface an unrefined projection;
-		// the shared repair makes the invariant unconditional.
-		if err := rebalance.Enforce(h, p, c); err == nil {
-			_ = err
+		// the shared repair makes the invariant unconditional, or
+		// reports why it cannot hold.
+		if err := rebalance.Enforce(h, p, c); err != nil {
+			return nil, fmt.Errorf("multilevel: %w", err)
 		}
 	}
 
@@ -286,7 +287,7 @@ func vcycle(ctx context.Context, h *hypergraph.Hypergraph, opts Options, rng *ra
 		Levels:           len(levels),
 		CoarsestVertices: coarsest.NumVertices(),
 		VCycle:           *stats,
-	}
+	}, nil
 }
 
 // levelConstraint rebinds the contract to one coarsening level: that

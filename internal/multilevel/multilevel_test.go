@@ -1,6 +1,7 @@
 package multilevel
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"fasthgp/internal/gen"
 	"fasthgp/internal/hypergraph"
 	"fasthgp/internal/partition"
+	"fasthgp/internal/rebalance"
 )
 
 func TestErrorTooSmall(t *testing.T) {
@@ -173,6 +175,28 @@ func TestConstraintThroughVCycle(t *testing.T) {
 		if l > maxSide || r > maxSide {
 			t.Errorf("seed %d: side weights %d/%d exceed bound %d", seed, l, r, maxSide)
 		}
+	}
+}
+
+// TestInfeasibleConstraintReported: three vertices of weight 4 admit
+// only an 8|4 split, over the ε = 0.01 max side of 6. The V-cycle's
+// final repair must report that rather than return the violating
+// partition.
+func TestInfeasibleConstraintReported(t *testing.T) {
+	b := hypergraph.NewBuilder(3)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	for v := 0; v < 3; v++ {
+		b.SetVertexWeight(v, 4)
+	}
+	h := b.MustBuild()
+	res, err := Bisect(h, Options{Constraint: partition.Constraint{Epsilon: 0.01}})
+	if err == nil {
+		l, r := partition.SideWeights(h, res.Partition)
+		t.Fatalf("Bisect returned sides %d|%d, want ErrInfeasible", l, r)
+	}
+	if !errors.Is(err, rebalance.ErrInfeasible) {
+		t.Fatalf("Bisect error = %v, want ErrInfeasible", err)
 	}
 }
 

@@ -45,19 +45,25 @@ func ToTarget(h *hypergraph.Hypergraph, p *partition.Bipartition, targetLeft, to
 // entry is ≥ 0 are never moved. A nil or short fixed slice leaves the
 // remaining vertices movable.
 func ToTargetFixed(h *hypergraph.Hypergraph, p *partition.Bipartition, targetLeft, tolerance int64, fixed []int8) (int, error) {
+	return toTarget(h, p, targetLeft, tolerance, fixed, nil)
+}
+
+// toTarget is ToTargetFixed; check, when non-nil, sees every mover
+// choice before it is made.
+func toTarget(h *hypergraph.Hypergraph, p *partition.Bipartition, targetLeft, tolerance int64, fixed []int8, check func(s *cutstate.State, v int)) (int, error) {
 	if err := p.Validate(h); err != nil {
 		return 0, fmt.Errorf("rebalance: %w", err)
 	}
 	if tolerance < 0 {
 		return 0, fmt.Errorf("%w: %d", ErrNegativeTolerance, tolerance)
 	}
-	s, err := cutstate.New(h, p)
+	m, err := newMover(h, p, fixed, check)
 	if err != nil {
 		return 0, fmt.Errorf("rebalance: %w", err)
 	}
 	moved := 0
 	for {
-		lw, _ := s.Weights()
+		lw, _ := m.s.Weights()
 		var from partition.Side
 		var excess int64
 		switch {
@@ -68,11 +74,13 @@ func ToTargetFixed(h *hypergraph.Hypergraph, p *partition.Bipartition, targetLef
 		default:
 			return moved, nil
 		}
-		v := bestMover(h, s, from, excess, fixed)
+		// A mover must weigh less than 2×excess: a heavier one would
+		// overshoot past the starting distance into oscillation.
+		v := m.best(from, 2*excess-1)
 		if v == -1 {
 			return moved, nil // no legal move can improve the balance
 		}
-		s.Move(v)
+		m.move(v)
 		moved++
 	}
 }
@@ -95,36 +103,44 @@ func Bisect(h *hypergraph.Hypergraph, p *partition.Bipartition, tolerance int64)
 // to keep both sides populated, matching the library-wide invariant
 // that a bipartition has two nonempty sides.
 func Enforce(h *hypergraph.Hypergraph, p *partition.Bipartition, c partition.Constraint) error {
+	_, err := enforce(h, p, c, nil)
+	return err
+}
+
+// enforce is Enforce, also returning the work count of the repair's
+// mover (zero when none was needed); check, when non-nil, sees every
+// mover choice before it is made.
+func enforce(h *hypergraph.Hypergraph, p *partition.Bipartition, c partition.Constraint, check func(s *cutstate.State, v int)) (int, error) {
 	if err := c.Validate(h.NumVertices(), 2); err != nil {
-		return fmt.Errorf("rebalance: %w", err)
+		return 0, fmt.Errorf("rebalance: %w", err)
 	}
 	if len(p.Sides()) != h.NumVertices() {
-		return fmt.Errorf("rebalance: partition covers %d vertices, hypergraph has %d", p.Len(), h.NumVertices())
+		return 0, fmt.Errorf("rebalance: partition covers %d vertices, hypergraph has %d", p.Len(), h.NumVertices())
 	}
 	if c.IsZero() {
 		if err := p.Validate(h); err != nil {
-			return fmt.Errorf("rebalance: %w", err)
+			return 0, fmt.Errorf("rebalance: %w", err)
 		}
-		return nil
+		return 0, nil
 	}
 	if err := c.Infeasible(h); err != nil {
-		return fmt.Errorf("%w: %v", ErrInfeasible, err)
+		return 0, fmt.Errorf("%w: %v", ErrInfeasible, err)
 	}
 	c.ApplyFixed(p)
 	if err := repairEmptySide(h, p, c); err != nil {
-		return err
+		return 0, err
 	}
 	if !c.HasBalance() {
-		return nil
+		return 0, nil
 	}
 	total := h.TotalVertexWeight()
 	maxSide := c.MaxSideWeight(total, 2)
-	s, err := cutstate.New(h, p)
+	m, err := newMover(h, p, c.FixedSide, check)
 	if err != nil {
-		return fmt.Errorf("rebalance: %w", err)
+		return 0, fmt.Errorf("rebalance: %w", err)
 	}
 	for {
-		lw, rw := s.Weights()
+		lw, rw := m.s.Weights()
 		var from partition.Side
 		switch {
 		case lw > maxSide:
@@ -132,54 +148,24 @@ func Enforce(h *hypergraph.Hypergraph, p *partition.Bipartition, c partition.Con
 		case rw > maxSide:
 			from = partition.Right
 		default:
-			return nil
+			return m.work, nil
 		}
 		// A mover may weigh anything up to fromWeight − minSide: landing
 		// anywhere inside the admissible band is fine, unlike ToTarget's
 		// point target, but overshooting past the band would just push
-		// the violation to the other side and oscillate.
+		// the violation to the other side and oscillate. Since maxSide ≥
+		// ⌈total/2⌉, the other side never becomes the heavy one, so from
+		// stays fixed and this ceiling falls with every move.
 		fromW := lw
 		if from == partition.Right {
 			fromW = rw
 		}
-		v := bestBandMover(h, s, from, fromW-(total-maxSide), c.FixedSide)
+		v := m.best(from, fromW-(total-maxSide))
 		if v == -1 {
-			return fmt.Errorf("%w: side weight %d exceeds max %d and no free vertex can move", ErrInfeasible, fromW, maxSide)
+			return m.work, fmt.Errorf("%w: side weight %d exceeds max %d and no free vertex can move", ErrInfeasible, fromW, maxSide)
 		}
-		s.Move(v)
+		m.move(v)
 	}
-}
-
-// bestBandMover selects the vertex on `from` with the highest cut gain
-// among free vertices of positive weight at most maxW (so the move can
-// not push the opposite side over the bound) that do not empty the
-// side. Ties break toward heavier vertices then lower index.
-func bestBandMover(h *hypergraph.Hypergraph, s *cutstate.State, from partition.Side, maxW int64, fixed []int8) int {
-	l, r, _ := s.Partition().Counts()
-	if (from == partition.Left && l <= 1) || (from == partition.Right && r <= 1) {
-		return -1
-	}
-	best := -1
-	bestGain := 0
-	var bestW int64
-	for v := 0; v < h.NumVertices(); v++ {
-		if s.Side(v) != from {
-			continue
-		}
-		if v < len(fixed) && fixed[v] >= 0 {
-			continue
-		}
-		w := h.VertexWeight(v)
-		if w == 0 || w > maxW {
-			continue
-		}
-		g := s.Gain(v)
-		if best == -1 || g > bestGain ||
-			(g == bestGain && (w > bestW || (w == bestW && v < best))) {
-			best, bestGain, bestW = v, g, w
-		}
-	}
-	return best
 }
 
 // repairEmptySide pulls a free vertex onto an empty side so the
@@ -215,40 +201,4 @@ func repairEmptySide(h *hypergraph.Hypergraph, p *partition.Bipartition, c parti
 	}
 	p.Assign(best, empty)
 	return nil
-}
-
-// bestMover selects the vertex on `from` with the highest cut gain
-// whose move brings the balance strictly closer to target (weight at
-// most 2×excess keeps us from overshooting into oscillation) and does
-// not empty the side. Vertices pinned by fixed are skipped. Ties break
-// toward heavier vertices (fewer moves) then lower index. Returns -1
-// when nothing qualifies.
-func bestMover(h *hypergraph.Hypergraph, s *cutstate.State, from partition.Side, excess int64, fixed []int8) int {
-	l, r, _ := s.Partition().Counts()
-	if (from == partition.Left && l <= 1) || (from == partition.Right && r <= 1) {
-		return -1
-	}
-	best := -1
-	bestGain := 0
-	var bestW int64
-	for v := 0; v < h.NumVertices(); v++ {
-		if s.Side(v) != from {
-			continue
-		}
-		if v < len(fixed) && fixed[v] >= 0 {
-			continue
-		}
-		w := h.VertexWeight(v)
-		if w == 0 || w >= 2*excess {
-			// Zero-weight moves make no balance progress; over-heavy
-			// moves would overshoot past the starting distance.
-			continue
-		}
-		g := s.Gain(v)
-		if best == -1 || g > bestGain ||
-			(g == bestGain && (w > bestW || (w == bestW && v < best))) {
-			best, bestGain, bestW = v, g, w
-		}
-	}
-	return best
 }

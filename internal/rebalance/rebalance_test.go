@@ -321,22 +321,33 @@ func TestEnforceRepairsEmptySide(t *testing.T) {
 	b := hypergraph.NewBuilder(5)
 	b.AddEdge(0, 1, 2)
 	b.AddEdge(2, 3, 4)
+	// Vertex 0 is the lightest but fixed; 2 and 4 tie as the lightest
+	// free vertices.
+	for v, w := range []int64{1, 3, 2, 5, 2} {
+		b.SetVertexWeight(v, w)
+	}
 	h := b.MustBuild()
 	p := partition.New(5)
-	// All vertices Right; vertex 0 is the only Left-fixed one... but fix
-	// nothing Left so ApplyFixed leaves Left empty.
 	for v := 0; v < 5; v++ {
 		p.Assign(v, partition.Left)
 	}
-	c := partition.Constraint{FixedSide: []int8{1, 1, -1, -1, -1}}
+	// Vertex 0 is pinned where it already is, so ApplyFixed leaves
+	// Right empty and the repair must pull a free vertex across.
+	c := partition.Constraint{FixedSide: []int8{0, -1, -1, -1, -1}}
 	if err := Enforce(h, p, c); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Validate(h); err != nil {
 		t.Fatalf("Enforce left an invalid partition: %v", err)
 	}
-	if p.Side(0) != partition.Right || p.Side(1) != partition.Right {
-		t.Fatal("fixed vertices not applied")
+	for v := 0; v < 5; v++ {
+		want := partition.Left
+		if v == 2 {
+			want = partition.Right
+		}
+		if p.Side(v) != want {
+			t.Fatalf("vertex %d on %v, want %v: only the lightest free vertex, lowest index on ties, crosses", v, p.Side(v), want)
+		}
 	}
 }
 
