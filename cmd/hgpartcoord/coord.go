@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,7 +10,6 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,44 +17,38 @@ import (
 
 	"fasthgp/internal/checkpoint"
 	"fasthgp/internal/fleet"
+	"fasthgp/internal/serve"
 )
 
 // coordConfig is the coordinator's tunable surface, set by flags.
 type coordConfig struct {
-	maxBody       int64         // request-body cap; beyond it 413
-	reqTimeout    time.Duration // per-request wall cap (propagated to workers)
-	retries       int           // max forward attempts per request
-	backoff       fleet.BackoffConfig
-	heartbeatTTL  time.Duration // silence moving a worker active -> suspect
-	ejectAfter    int           // TTLs of silence before ejection
-	replicas      int           // ring virtual nodes per worker
-	drainTimeout  time.Duration
-	hedgeDelay    time.Duration // delayed-duplicate threshold (0 = hedging off)
-	scrubInterval time.Duration // WAL scrub cadence (0 = scrubbing off)
+	maxBody      int64         // request-body cap; beyond it 413
+	reqTimeout   time.Duration // per-request wall cap (propagated to workers)
+	retries      int           // max forward attempts per request
+	backoff      fleet.BackoffConfig
+	heartbeatTTL time.Duration // silence moving a worker active -> suspect
+	replicas     int           // ring virtual nodes per worker
+	drainTimeout time.Duration
+	hedgeDelay   time.Duration // delayed-duplicate threshold (0 = hedging off)
 }
 
-// coord is the coordinator state: the worker registry (liveness +
-// breakers), the consistent-hash ring, the handoff ledger, the job
-// table, and the optional WAL.
+// coord is the coordinator state: the shared HTTP edge (job table,
+// optional WAL, drain), the worker registry (liveness + breakers), the
+// consistent-hash ring, and the handoff ledger.
 type coord struct {
+	*serve.Edge
 	cfg      coordConfig
 	registry *fleet.Registry
 	ring     *fleet.Ring
 	handoff  *fleet.HandoffQueue
-	jobs     *fleet.JobTable
-	wal      *coordWAL // nil = WAL disabled
 	client   *http.Client
-	stdout   io.Writer
-	begin    time.Time
 
-	draining   atomic.Bool
 	fwdCounter atomic.Int64 // fault-injection index for fleet.forward
 
 	flightMu sync.Mutex
 	flights  map[fleet.JobKey]*flight // live single-flight computations
 
-	probeMat  atomic.Pointer[probeMaterial]          // last verified job, replayed as quarantine probe
-	lastScrub atomic.Pointer[checkpoint.ScrubStatus] // latest WAL scrub outcome
+	probeMat atomic.Pointer[probeMaterial] // last verified job, replayed as quarantine probe
 
 	requests    atomic.Int64
 	ok200       atomic.Int64
@@ -68,8 +62,6 @@ type coord struct {
 	hedges      atomic.Int64 // delayed duplicates fired
 	hedgeWins   atomic.Int64 // races won by the hedge
 	collapsed   atomic.Int64 // requests answered by another flight's computation
-	walErrs     atomic.Int64
-	walLastErr  atomic.Value // string
 }
 
 func newCoord(cfg coordConfig, registryCfg fleet.RegistryConfig, stdout io.Writer) *coord {
@@ -77,51 +69,31 @@ func newCoord(cfg coordConfig, registryCfg fleet.RegistryConfig, stdout io.Write
 		cfg.retries = 1
 	}
 	return &coord{
+		Edge:     serve.NewEdge("hgpartcoord", stdout, cfg.maxBody, cfg.drainTimeout),
 		cfg:      cfg,
 		registry: fleet.NewRegistry(registryCfg),
 		ring:     fleet.NewRing(cfg.replicas),
 		handoff:  fleet.NewHandoffQueue(0),
-		jobs:     fleet.NewJobTable(),
 		flights:  make(map[fleet.JobKey]*flight),
 		client:   &http.Client{}, // per-request deadlines come from ctx
-		stdout:   stdout,
-		begin:    time.Now(),
 	}
 }
 
-// attachWAL wires a recovered WAL in: job ids continue after the dead
-// process's and replayed outcomes answer on /jobs/{id}. Pending jobs
-// are re-enqueued separately (requeue) once the handler is serving.
-func (c *coord) attachWAL(w *coordWAL, maxSeq int64, replayed []coordWALRecord) {
-	c.wal = w
-	c.jobs.ContinueFrom(maxSeq)
-	state := make(map[string]fleet.JobInfo)
-	var order []string
-	for _, rec := range replayed {
-		j, seen := state[rec.JobID]
-		if !seen {
-			order = append(order, rec.JobID)
-			j = fleet.JobInfo{ID: rec.JobID, Status: "accepted"}
+// requeue re-enqueues WAL-recovered pending jobs as detached handoffs,
+// keyed by the routing key journaled with them. Each runs in its own
+// goroutine that waits (with backoff) for workers to register —
+// recovered work is never dropped, only delayed.
+func (c *coord) requeue(pending []serve.Record) {
+	for _, rec := range pending {
+		job := fleet.Job{
+			ID:       rec.JobID,
+			Key:      fleet.JobKey{Fingerprint: rec.Fingerprint, Opts: rec.Opts},
+			Format:   rec.Format,
+			Query:    rec.Query,
+			Netlist:  rec.Netlist,
+			Detached: true, // its client died with the old process
 		}
-		switch rec.Type {
-		case "done":
-			j.Status, j.Cut, j.TierName, j.Degraded, j.WallMS, j.Worker = "done", rec.Cut, rec.TierName, rec.Degraded, rec.WallMS, rec.Worker
-		case "failed":
-			j.Status, j.Error = "failed", rec.Error
-		}
-		state[rec.JobID] = j
-	}
-	for _, id := range order {
-		c.jobs.Restore(state[id])
-	}
-}
-
-// requeue re-enqueues WAL-recovered pending jobs as detached handoffs.
-// Each runs in its own goroutine that waits (with backoff) for workers
-// to register — recovered work is never dropped, only delayed.
-func (c *coord) requeue(pending []fleet.Job) {
-	for _, job := range pending {
-		c.jobs.Restore(fleet.JobInfo{ID: job.ID, Status: "requeued", Requeued: true})
+		c.Jobs.Restore(fleet.JobInfo{ID: job.ID, Status: "requeued", Requeued: true})
 		if prev, dup := c.handoff.Admit(job); dup {
 			// The at-least-once duplicate: an identical job already
 			// completed, answer from memory without running.
@@ -135,21 +107,11 @@ func (c *coord) requeue(pending []fleet.Job) {
 // finishFromMemory marks a deduplicated job done with the remembered
 // outcome of its key's first completion.
 func (c *coord) finishFromMemory(jobID string, d fleet.Done) {
-	c.jobs.Update(jobID, func(j *fleet.JobInfo) {
+	c.Jobs.Update(jobID, func(j *fleet.JobInfo) {
 		j.Status, j.Cut, j.TierName, j.Degraded, j.Worker = "done", d.Cut, d.TierName, d.Degraded, d.Worker
 	})
-	c.walAppend(coordWALRecord{Type: "done", JobID: jobID,
+	c.WAL.Append(serve.Record{Type: "done", JobID: jobID,
 		Cut: d.Cut, TierName: d.TierName, Worker: d.Worker, Degraded: d.Degraded})
-}
-
-func (c *coord) walAppend(rec coordWALRecord) {
-	if c.wal == nil {
-		return
-	}
-	if err := c.wal.append(rec); err != nil {
-		c.walErrs.Add(1)
-		c.walLastErr.Store(err.Error())
-	}
 }
 
 // sweep advances the liveness state machine once: newly ejected
@@ -161,29 +123,15 @@ func (c *coord) sweep() {
 	for _, id := range c.registry.Sweep() {
 		c.ring.Remove(id)
 		reclaimed := c.handoff.Reclaim(id)
-		fmt.Fprintf(c.stdout, "hgpartcoord: ejected %s (heartbeat silence), reclaiming %d handoff job(s)\n", id, len(reclaimed))
+		fmt.Fprintf(c.Stdout, "hgpartcoord: ejected %s (heartbeat silence), reclaiming %d handoff job(s)\n", id, len(reclaimed))
 		for _, job := range reclaimed {
 			job.Worker = ""
 			if prev, dup := c.handoff.Admit(job); dup {
 				c.finishFromMemory(job.ID, prev)
 				continue
 			}
-			c.jobs.Update(job.ID, func(j *fleet.JobInfo) { j.Status, j.Requeued = "requeued", true })
+			c.Jobs.Update(job.ID, func(j *fleet.JobInfo) { j.Status, j.Requeued = "requeued", true })
 			go c.runDetached(job)
-		}
-	}
-}
-
-// sweepLoop runs sweep until stop closes.
-func (c *coord) sweepLoop(interval time.Duration, stop <-chan struct{}) {
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			c.sweep()
 		}
 	}
 }
@@ -197,15 +145,8 @@ func (c *coord) handler() http.Handler {
 	mux.HandleFunc("/deregister", c.handleDeregister)
 	mux.HandleFunc("/healthz", c.handleHealthz)
 	mux.HandleFunc("/stats", c.handleStats)
-	mux.HandleFunc("/jobs/", c.handleJob)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				writeError(w, http.StatusInternalServerError, fmt.Sprintf("internal panic: %v", rec))
-			}
-		}()
-		mux.ServeHTTP(w, r)
-	})
+	mux.HandleFunc("/jobs/", c.HandleJob)
+	return c.Recover(mux)
 }
 
 // workerMsg is the body of /register, /heartbeat and /deregister.
@@ -216,45 +157,45 @@ type workerMsg struct {
 
 func (c *coord) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var msg workerMsg
-	if !decodeWorkerMsg(w, r, &msg) {
+	if !c.decodeWorkerMsg(w, r, &msg) {
 		return
 	}
 	if msg.Addr == "" {
-		writeError(w, http.StatusBadRequest, "register needs an addr")
+		c.WriteError(w, http.StatusBadRequest, "register needs an addr")
 		return
 	}
 	rejoined := c.registry.Upsert(msg.ID, msg.Addr)
 	c.ring.Add(msg.ID)
 	if rejoined {
-		fmt.Fprintf(c.stdout, "hgpartcoord: worker %s rejoined via register\n", msg.ID)
+		fmt.Fprintf(c.Stdout, "hgpartcoord: worker %s rejoined via register\n", msg.ID)
 	} else {
-		fmt.Fprintf(c.stdout, "hgpartcoord: worker %s registered at %s\n", msg.ID, msg.Addr)
+		fmt.Fprintf(c.Stdout, "hgpartcoord: worker %s registered at %s\n", msg.ID, msg.Addr)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	c.WriteJSON(w, http.StatusOK, map[string]any{
 		"heartbeat_interval_ms": (c.cfg.heartbeatTTL / 3).Milliseconds(),
 	})
 }
 
 func (c *coord) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var msg workerMsg
-	if !decodeWorkerMsg(w, r, &msg) {
+	if !c.decodeWorkerMsg(w, r, &msg) {
 		return
 	}
 	known, rejoined := c.registry.Heartbeat(msg.ID)
 	if !known {
-		writeError(w, http.StatusNotFound, "unknown worker; re-register")
+		c.WriteError(w, http.StatusNotFound, "unknown worker; re-register")
 		return
 	}
 	if rejoined {
 		c.ring.Add(msg.ID)
-		fmt.Fprintf(c.stdout, "hgpartcoord: worker %s rejoined via heartbeat\n", msg.ID)
+		fmt.Fprintf(c.Stdout, "hgpartcoord: worker %s rejoined via heartbeat\n", msg.ID)
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
 func (c *coord) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	var msg workerMsg
-	if !decodeWorkerMsg(w, r, &msg) {
+	if !c.decodeWorkerMsg(w, r, &msg) {
 		return
 	}
 	c.registry.Remove(msg.ID)
@@ -269,17 +210,17 @@ func (c *coord) handleDeregister(w http.ResponseWriter, r *http.Request) {
 		}
 		go c.runDetached(job)
 	}
-	fmt.Fprintf(c.stdout, "hgpartcoord: worker %s deregistered\n", msg.ID)
+	fmt.Fprintf(c.Stdout, "hgpartcoord: worker %s deregistered\n", msg.ID)
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func decodeWorkerMsg(w http.ResponseWriter, r *http.Request, msg *workerMsg) bool {
+func (c *coord) decodeWorkerMsg(w http.ResponseWriter, r *http.Request, msg *workerMsg) bool {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		c.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return false
 	}
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(msg); err != nil || msg.ID == "" {
-		writeError(w, http.StatusBadRequest, "want JSON body with a worker id")
+		c.WriteError(w, http.StatusBadRequest, "want JSON body with a worker id")
 		return false
 	}
 	return true
@@ -287,72 +228,57 @@ func decodeWorkerMsg(w http.ResponseWriter, r *http.Request, msg *workerMsg) boo
 
 func (c *coord) handlePartition(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST a netlist body to /partition")
+		c.WriteError(w, http.StatusMethodNotAllowed, "POST a netlist body to /partition")
 		return
 	}
 	c.requests.Add(1)
-	if c.draining.Load() {
-		w.Header().Set("Retry-After", retryAfterSeconds(c.cfg.drainTimeout))
-		writeError(w, http.StatusServiceUnavailable, "draining: coordinator is shutting down")
+	if c.RejectDraining(w) {
 		return
 	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.maxBody))
-	if err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, err.Error())
+	raw, ok := c.ReadBody(w, r)
+	if !ok {
 		return
 	}
 	format := r.URL.Query().Get("format")
 	// The coordinator parses the netlist for two jobs: the fingerprint
-	// (routing/dedup key) and the verification contract every worker
-	// answer is judged against before delivery. Garbage is rejected
-	// before it wastes a worker's time; the raw bytes are forwarded
-	// verbatim.
-	vs, err := newVerifySpec(format, raw, r.URL.Query())
+	// (routing/dedup key) and the contract every worker answer is
+	// judged against before delivery. Garbage is rejected before it
+	// wastes a worker's time; the raw bytes are forwarded verbatim.
+	ct, err := serve.ParseContract(format, bytes.NewReader(raw), r.URL.Query())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		c.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	key := fleet.JobKey{
-		Fingerprint: checkpoint.HashHypergraph(vs.h),
+		Fingerprint: checkpoint.HashHypergraph(ct.H),
 		Opts:        canonicalOpts(r.URL.Query()),
 	}
 
-	deadline := time.Now().Add(c.cfg.reqTimeout)
-	if hdr := r.Header.Get("X-Request-Deadline"); hdr != "" {
-		if ms, err := strconv.ParseInt(hdr, 10, 64); err == nil {
-			if d := time.UnixMilli(ms); d.Before(deadline) {
-				deadline = d
-			}
-		}
-	}
-	if !deadline.After(time.Now()) {
-		writeError(w, http.StatusGatewayTimeout, "propagated deadline already expired")
+	timeout, expired := serve.RequestTimeout(r, c.cfg.reqTimeout)
+	if expired {
+		c.WriteError(w, http.StatusGatewayTimeout, "propagated deadline already expired")
 		return
 	}
+	deadline := time.Now().Add(timeout)
 
 	// Accepted: job id, WAL record, handoff ledger entry (attached: this
 	// handler owns the retries). From here on the job is never dropped —
 	// it completes, fails permanently, or survives in the WAL.
-	jobID := c.jobs.Create()
+	jobID := c.Jobs.Create()
 	job := fleet.Job{ID: jobID, Key: key, Format: format, Query: r.URL.RawQuery, Netlist: string(raw)}
-	c.walAppend(coordWALRecord{Type: "accepted", JobID: jobID,
+	c.WAL.Append(serve.Record{Type: "accepted", JobID: jobID,
 		Format: format, Query: r.URL.RawQuery, Netlist: string(raw),
 		Fingerprint: key.Fingerprint, Opts: key.Opts})
 	c.handoff.Admit(job)
 
-	resp, worker, ferr := c.dispatch(r.Context(), job, vs, deadline)
+	resp, worker, ferr := c.dispatch(r.Context(), job, ct, deadline)
 	if ferr != nil {
 		if r.Context().Err() != nil {
 			// The client is gone mid-retry: leave the job detached so
 			// ejection reclaim (or the next boot's WAL replay) finishes it.
 			c.handoff.Detach(jobID)
-			c.jobs.Update(jobID, func(j *fleet.JobInfo) { j.Status = "requeued" })
-			writeError(w, http.StatusServiceUnavailable, "client canceled mid-forward; job remains queued")
+			c.Jobs.Update(jobID, func(j *fleet.JobInfo) { j.Status = "requeued" })
+			c.WriteError(w, http.StatusServiceUnavailable, "client canceled mid-forward; job remains queued")
 			return
 		}
 		var perm *permanentError
@@ -360,31 +286,31 @@ func (c *coord) handlePartition(w http.ResponseWriter, r *http.Request) {
 			// The worker judged the request itself bad: proxy its answer
 			// and forget the job (a later identical request runs afresh).
 			c.handoff.Fail(jobID)
-			c.jobs.Update(jobID, func(j *fleet.JobInfo) { j.Status, j.Error = "failed", perm.body })
-			c.walAppend(coordWALRecord{Type: "failed", JobID: jobID, Error: perm.body})
+			c.Jobs.Update(jobID, func(j *fleet.JobInfo) { j.Status, j.Error = "failed", perm.body })
+			c.WAL.Append(serve.Record{Type: "failed", JobID: jobID, Error: perm.body})
 			writeRaw(w, perm.status, perm.body)
 			return
 		}
 		c.failed.Add(1)
 		c.handoff.Fail(jobID)
-		c.jobs.Update(jobID, func(j *fleet.JobInfo) { j.Status, j.Error = "failed", ferr.Error() })
-		c.walAppend(coordWALRecord{Type: "failed", JobID: jobID, Error: ferr.Error()})
-		writeError(w, http.StatusBadGateway, fmt.Sprintf("all forwards failed: %v", ferr))
+		c.Jobs.Update(jobID, func(j *fleet.JobInfo) { j.Status, j.Error = "failed", ferr.Error() })
+		c.WAL.Append(serve.Record{Type: "failed", JobID: jobID, Error: ferr.Error()})
+		c.WriteError(w, http.StatusBadGateway, fmt.Sprintf("all forwards failed: %v", ferr))
 		return
 	}
 
 	c.handoff.Complete(jobID, fleet.Done{Cut: resp.Cut, TierName: resp.TierName, Worker: worker, Degraded: resp.Degraded})
-	c.jobs.Update(jobID, func(j *fleet.JobInfo) {
+	c.Jobs.Update(jobID, func(j *fleet.JobInfo) {
 		j.Status, j.Cut, j.TierName, j.Degraded, j.WallMS, j.Worker = "done", resp.Cut, resp.TierName, resp.Degraded, resp.WallMS, worker
 	})
-	c.walAppend(coordWALRecord{Type: "done", JobID: jobID,
+	c.WAL.Append(serve.Record{Type: "done", JobID: jobID,
 		Cut: resp.Cut, TierName: resp.TierName, Worker: worker, Degraded: resp.Degraded, WallMS: resp.WallMS})
-	c.keepProbeMaterial(job, vs)
+	c.keepProbeMaterial(job, ct)
 
 	resp.JobID = jobID // the coordinator's id, not the worker's
 	resp.Worker = worker
 	c.ok200.Add(1)
-	writeJSON(w, http.StatusOK, resp)
+	c.WriteJSON(w, http.StatusOK, resp)
 }
 
 // runDetached drives one detached job (WAL-recovered or reclaimed from
@@ -394,39 +320,39 @@ func (c *coord) handlePartition(w http.ResponseWriter, r *http.Request) {
 // — an accepted job is otherwise never dropped.
 func (c *coord) runDetached(job fleet.Job) {
 	job.Detached = true
-	vs, err := verifySpecForJob(job)
+	ct, err := contractForJob(job)
 	if err != nil {
 		// The stored request no longer parses (schema drift across a
 		// version boundary): permanently failed, never silently served
 		// unverified.
 		c.handoff.Fail(job.ID)
-		c.jobs.Update(job.ID, func(j *fleet.JobInfo) { j.Status, j.Error = "failed", err.Error() })
-		c.walAppend(coordWALRecord{Type: "failed", JobID: job.ID, Error: err.Error()})
+		c.Jobs.Update(job.ID, func(j *fleet.JobInfo) { j.Status, j.Error = "failed", err.Error() })
+		c.WAL.Append(serve.Record{Type: "failed", JobID: job.ID, Error: err.Error()})
 		return
 	}
 	for round := 0; ; round++ {
-		if c.draining.Load() {
+		if c.Draining() {
 			return // the WAL still holds it; the next boot resumes
 		}
 		deadline := time.Now().Add(c.cfg.reqTimeout)
 		ctx, cancel := context.WithDeadline(context.Background(), deadline)
-		resp, worker, err := c.forward(ctx, job, vs, deadline)
+		resp, worker, err := c.forward(ctx, job, ct, deadline)
 		cancel()
 		if err == nil {
 			c.handoff.Complete(job.ID, fleet.Done{Cut: resp.Cut, TierName: resp.TierName, Worker: worker, Degraded: resp.Degraded})
-			c.jobs.Update(job.ID, func(j *fleet.JobInfo) {
+			c.Jobs.Update(job.ID, func(j *fleet.JobInfo) {
 				j.Status, j.Cut, j.TierName, j.Degraded, j.WallMS, j.Worker = "done", resp.Cut, resp.TierName, resp.Degraded, resp.WallMS, worker
 			})
-			c.walAppend(coordWALRecord{Type: "done", JobID: job.ID,
+			c.WAL.Append(serve.Record{Type: "done", JobID: job.ID,
 				Cut: resp.Cut, TierName: resp.TierName, Worker: worker, Degraded: resp.Degraded, WallMS: resp.WallMS})
-			c.keepProbeMaterial(job, vs)
+			c.keepProbeMaterial(job, ct)
 			return
 		}
 		var perm *permanentError
 		if errors.As(err, &perm) {
 			c.handoff.Fail(job.ID)
-			c.jobs.Update(job.ID, func(j *fleet.JobInfo) { j.Status, j.Error = "failed", perm.body })
-			c.walAppend(coordWALRecord{Type: "failed", JobID: job.ID, Error: perm.body})
+			c.Jobs.Update(job.ID, func(j *fleet.JobInfo) { j.Status, j.Error = "failed", perm.body })
+			c.WAL.Append(serve.Record{Type: "failed", JobID: job.ID, Error: perm.body})
 			return
 		}
 		// Transient: every candidate failed or no workers are registered
@@ -463,24 +389,6 @@ func canonicalOpts(q url.Values) string {
 	return strings.TrimSpace(b.String())
 }
 
-func (c *coord) handleJob(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET /jobs/{id}")
-		return
-	}
-	id := strings.TrimPrefix(r.URL.Path, "/jobs/")
-	if id == "" || strings.Contains(id, "/") {
-		writeError(w, http.StatusBadRequest, "want /jobs/{id}")
-		return
-	}
-	job, ok := c.jobs.Get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("job %q not tracked (finished jobs are evicted after %d newer jobs)", id, fleet.MaxJobs))
-		return
-	}
-	writeJSON(w, http.StatusOK, job)
-}
-
 // handleHealthz always answers 200 while the process serves; the body
 // carries the fleet view: every worker's liveness state and breaker,
 // the ring membership, handoff-queue counters, and degraded reasons
@@ -488,12 +396,9 @@ func (c *coord) handleJob(w http.ResponseWriter, r *http.Request) {
 func (c *coord) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	workers := c.registry.Snapshot()
 	resp := map[string]any{
-		"status":    "ok",
-		"uptime_ms": time.Since(c.begin).Milliseconds(),
-		"workers":   workers,
-		"ring":      c.ring.Members(),
-		"handoff":   c.handoff.Stats(),
-		"jobs":      c.jobs.Counts(),
+		"workers": workers,
+		"ring":    c.ring.Members(),
+		"handoff": c.handoff.Stats(),
 	}
 	var reasons []string
 	for _, wk := range workers {
@@ -510,36 +415,7 @@ func (c *coord) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if q := c.registry.QuarantinedIDs(); len(q) > 0 {
 		resp["quarantined"] = q
 	}
-	if c.wal != nil {
-		resp["wal"] = true
-		resp["last_checkpoint_age_ms"] = c.wal.lastAppendAge().Milliseconds()
-		resp["wal_errors"] = c.walErrs.Load()
-		if n := c.walErrs.Load(); n > 0 {
-			last, _ := c.walLastErr.Load().(string)
-			resp["wal_last_error"] = last
-			reasons = append(reasons, fmt.Sprintf("%d WAL append error(s), last: %s", n, last))
-		}
-		if p := c.lastScrub.Load(); p != nil {
-			st := *p
-			st.AgeMS = time.Since(st.At).Milliseconds()
-			resp["wal_scrub"] = st
-			if !st.Healthy() {
-				reasons = append(reasons, "wal scrub: "+st.Problem())
-			}
-		}
-	} else {
-		resp["wal"] = false
-	}
-	if c.draining.Load() {
-		resp["draining"] = true
-		reasons = append(reasons, "draining: shutting down")
-	}
-	if len(reasons) > 0 {
-		sort.Strings(reasons)
-		resp["status"] = "degraded"
-		resp["degraded_reasons"] = reasons
-	}
-	writeJSON(w, http.StatusOK, resp)
+	c.WriteHealth(w, resp, reasons)
 }
 
 func (c *coord) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -559,27 +435,9 @@ func (c *coord) handleStats(w http.ResponseWriter, r *http.Request) {
 		"hedge_wins":  c.hedgeWins.Load(),
 		"collapsed":   c.collapsed.Load(),
 		"handoff":     c.handoff.Stats(),
-		"jobs":        c.jobs.Counts(),
 		"workers":     c.registry.Len(),
-		"wal_errors":  c.walErrs.Load(),
-		"uptime_ms":   time.Since(c.begin).Milliseconds(),
 	}
-	if p := c.lastScrub.Load(); p != nil {
-		st := *p
-		st.AgeMS = time.Since(st.At).Milliseconds()
-		stats["wal_scrub"] = st
-	}
-	writeJSON(w, http.StatusOK, stats)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]any{"error": msg, "status": code})
+	c.WriteStats(w, stats)
 }
 
 // writeRaw proxies a worker's error body verbatim.
@@ -587,12 +445,4 @@ func writeRaw(w http.ResponseWriter, code int, body string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	io.WriteString(w, body)
-}
-
-func retryAfterSeconds(d time.Duration) string {
-	secs := int(d / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return fmt.Sprintf("%d", secs)
 }

@@ -19,6 +19,7 @@ import (
 	"fasthgp/internal/faultinject"
 	"fasthgp/internal/fleet"
 	"fasthgp/internal/resilience"
+	"fasthgp/internal/serve"
 )
 
 const testNets = `module a
@@ -42,7 +43,6 @@ func testCoord(now func() time.Time) *coord {
 		retries:      6,
 		backoff:      fleet.BackoffConfig{Base: time.Millisecond, Cap: 5 * time.Millisecond, Seed: 1},
 		heartbeatTTL: time.Second,
-		ejectAfter:   2,
 		replicas:     16,
 		drainTimeout: time.Second,
 	}
@@ -107,7 +107,7 @@ func newFakeWorker(t *testing.T, id string) *fakeWorker {
 		if lie {
 			cut ^= 1 // always off by one: the oracle must catch it
 		}
-		json.NewEncoder(w).Encode(workerResponse{
+		json.NewEncoder(w).Encode(serve.PartitionResponse{
 			JobID: "wj-" + f.id, Modules: n, Nets: h.NumEdges(), Cut: cut,
 			TierName: "fm", Assignment: assign, WallMS: 1,
 		})
@@ -153,11 +153,11 @@ func beat(h http.Handler, id string) int {
 	return rec.Code
 }
 
-func postNetlist(t *testing.T, h http.Handler, query, body string) (*httptest.ResponseRecorder, workerResponse) {
+func postNetlist(t *testing.T, h http.Handler, query, body string) (*httptest.ResponseRecorder, serve.PartitionResponse) {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/partition"+query, strings.NewReader(body)))
-	var resp workerResponse
+	var resp serve.PartitionResponse
 	if rec.Code == http.StatusOK {
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatalf("bad 200 body: %v: %s", err, rec.Body)
@@ -259,7 +259,7 @@ func TestHeartbeatEjectionAndRejoin(t *testing.T) {
 		Worker:   "w1",
 		Detached: true,
 	}
-	c.jobs.Restore(fleet.JobInfo{ID: "j99", Status: "requeued", Requeued: true})
+	c.Jobs.Restore(fleet.JobInfo{ID: "j99", Status: "requeued", Requeued: true})
 	c.handoff.Admit(job)
 
 	// w2 keeps beating; w1 goes silent past TTL*EjectAfter = 2s.
@@ -283,14 +283,14 @@ func TestHeartbeatEjectionAndRejoin(t *testing.T) {
 	// The reclaimed job must complete on the survivor.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if j, ok := c.jobs.Get("j99"); ok && j.Status == "done" {
+		if j, ok := c.Jobs.Get("j99"); ok && j.Status == "done" {
 			if j.Worker != "w2" {
 				t.Fatalf("reclaimed job ran on %q, want w2", j.Worker)
 			}
 			break
 		}
 		if time.Now().After(deadline) {
-			j, _ := c.jobs.Get("j99")
+			j, _ := c.Jobs.Get("j99")
 			t.Fatalf("reclaimed job never completed: %+v", j)
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -406,28 +406,27 @@ func TestWALRecoveryReenqueues(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "coord.wal")
 
 	// First life: accept a job, journal it, "crash" before any outcome.
-	w1, _, _, _, err := openCoordWAL(walPath)
-	if err != nil {
+	first := testCoord(nil)
+	if _, err := first.OpenWAL(walPath); err != nil {
 		t.Fatal(err)
 	}
-	if err := w1.append(coordWALRecord{Type: "accepted", JobID: "j7",
+	if err := first.WAL.Append(serve.Record{Type: "accepted", JobID: "j7",
 		Netlist: testNets, Fingerprint: 7, Opts: "starts=2"}); err != nil {
 		t.Fatal(err)
 	}
-	w1.close()
+	first.WAL.Close()
 
 	// Second life: replay, then register a worker; the detached runner
 	// must finish the job on its own.
-	w2, maxSeq, replayed, pending, err := openCoordWAL(walPath)
+	c := testCoord(nil)
+	pending, err := c.OpenWAL(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w2.close()
-	if maxSeq != 7 || len(pending) != 1 || len(replayed) != 1 {
-		t.Fatalf("replay = (seq %d, %d replayed, %d pending)", maxSeq, len(replayed), len(pending))
+	defer c.WAL.Close()
+	if len(pending) != 1 || pending[0].JobID != "j7" || pending[0].Fingerprint != 7 {
+		t.Fatalf("pending = %+v, want the interrupted j7", pending)
 	}
-	c := testCoord(nil)
-	c.attachWAL(w2, maxSeq, replayed)
 	c.requeue(pending)
 	h := c.handler()
 	fw := newFakeWorker(t, "w1")
@@ -435,20 +434,20 @@ func TestWALRecoveryReenqueues(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if j, ok := c.jobs.Get("j7"); ok && j.Status == "done" {
+		if j, ok := c.Jobs.Get("j7"); ok && j.Status == "done" {
 			if !j.Requeued {
 				t.Error("recovered job not marked requeued")
 			}
 			break
 		}
 		if time.Now().After(deadline) {
-			j, _ := c.jobs.Get("j7")
+			j, _ := c.Jobs.Get("j7")
 			t.Fatalf("recovered job never completed: %+v", j)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	// New ids continue after the dead process's.
-	if id := c.jobs.Create(); fleet.JobSeq(id) <= 7 {
+	if id := c.Jobs.Create(); fleet.JobSeq(id) <= 7 {
 		t.Errorf("new job id %s does not continue past replayed j7", id)
 	}
 }
@@ -463,10 +462,10 @@ func TestDetachedDuplicateDeduped(t *testing.T) {
 	c.handoff.Complete("j1", fleet.Done{Cut: 9, TierName: "fm", Worker: "w1"})
 
 	// No workers registered: completing requires memory, not a forward.
-	c.jobs.Restore(fleet.JobInfo{ID: "j2", Status: "requeued", Requeued: true})
-	c.requeue([]fleet.Job{{ID: "j2", Key: key, Netlist: testNets, Detached: true}})
+	c.requeue([]serve.Record{{Type: "accepted", JobID: "j2",
+		Fingerprint: key.Fingerprint, Opts: key.Opts, Netlist: testNets}})
 
-	j, ok := c.jobs.Get("j2")
+	j, ok := c.Jobs.Get("j2")
 	if !ok || j.Status != "done" || j.Cut != 9 || j.Worker != "w1" {
 		t.Fatalf("duplicate not served from memory: %+v", j)
 	}
@@ -482,7 +481,7 @@ func TestCoordinatorDrain(t *testing.T) {
 	h := c.handler()
 	w := newFakeWorker(t, "w1")
 	register(t, h, "w1", w.addr())
-	c.draining.Store(true)
+	c.StartDraining()
 	rec, _ := postNetlist(t, h, "", testNets)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status during drain = %d, want 503", rec.Code)
@@ -504,7 +503,7 @@ func TestDeregisterReclaims(t *testing.T) {
 	register(t, h, "w1", w1.addr())
 	register(t, h, "w2", w2.addr())
 
-	c.jobs.Restore(fleet.JobInfo{ID: "j5", Status: "requeued", Requeued: true})
+	c.Jobs.Restore(fleet.JobInfo{ID: "j5", Status: "requeued", Requeued: true})
 	c.handoff.Admit(fleet.Job{ID: "j5", Key: fleet.JobKey{Fingerprint: 5}, Netlist: testNets, Worker: "w1", Detached: true})
 
 	rec := httptest.NewRecorder()
@@ -517,14 +516,14 @@ func TestDeregisterReclaims(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if j, ok := c.jobs.Get("j5"); ok && j.Status == "done" {
+		if j, ok := c.Jobs.Get("j5"); ok && j.Status == "done" {
 			if j.Worker != "w2" {
 				t.Fatalf("reclaimed job ran on %q, want w2", j.Worker)
 			}
 			return
 		}
 		if time.Now().After(deadline) {
-			j, _ := c.jobs.Get("j5")
+			j, _ := c.Jobs.Get("j5")
 			t.Fatalf("job not rerouted after deregister: %+v", j)
 		}
 		time.Sleep(5 * time.Millisecond)

@@ -26,13 +26,14 @@ import (
 	"time"
 
 	"fasthgp/internal/fleet"
+	"fasthgp/internal/serve"
 )
 
 // flight is one in-progress computation shared by all concurrent
 // requests with its key.
 type flight struct {
 	done   chan struct{} // closed when resp/worker/err are final
-	resp   workerResponse
+	resp   serve.PartitionResponse
 	worker string
 	err    error
 }
@@ -40,7 +41,7 @@ type flight struct {
 // dispatch routes one live (attached) request through single-flight
 // collapse and hedging. Detached re-runs use the plain forward loop:
 // they have no client waiting, so tail latency is irrelevant.
-func (c *coord) dispatch(ctx context.Context, job fleet.Job, vs *verifySpec, deadline time.Time) (workerResponse, string, error) {
+func (c *coord) dispatch(ctx context.Context, job fleet.Job, ct *serve.Contract, deadline time.Time) (serve.PartitionResponse, string, error) {
 	for {
 		c.flightMu.Lock()
 		if f, ok := c.flights[job.Key]; ok {
@@ -55,18 +56,18 @@ func (c *coord) dispatch(ctx context.Context, job fleet.Job, vs *verifySpec, dea
 				// client). Loop: become the leader or join a newer
 				// flight, while our context allows.
 				if ctx.Err() != nil {
-					return workerResponse{}, "", ctx.Err()
+					return serve.PartitionResponse{}, "", ctx.Err()
 				}
 				continue
 			case <-ctx.Done():
-				return workerResponse{}, "", ctx.Err()
+				return serve.PartitionResponse{}, "", ctx.Err()
 			}
 		}
 		f := &flight{done: make(chan struct{})}
 		c.flights[job.Key] = f
 		c.flightMu.Unlock()
 
-		resp, worker, err := c.forwardHedged(ctx, job, vs, deadline)
+		resp, worker, err := c.forwardHedged(ctx, job, ct, deadline)
 
 		f.resp, f.worker, f.err = resp, worker, err
 		c.flightMu.Lock()
@@ -80,15 +81,15 @@ func (c *coord) dispatch(ctx context.Context, job fleet.Job, vs *verifySpec, dea
 // forwardHedged runs the forward loop, firing one delayed duplicate at
 // the failover candidate when the budget allows. First verified answer
 // wins; the loser is canceled.
-func (c *coord) forwardHedged(ctx context.Context, job fleet.Job, vs *verifySpec, deadline time.Time) (workerResponse, string, error) {
+func (c *coord) forwardHedged(ctx context.Context, job fleet.Job, ct *serve.Contract, deadline time.Time) (serve.PartitionResponse, string, error) {
 	// No hedging configured, not enough budget for a meaningful
 	// duplicate, or nobody to hedge to: plain forward.
 	if c.cfg.hedgeDelay <= 0 || time.Until(deadline) < 2*c.cfg.hedgeDelay || c.ring.Len() < 2 {
-		return c.forward(ctx, job, vs, deadline)
+		return c.forward(ctx, job, ct, deadline)
 	}
 
 	type outcome struct {
-		resp   workerResponse
+		resp   serve.PartitionResponse
 		worker string
 		err    error
 		hedge  bool
@@ -98,7 +99,7 @@ func (c *coord) forwardHedged(ctx context.Context, job fleet.Job, vs *verifySpec
 	results := make(chan outcome, 2)
 	inFlight := 1
 	go func() {
-		r, w, e := c.forwardFrom(hctx, job, vs, deadline, 0)
+		r, w, e := c.forwardFrom(hctx, job, ct, deadline, 0)
 		results <- outcome{r, w, e, false}
 	}()
 	timer := time.NewTimer(c.cfg.hedgeDelay)
@@ -111,7 +112,7 @@ func (c *coord) forwardHedged(ctx context.Context, job fleet.Job, vs *verifySpec
 			c.hedges.Add(1)
 			inFlight++
 			go func() {
-				r, w, e := c.forwardFrom(hctx, job, vs, deadline, 1)
+				r, w, e := c.forwardFrom(hctx, job, ct, deadline, 1)
 				results <- outcome{r, w, e, true}
 			}()
 			timer.Stop()
@@ -131,7 +132,7 @@ func (c *coord) forwardHedged(ctx context.Context, job fleet.Job, vs *verifySpec
 				// Both runners failed (or the only runner failed before
 				// the hedge timer — stop waiting for a timer that would
 				// hedge a finished race).
-				return workerResponse{}, "", firstErr
+				return serve.PartitionResponse{}, "", firstErr
 			}
 		}
 	}

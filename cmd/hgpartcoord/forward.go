@@ -36,22 +36,8 @@ import (
 
 	"fasthgp/internal/faultinject"
 	"fasthgp/internal/fleet"
+	"fasthgp/internal/serve"
 )
-
-// workerResponse mirrors hgpartd's partitionResponse, plus the worker
-// field the coordinator stamps on before answering the client.
-type workerResponse struct {
-	JobID      string `json:"job_id"`
-	Modules    int    `json:"modules"`
-	Nets       int    `json:"nets"`
-	Cut        int    `json:"cut"`
-	Tier       int    `json:"tier"`
-	TierName   string `json:"tier_name"`
-	Degraded   bool   `json:"degraded"`
-	Assignment []int  `json:"assignment"`
-	WallMS     int64  `json:"wall_ms"`
-	Worker     string `json:"worker,omitempty"`
-}
 
 // permanentError carries a worker's 4xx verdict: the request itself is
 // bad and no amount of retrying will change that.
@@ -68,18 +54,18 @@ func (e *permanentError) Error() string {
 // a verified result, the deadline passes, or a worker rules the
 // request permanently bad. It returns the winning worker's response
 // and id.
-func (c *coord) forward(ctx context.Context, job fleet.Job, vs *verifySpec, deadline time.Time) (workerResponse, string, error) {
-	return c.forwardFrom(ctx, job, vs, deadline, 0)
+func (c *coord) forward(ctx context.Context, job fleet.Job, ct *serve.Contract, deadline time.Time) (serve.PartitionResponse, string, error) {
+	return c.forwardFrom(ctx, job, ct, deadline, 0)
 }
 
 // forwardFrom is forward with the candidate walk rotated by offset, so
 // a hedge starts at the failover worker instead of colliding with the
 // primary attempt on the same candidate.
-func (c *coord) forwardFrom(ctx context.Context, job fleet.Job, vs *verifySpec, deadline time.Time, offset int) (workerResponse, string, error) {
+func (c *coord) forwardFrom(ctx context.Context, job fleet.Job, ct *serve.Contract, deadline time.Time, offset int) (serve.PartitionResponse, string, error) {
 	var lastErr error = fmt.Errorf("no workers registered")
 	for attempt := 0; attempt < c.cfg.retries; attempt++ {
 		if ctx.Err() != nil {
-			return workerResponse{}, "", fmt.Errorf("deadline exhausted after %d attempt(s): %w", attempt, lastErr)
+			return serve.PartitionResponse{}, "", fmt.Errorf("deadline exhausted after %d attempt(s): %w", attempt, lastErr)
 		}
 		worker, ok := c.pickWorker(job.Key.Fingerprint, attempt+offset)
 		if !ok {
@@ -88,7 +74,7 @@ func (c *coord) forwardFrom(ctx context.Context, job fleet.Job, vs *verifySpec, 
 			// heartbeat can rejoin a worker, a cooldown can admit a
 			// probe, a verified probe streak can lift a quarantine.
 			if !c.cfg.backoff.Sleep(ctx, attempt) {
-				return workerResponse{}, "", fmt.Errorf("deadline exhausted waiting for a routable worker: %w", lastErr)
+				return serve.PartitionResponse{}, "", fmt.Errorf("deadline exhausted waiting for a routable worker: %w", lastErr)
 			}
 			continue
 		}
@@ -98,7 +84,7 @@ func (c *coord) forwardFrom(ctx context.Context, job fleet.Job, vs *verifySpec, 
 		}
 		resp, err := c.forwardOnce(ctx, worker, job, deadline)
 		if err == nil {
-			if verr := vs.verify(resp); verr != nil {
+			if verr := ct.Check(resp); verr != nil {
 				// The transport worked; the answer is a lie. Success on
 				// the breaker axis, a strike on the integrity axis, and
 				// the answer is never delivered — fail over.
@@ -106,7 +92,7 @@ func (c *coord) forwardFrom(ctx context.Context, job fleet.Job, vs *verifySpec, 
 				c.strike(worker, verr)
 				lastErr = fmt.Errorf("%s: %w", worker, verr)
 				if !c.cfg.backoff.Sleep(ctx, attempt) {
-					return workerResponse{}, "", fmt.Errorf("deadline exhausted after %d attempt(s): %w", attempt+1, lastErr)
+					return serve.PartitionResponse{}, "", fmt.Errorf("deadline exhausted after %d attempt(s): %w", attempt+1, lastErr)
 				}
 				continue
 			}
@@ -118,13 +104,13 @@ func (c *coord) forwardFrom(ctx context.Context, job fleet.Job, vs *verifySpec, 
 			// Canceled from above — the hedge rival already won, or the
 			// client vanished. Not the worker's fault on any axis.
 			c.registry.Record(worker, true)
-			return workerResponse{}, "", fmt.Errorf("forward canceled: %w", ctx.Err())
+			return serve.PartitionResponse{}, "", fmt.Errorf("forward canceled: %w", ctx.Err())
 		}
 		var perm *permanentError
 		if errors.As(err, &perm) {
 			// The worker answered authoritatively; it is healthy.
 			c.registry.Record(worker, true)
-			return workerResponse{}, "", err
+			return serve.PartitionResponse{}, "", err
 		}
 		var garbled *garbledError
 		if errors.As(err, &garbled) {
@@ -141,10 +127,10 @@ func (c *coord) forwardFrom(ctx context.Context, job fleet.Job, vs *verifySpec, 
 		}
 		lastErr = fmt.Errorf("%s: %w", worker, err)
 		if !c.cfg.backoff.Sleep(ctx, attempt) {
-			return workerResponse{}, "", fmt.Errorf("deadline exhausted after %d attempt(s): %w", attempt+1, lastErr)
+			return serve.PartitionResponse{}, "", fmt.Errorf("deadline exhausted after %d attempt(s): %w", attempt+1, lastErr)
 		}
 	}
-	return workerResponse{}, "", fmt.Errorf("all %d attempt(s) failed: %w", c.cfg.retries, lastErr)
+	return serve.PartitionResponse{}, "", fmt.Errorf("all %d attempt(s) failed: %w", c.cfg.retries, lastErr)
 }
 
 // pickWorker walks the ring's preference order for key and returns the
@@ -186,15 +172,15 @@ func (e *garbledError) Unwrap() error { return e.err }
 // forwardOnce sends the job to one worker, honoring the fault-injection
 // points that shape network failures: a drop rule fails the attempt
 // without sending, a partial rule truncates the response mid-read.
-func (c *coord) forwardOnce(ctx context.Context, worker string, job fleet.Job, deadline time.Time) (workerResponse, error) {
+func (c *coord) forwardOnce(ctx context.Context, worker string, job fleet.Job, deadline time.Time) (serve.PartitionResponse, error) {
 	addr, ok := c.registry.Addr(worker)
 	if !ok {
-		return workerResponse{}, fmt.Errorf("worker %s vanished from the registry", worker)
+		return serve.PartitionResponse{}, fmt.Errorf("worker %s vanished from the registry", worker)
 	}
 	idx := int(c.fwdCounter.Add(1) - 1)
 	faultinject.Fire(faultinject.PointFleetForward, idx)
 	if faultinject.ShouldDrop(faultinject.PointFleetForward, idx) {
-		return workerResponse{}, fmt.Errorf("injected connection drop (forward %d)", idx)
+		return serve.PartitionResponse{}, fmt.Errorf("injected connection drop (forward %d)", idx)
 	}
 
 	target := "http://" + addr + "/partition"
@@ -205,18 +191,18 @@ func (c *coord) forwardOnce(ctx context.Context, worker string, job fleet.Job, d
 	defer cancel()
 	req, err := http.NewRequestWithContext(rctx, http.MethodPost, target, strings.NewReader(job.Netlist))
 	if err != nil {
-		return workerResponse{}, err
+		return serve.PartitionResponse{}, err
 	}
 	req.Header.Set("X-Request-Deadline", strconv.FormatInt(deadline.UnixMilli(), 10))
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return workerResponse{}, err
+		return serve.PartitionResponse{}, err
 	}
 	defer resp.Body.Close()
 
 	body, err := io.ReadAll(io.LimitReader(resp.Body, c.cfg.maxBody+1<<20))
 	if err != nil {
-		return workerResponse{}, fmt.Errorf("reading worker response: %w", err)
+		return serve.PartitionResponse{}, fmt.Errorf("reading worker response: %w", err)
 	}
 	if faultinject.ShouldPartial(faultinject.PointFleetForward, idx) {
 		body = body[:len(body)/2] // the worker died mid-reply
@@ -231,18 +217,18 @@ func (c *coord) forwardOnce(ctx context.Context, worker string, job fleet.Job, d
 
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		var wr workerResponse
+		var wr serve.PartitionResponse
 		if err := json.Unmarshal(body, &wr); err != nil {
 			// Truncated or garbled reply: retryable, and charged as a
 			// corrupt frame on the integrity axis by the forward loop.
-			return workerResponse{}, &garbledError{err: err}
+			return serve.PartitionResponse{}, &garbledError{err: err}
 		}
 		return wr, nil
 	case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable:
-		return workerResponse{}, &refusalError{status: resp.StatusCode}
+		return serve.PartitionResponse{}, &refusalError{status: resp.StatusCode}
 	case resp.StatusCode >= 400 && resp.StatusCode < 500:
-		return workerResponse{}, &permanentError{status: resp.StatusCode, body: string(body)}
+		return serve.PartitionResponse{}, &permanentError{status: resp.StatusCode, body: string(body)}
 	default:
-		return workerResponse{}, fmt.Errorf("worker answered HTTP %d", resp.StatusCode)
+		return serve.PartitionResponse{}, fmt.Errorf("worker answered HTTP %d", resp.StatusCode)
 	}
 }

@@ -1,7 +1,6 @@
 package main
 
-// Integrity bookkeeping: quarantine strikes, readmission probes, and
-// the WAL scrubber.
+// Integrity bookkeeping: quarantine strikes and readmission probes.
 //
 // Probes: a quarantined worker is excluded from routing, so it can
 // never redeem itself through client traffic. Each sweep the
@@ -13,20 +12,14 @@ package main
 // material is whatever verified last — it needs no freshness, only a
 // known-checkable request, and the worker's result cache makes
 // repeated probes nearly free for an honest worker.
-//
-// Scrub: with a WAL attached, a background pass re-walks its CRC
-// frames on a timer and publishes the report. Bit rot is detected
-// while the process is healthy — not at the next crash's replay, when
-// the data is needed and the operator is busy — and degrades /healthz
-// so fleet monitoring sees it.
 
 import (
 	"context"
 	"fmt"
 	"time"
 
-	"fasthgp/internal/checkpoint"
 	"fasthgp/internal/fleet"
+	"fasthgp/internal/serve"
 )
 
 // strike charges one invalid answer (oracle-rejected or corrupt frame)
@@ -35,7 +28,7 @@ func (c *coord) strike(worker string, cause error) {
 	c.invalid.Add(1)
 	if c.registry.RecordInvalid(worker) {
 		c.quarantines.Add(1)
-		fmt.Fprintf(c.stdout, "hgpartcoord: worker %s quarantined: invalid answers (last: %v)\n", worker, cause)
+		fmt.Fprintf(c.Stdout, "hgpartcoord: worker %s quarantined: invalid answers (last: %v)\n", worker, cause)
 	}
 }
 
@@ -43,12 +36,12 @@ func (c *coord) strike(worker string, cause error) {
 // probes: the last job whose answer passed the oracle.
 type probeMaterial struct {
 	job fleet.Job
-	vs  *verifySpec
+	ct  *serve.Contract
 }
 
 // keepProbeMaterial remembers a verified job as future probe material.
-func (c *coord) keepProbeMaterial(job fleet.Job, vs *verifySpec) {
-	c.probeMat.Store(&probeMaterial{job: job, vs: vs})
+func (c *coord) keepProbeMaterial(job fleet.Job, ct *serve.Contract) {
+	c.probeMat.Store(&probeMaterial{job: job, ct: ct})
 }
 
 // probeQuarantined claims probe slots for quarantined workers and
@@ -74,40 +67,9 @@ func (c *coord) probeWorker(id string, mat *probeMaterial) {
 	ctx, cancel := context.WithDeadline(context.Background(), deadline)
 	defer cancel()
 	resp, err := c.forwardOnce(ctx, id, mat.job, deadline)
-	valid := err == nil && mat.vs.verify(resp) == nil
+	valid := err == nil && mat.ct.Check(resp) == nil
 	if c.registry.RecordProbe(id, valid) {
 		c.readmitted.Add(1)
-		fmt.Fprintf(c.stdout, "hgpartcoord: worker %s readmitted after verified probes\n", id)
-	}
-}
-
-// runScrub performs one scrub pass over the WAL and publishes the
-// result. No-op without a WAL.
-func (c *coord) runScrub() {
-	if c.wal == nil {
-		return
-	}
-	rep, err := c.wal.scrub()
-	st := &checkpoint.ScrubStatus{Report: rep, At: time.Now()}
-	if err != nil {
-		st.Err = err.Error()
-	}
-	if !st.Healthy() {
-		fmt.Fprintf(c.stdout, "hgpartcoord: WAL scrub unhealthy: %s\n", st.Problem())
-	}
-	c.lastScrub.Store(st)
-}
-
-// scrubLoop runs runScrub on a timer until stop closes.
-func (c *coord) scrubLoop(interval time.Duration, stop <-chan struct{}) {
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			c.runScrub()
-		}
+		fmt.Fprintf(c.Stdout, "hgpartcoord: worker %s readmitted after verified probes\n", id)
 	}
 }

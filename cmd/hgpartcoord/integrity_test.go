@@ -19,9 +19,11 @@ import (
 	"testing"
 	"time"
 
+	"fasthgp/internal/checkpoint"
 	"fasthgp/internal/faultinject"
 	"fasthgp/internal/fleet"
 	"fasthgp/internal/resilience"
+	"fasthgp/internal/serve"
 )
 
 // testCoordQ is testCoord with an explicit quarantine config.
@@ -32,7 +34,6 @@ func testCoordQ(now func() time.Time, q fleet.QuarantineConfig) *coord {
 		retries:      6,
 		backoff:      fleet.BackoffConfig{Base: time.Millisecond, Cap: 5 * time.Millisecond, Seed: 1},
 		heartbeatTTL: time.Second,
-		ejectAfter:   2,
 		replicas:     16,
 		drainTimeout: time.Second,
 	}
@@ -71,11 +72,11 @@ func postUntilQuarantined(t *testing.T, c *coord, h http.Handler, liar string) {
 			t.Fatalf("netlist %d delivered by the Byzantine worker %s", i, liar)
 		}
 		// The delivered answer must itself pass the oracle.
-		vs, err := newVerifySpec("", []byte(body), nil)
+		ct, err := serve.ParseContract("", strings.NewReader(body), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := vs.verify(resp); err != nil {
+		if err := ct.Check(resp); err != nil {
 			t.Fatalf("netlist %d: delivered answer fails the oracle: %v", i, err)
 		}
 		if c.registry.Quarantined(liar) {
@@ -306,53 +307,45 @@ func TestDoubleFailureHandoffExactlyOnce(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "coord.wal")
 
 	// Life 1: accept, journal, crash before any outcome.
-	w1, _, _, _, err := openCoordWAL(walPath)
-	if err != nil {
+	c1 := testCoord(nil)
+	if _, err := c1.OpenWAL(walPath); err != nil {
 		t.Fatal(err)
 	}
-	if err := w1.append(coordWALRecord{Type: "accepted", JobID: "j3",
+	if err := c1.WAL.Append(serve.Record{Type: "accepted", JobID: "j3",
 		Netlist: testNets, Fingerprint: 3}); err != nil {
 		t.Fatal(err)
 	}
-	w1.close()
+	c1.WAL.Close()
 
 	// Life 2: replay and re-enqueue, but no worker ever registers; the
 	// coordinator "dies" again (drain) mid-reclaim.
-	w2, maxSeq, replayed, pending, err := openCoordWAL(walPath)
+	c2 := testCoord(nil)
+	pending, err := c2.OpenWAL(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pending) != 1 {
 		t.Fatalf("life 2 pending = %d, want 1", len(pending))
 	}
-	c2 := testCoord(nil)
-	c2.attachWAL(w2, maxSeq, replayed)
 	c2.requeue(pending)
 	time.Sleep(30 * time.Millisecond) // the detached runner spins on an empty fleet
-	c2.draining.Store(true)
+	c2.StartDraining()
 	time.Sleep(100 * time.Millisecond) // let the runner observe drain and park
-	w2.close()
+	c2.WAL.Close()
 
 	// Life 3: the job is still pending exactly once — the aborted
 	// reclaim journaled no outcome and no duplicate accepted record.
-	w3, maxSeq, replayed, pending, err := openCoordWAL(walPath)
+	if n := countRecords(t, walPath, "accepted", "j3"); n != 1 {
+		t.Fatalf("life 3 sees %d accepted record(s) for j3, want 1", n)
+	}
+	c3 := testCoord(nil)
+	pending, err = c3.OpenWAL(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pending) != 1 || pending[0].ID != "j3" {
+	if len(pending) != 1 || pending[0].JobID != "j3" {
 		t.Fatalf("life 3 pending = %+v, want exactly [j3]", pending)
 	}
-	accepted := 0
-	for _, rec := range replayed {
-		if rec.Type == "accepted" && rec.JobID == "j3" {
-			accepted++
-		}
-	}
-	if accepted != 1 {
-		t.Fatalf("life 3 sees %d accepted record(s) for j3, want 1", accepted)
-	}
-	c3 := testCoord(nil)
-	c3.attachWAL(w3, maxSeq, replayed)
 	c3.requeue(pending)
 	h := c3.handler()
 	fw := newFakeWorker(t, "w1")
@@ -360,11 +353,11 @@ func TestDoubleFailureHandoffExactlyOnce(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if j, ok := c3.jobs.Get("j3"); ok && j.Status == "done" {
+		if j, ok := c3.Jobs.Get("j3"); ok && j.Status == "done" {
 			break
 		}
 		if time.Now().After(deadline) {
-			j, _ := c3.jobs.Get("j3")
+			j, _ := c3.Jobs.Get("j3")
 			t.Fatalf("job never completed in life 3: %+v", j)
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -373,26 +366,43 @@ func TestDoubleFailureHandoffExactlyOnce(t *testing.T) {
 		t.Errorf("worker ran the job %d time(s), want exactly 1", got)
 	}
 	time.Sleep(20 * time.Millisecond) // done record is fsynced right after the status flip
-	w3.close()
+	c3.WAL.Close()
 
 	// Life 4: nothing pending; the ledger holds the single outcome.
-	w4, _, replayed, pending, err := openCoordWAL(walPath)
+	c4 := testCoord(nil)
+	pending, err = c4.OpenWAL(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w4.close()
+	defer c4.WAL.Close()
 	if len(pending) != 0 {
 		t.Fatalf("life 4 pending = %d, want 0", len(pending))
 	}
-	done := 0
-	for _, rec := range replayed {
-		if rec.Type == "done" && rec.JobID == "j3" {
-			done++
+	if n := countRecords(t, walPath, "done", "j3"); n != 1 {
+		t.Errorf("life 4 sees %d done record(s) for j3, want 1", n)
+	}
+}
+
+// countRecords reads the WAL at path and counts the records of type
+// typ for job id.
+func countRecords(t *testing.T, path, typ, id string) int {
+	t.Helper()
+	j, frames, err := checkpoint.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	n := 0
+	for _, raw := range frames[1:] {
+		var rec serve.Record
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Type == typ && rec.JobID == id {
+			n++
 		}
 	}
-	if done != 1 {
-		t.Errorf("life 4 sees %d done record(s) for j3, want 1", done)
-	}
+	return n
 }
 
 // TestScrubDegradesHealthOnRot: the scrubber reports a clean WAL as
@@ -400,14 +410,12 @@ func TestDoubleFailureHandoffExactlyOnce(t *testing.T) {
 // /healthz and surfacing the report on /stats.
 func TestScrubDegradesHealthOnRot(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "coord.wal")
-	w, maxSeq, replayed, _, err := openCoordWAL(walPath)
-	if err != nil {
+	c := testCoord(nil)
+	if _, err := c.OpenWAL(walPath); err != nil {
 		t.Fatal(err)
 	}
-	defer w.close()
-	c := testCoord(nil)
-	c.attachWAL(w, maxSeq, replayed)
-	if err := w.append(coordWALRecord{Type: "accepted", JobID: "j1", Netlist: testNets, Fingerprint: 1}); err != nil {
+	defer c.WAL.Close()
+	if err := c.WAL.Append(serve.Record{Type: "accepted", JobID: "j1", Netlist: testNets, Fingerprint: 1}); err != nil {
 		t.Fatal(err)
 	}
 	h := c.handler()
@@ -422,7 +430,7 @@ func TestScrubDegradesHealthOnRot(t *testing.T) {
 		return m
 	}
 
-	c.runScrub()
+	c.WAL.Scrub()
 	if m := healthz(); m["status"] != "ok" {
 		t.Fatalf("clean WAL healthz = %v (reasons %v)", m["status"], m["degraded_reasons"])
 	}
@@ -437,7 +445,7 @@ func TestScrubDegradesHealthOnRot(t *testing.T) {
 	}
 	f.Close()
 
-	c.runScrub()
+	c.WAL.Scrub()
 	m := healthz()
 	if m["status"] != "degraded" {
 		t.Fatalf("rotted WAL healthz = %v, want degraded", m["status"])

@@ -40,20 +40,15 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"fasthgp/internal/faultinject"
 	"fasthgp/internal/fleet"
 	"fasthgp/internal/resilience"
+	"fasthgp/internal/serve"
 )
 
 func main() {
@@ -95,30 +90,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "hgpartcoord:", err)
 		return 1
 	}
-	spec := *faults
-	if spec == "" {
-		spec = os.Getenv("FASTHGP_FAULTS")
+	disarm, err := serve.ArmFaults("hgpartcoord", *faults, stdout)
+	if err != nil {
+		return fail(err)
 	}
-	if spec != "" {
-		plan, err := faultinject.ParseSpec(spec)
-		if err != nil {
-			return fail(err)
-		}
-		defer faultinject.Install(plan)()
-		fmt.Fprintf(stdout, "hgpartcoord: fault injection armed: %s\n", spec)
-	}
+	defer disarm()
 
 	cfg := coordConfig{
-		maxBody:       *maxBody,
-		reqTimeout:    *reqTimeout,
-		retries:       *retries,
-		backoff:       fleet.BackoffConfig{Base: *retryBase, Cap: *retryCap, Seed: *retrySeed},
-		heartbeatTTL:  *heartbeatTTL,
-		ejectAfter:    *ejectAfter,
-		replicas:      *replicas,
-		drainTimeout:  *drainTimeout,
-		hedgeDelay:    *hedgeDelay,
-		scrubInterval: *scrubEvery,
+		maxBody:      *maxBody,
+		reqTimeout:   *reqTimeout,
+		retries:      *retries,
+		backoff:      fleet.BackoffConfig{Base: *retryBase, Cap: *retryCap, Seed: *retrySeed},
+		heartbeatTTL: *heartbeatTTL,
+		replicas:     *replicas,
+		drainTimeout: *drainTimeout,
+		hedgeDelay:   *hedgeDelay,
 	}
 	c := newCoord(cfg, fleet.RegistryConfig{
 		HeartbeatTTL: *heartbeatTTL,
@@ -136,57 +122,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// process accepted but never saw finish. The detached runners wait
 	// (with backoff) for workers to register, so boot order is free.
 	if *walPath != "" {
-		w, maxSeq, replayed, pending, err := openCoordWAL(*walPath)
+		pending, err := c.OpenWAL(*walPath)
 		if err != nil {
 			return fail(err)
 		}
-		defer w.close()
-		c.attachWAL(w, maxSeq, replayed)
-		if len(replayed) > 0 || len(pending) > 0 {
-			fmt.Fprintf(stdout, "hgpartcoord: WAL %s: replayed %d record(s), re-enqueuing %d interrupted job(s)\n",
-				*walPath, len(replayed), len(pending))
-		}
+		defer c.WAL.Close()
 		c.requeue(pending)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := c.Listen(*addr)
 	if err != nil {
 		return fail(err)
 	}
-	fmt.Fprintf(stdout, "hgpartcoord: listening on %s\n", ln.Addr())
-
 	// The ejection sweep: interval bounds detection latency only, never
 	// correctness, so half a TTL keeps /healthz timely without load.
-	sweepStop := make(chan struct{})
-	go c.sweepLoop(*heartbeatTTL/2, sweepStop)
-	if c.wal != nil && *scrubEvery > 0 {
-		go c.scrubLoop(*scrubEvery, sweepStop)
-	}
-
-	httpSrv := &http.Server{
-		Handler:           c.handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		close(sweepStop)
+	sweep := serve.Ticker{Every: *heartbeatTTL / 2, Run: c.sweep}
+	if err := c.Serve(ln, c.handler(), *scrubEvery, nil, sweep); err != nil {
 		return fail(err)
-	case <-ctx.Done():
 	}
-	stop()
-	close(sweepStop)
-	c.draining.Store(true)
-	fmt.Fprintf(stdout, "hgpartcoord: signal received, draining for up to %s\n", *drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(drainCtx); err != nil {
-		return fail(fmt.Errorf("drain: %w", err))
-	}
-	fmt.Fprintln(stdout, "hgpartcoord: drained, bye")
 	return 0
 }

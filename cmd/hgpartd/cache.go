@@ -19,6 +19,7 @@ import (
 
 	"fasthgp"
 	"fasthgp/internal/checkpoint"
+	"fasthgp/internal/serve"
 )
 
 // cacheKey identifies one (netlist, options) request class.
@@ -50,7 +51,7 @@ type resultCache struct {
 
 type cacheEntry struct {
 	key  cacheKey
-	resp partitionResponse
+	resp serve.PartitionResponse
 }
 
 // newResultCache returns an LRU bounded to capacity entries, or nil
@@ -67,13 +68,13 @@ func newResultCache(capacity int) *resultCache {
 }
 
 // get returns the cached response for k, bumping it to most recent.
-func (c *resultCache) get(k cacheKey) (partitionResponse, bool) {
+func (c *resultCache) get(k cacheKey) (serve.PartitionResponse, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[k]
 	if !ok {
 		c.misses.Add(1)
-		return partitionResponse{}, false
+		return serve.PartitionResponse{}, false
 	}
 	c.order.MoveToFront(el)
 	c.hits.Add(1)
@@ -82,7 +83,7 @@ func (c *resultCache) get(k cacheKey) (partitionResponse, bool) {
 
 // put inserts (or refreshes) k's response, evicting the least recently
 // used entry past capacity.
-func (c *resultCache) put(k cacheKey, resp partitionResponse) {
+func (c *resultCache) put(k cacheKey, resp serve.PartitionResponse) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[k]; ok {

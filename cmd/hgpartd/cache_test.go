@@ -12,6 +12,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"fasthgp/internal/serve"
 )
 
 func cacheCounters(t *testing.T, s *server) (hits, misses, size int64) {
@@ -118,12 +120,12 @@ func TestCacheDisabledByDefaultConfigZero(t *testing.T) {
 func TestCacheLRUBound(t *testing.T) {
 	c := newResultCache(2)
 	k := func(i uint64) cacheKey { return cacheKey{fingerprint: i, opts: "o"} }
-	c.put(k(1), partitionResponse{JobID: "a"})
-	c.put(k(2), partitionResponse{JobID: "b"})
+	c.put(k(1), serve.PartitionResponse{JobID: "a"})
+	c.put(k(2), serve.PartitionResponse{JobID: "b"})
 	if _, ok := c.get(k(1)); !ok { // bump 1 to most recent
 		t.Fatal("entry 1 evicted early")
 	}
-	c.put(k(3), partitionResponse{JobID: "c"}) // evicts 2, the LRU
+	c.put(k(3), serve.PartitionResponse{JobID: "c"}) // evicts 2, the LRU
 	if _, ok := c.get(k(2)); ok {
 		t.Fatal("LRU entry 2 not evicted at capacity")
 	}

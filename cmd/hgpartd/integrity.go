@@ -1,7 +1,6 @@
 package main
 
-// Load-derived Retry-After hints, the byzantine fault mode, and the
-// WAL scrubber.
+// Load-derived Retry-After hints and the byzantine fault mode.
 //
 // Retry-After: a fixed hint synchronizes every rejected client (and
 // every coordinator backoff fronting this worker) onto the same retry
@@ -17,18 +16,14 @@ package main
 // with bad RAM or a miscompiled kernel: every layer below the HTTP
 // response is intact, so only end-to-end answer verification (the
 // coordinator's oracle) can catch it.
-//
-// Scrub: with a WAL attached, a background pass re-walks its CRC
-// frames on a timer, detecting bit rot while the process is healthy
-// rather than at the next crash's replay, and degrades /healthz.
 
 import (
 	"net/http"
 	"strconv"
-	"time"
 
-	"fasthgp/internal/checkpoint"
 	"fasthgp/internal/faultinject"
+	"fasthgp/internal/serve"
+	"fasthgp/internal/splitmix"
 )
 
 // retryAfterHint renders a Retry-After value: nominal seconds at the
@@ -36,61 +31,16 @@ import (
 // the admission queue fills.
 func (s *server) retryAfterHint(nominal int) string {
 	spread := 1 + 3*len(s.sem)/s.cfg.queue
-	x := splitmix64(s.retrySalt.Add(1))
+	x := splitmix.Mix64(s.retrySalt.Add(1))
 	return strconv.Itoa(nominal + int(x%uint64(spread+1)))
-}
-
-// splitmix64 is the SplitMix64 output mixer — a cheap stateless bijection
-// good enough to decorrelate retry hints.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // writePartition writes one /partition 200, applying the byzantine
 // fault mode to a copy of the response — the caller's value (and any
 // cache entry holding it) stays honest.
-func (s *server) writePartition(w http.ResponseWriter, resp partitionResponse, reqIdx int) {
+func (s *server) writePartition(w http.ResponseWriter, resp serve.PartitionResponse, reqIdx int) {
 	if faultinject.ShouldCorrupt(faultinject.PointServeRequest, reqIdx) {
 		resp.Cut++ // the lie: everything below the response is intact
 	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// scrub re-walks the WAL's CRC frames read-only, serialized against
-// appends so an in-flight frame never reads as torn.
-func (w *wal) scrub() (checkpoint.ScrubReport, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return checkpoint.ScrubFile(w.j.Path())
-}
-
-// runScrub performs one scrub pass over the WAL and publishes the
-// result. No-op without a WAL.
-func (s *server) runScrub() {
-	if s.wal == nil {
-		return
-	}
-	rep, err := s.wal.scrub()
-	st := &checkpoint.ScrubStatus{Report: rep, At: time.Now()}
-	if err != nil {
-		st.Err = err.Error()
-	}
-	s.lastScrub.Store(st)
-}
-
-// scrubLoop runs runScrub on a timer until stop closes.
-func (s *server) scrubLoop(interval time.Duration, stop <-chan struct{}) {
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			s.runScrub()
-		}
-	}
+	s.WriteJSON(w, http.StatusOK, resp)
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"fasthgp/internal/faultinject"
+	"fasthgp/internal/serve"
 )
 
 // TestRetryAfterHintBounds: hints stay at or above the nominal floor,
@@ -64,7 +65,7 @@ func TestByzantineModeLiesOnlyOnWire(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body)
 	}
-	var lied partitionResponse
+	var lied serve.PartitionResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &lied); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestByzantineModeLiesOnlyOnWire(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("second status = %d: %s", rec.Code, rec.Body)
 	}
-	var honest partitionResponse
+	var honest serve.PartitionResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &honest); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestByzantineModeLiesOnlyOnWire(t *testing.T) {
 		t.Errorf("lied cut = %d, honest = %d, want lie = honest+1", lied.Cut, honest.Cut)
 	}
 	// The job table journaled the honest outcome.
-	if j, ok := s.jobs.Get(lied.JobID); !ok || j.Cut != honest.Cut {
+	if j, ok := s.Jobs.Get(lied.JobID); !ok || j.Cut != honest.Cut {
 		t.Errorf("job table cut = %+v, want honest %d", j, honest.Cut)
 	}
 }
@@ -93,14 +94,12 @@ func TestByzantineModeLiesOnlyOnWire(t *testing.T) {
 // surfaces the report on /stats.
 func TestWALScrubDegradesHealthz(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "hgpartd.wal")
-	w, maxSeq, replayed, _, err := openWAL(walPath)
-	if err != nil {
+	s := testServer()
+	if _, err := s.OpenWAL(walPath); err != nil {
 		t.Fatal(err)
 	}
-	defer w.close()
-	s := testServer()
-	s.attachWAL(w, maxSeq, replayed)
-	if err := w.append(walRecord{Type: "accepted", JobID: "j1", Netlist: testNets}); err != nil {
+	defer s.WAL.Close()
+	if err := s.WAL.Append(serve.Record{Type: "accepted", JobID: "j1", Netlist: testNets}); err != nil {
 		t.Fatal(err)
 	}
 	h := s.handler()
@@ -115,7 +114,7 @@ func TestWALScrubDegradesHealthz(t *testing.T) {
 		return m
 	}
 
-	s.runScrub()
+	s.WAL.Scrub()
 	if m := healthz(); m["status"] != "ok" {
 		t.Fatalf("clean WAL healthz = %v (reasons %v)", m["status"], m["degraded_reasons"])
 	}
@@ -129,7 +128,7 @@ func TestWALScrubDegradesHealthz(t *testing.T) {
 	}
 	f.Close()
 
-	s.runScrub()
+	s.WAL.Scrub()
 	m := healthz()
 	if m["status"] != "degraded" {
 		t.Fatalf("rotted WAL healthz = %v, want degraded", m["status"])

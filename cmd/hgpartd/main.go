@@ -55,7 +55,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -63,12 +62,10 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
-	"fasthgp/internal/faultinject"
+	"fasthgp/internal/serve"
 )
 
 func main() {
@@ -112,18 +109,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "hgpartd:", err)
 		return 1
 	}
-	spec := *faults
-	if spec == "" {
-		spec = os.Getenv("FASTHGP_FAULTS")
+	disarm, err := serve.ArmFaults("hgpartd", *faults, stdout)
+	if err != nil {
+		return fail(err)
 	}
-	if spec != "" {
-		plan, err := faultinject.ParseSpec(spec)
-		if err != nil {
-			return fail(err)
-		}
-		defer faultinject.Install(plan)()
-		fmt.Fprintf(stdout, "hgpartd: fault injection armed: %s\n", spec)
-	}
+	defer disarm()
 
 	cfg := serverConfig{
 		maxBody:          *maxBody,
@@ -143,22 +133,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *chain != "" {
 		cfg.chain = strings.Split(*chain, ",")
 	}
-	s := newServer(cfg)
+	s := newServer(cfg, stdout)
 
 	// Boot recovery: replay the WAL, surface every journaled job on
 	// /jobs/{id}, and re-enqueue whatever the previous process accepted
 	// but never finished.
 	if *walPath != "" {
-		w, maxSeq, replayed, pending, err := openWAL(*walPath)
+		pending, err := s.OpenWAL(*walPath)
 		if err != nil {
 			return fail(err)
 		}
-		defer w.close()
-		s.attachWAL(w, maxSeq, replayed)
-		if len(replayed) > 0 || len(pending) > 0 {
-			fmt.Fprintf(stdout, "hgpartd: WAL %s: replayed %d record(s), re-enqueuing %d interrupted job(s)\n",
-				*walPath, len(replayed), len(pending))
-		}
+		defer s.WAL.Close()
 		s.requeue(pending)
 	}
 
@@ -179,13 +164,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		go func() { _ = http.Serve(pln, pmux) }()
 	}
 
-	// Listen before Serve so :0 resolves and the real address is
-	// printed for whoever (CI, scripts) needs to find the port.
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := s.Listen(*addr)
 	if err != nil {
 		return fail(err)
 	}
-	fmt.Fprintf(stdout, "hgpartd: listening on %s\n", ln.Addr())
 
 	// Fleet membership: register with the coordinator once the real
 	// listen address is known, so -addr :0 still advertises correctly.
@@ -203,37 +185,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fc.start()
 	}
 
-	httpSrv := &http.Server{
-		Handler:           s.handler(),
-		ReadHeaderTimeout: 5 * time.Second,
+	// Drain order matters: the 503-with-Retry-After gate flips first
+	// (new jobs bounce immediately), then the worker deregisters from
+	// the fleet so the coordinator routes away, then the in-flight
+	// requests are waited out.
+	deregister := func() {
+		if fc != nil {
+			fc.stop()
+		}
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
-	if s.wal != nil && *scrubEvery > 0 {
-		go s.scrubLoop(*scrubEvery, ctx.Done())
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
+	if err := s.Serve(ln, s.handler(), *scrubEvery, deregister); err != nil {
 		return fail(err)
-	case <-ctx.Done():
 	}
-	stop()
-	// Drain order matters: flip the 503-with-Retry-After gate first (new
-	// jobs bounce immediately), deregister from the fleet so the
-	// coordinator routes away, then wait out the in-flight requests.
-	s.startDraining()
-	if fc != nil {
-		fc.stop()
-	}
-	fmt.Fprintf(stdout, "hgpartd: signal received, draining for up to %s\n", *drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(drainCtx); err != nil {
-		return fail(fmt.Errorf("drain: %w", err))
-	}
-	fmt.Fprintln(stdout, "hgpartd: drained, bye")
 	return 0
 }

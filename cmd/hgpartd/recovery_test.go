@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"fasthgp/internal/fleet"
+	"fasthgp/internal/serve"
 )
 
 // waitForJob polls the job table until the job reaches a terminal
@@ -18,14 +19,29 @@ func waitForJob(t *testing.T, s *server, id string) fleet.JobInfo {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if j, ok := s.jobs.Get(id); ok && j.Terminal() {
+		if j, ok := s.Jobs.Get(id); ok && j.Terminal() {
 			return j
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	j, _ := s.jobs.Get(id)
+	j, _ := s.Jobs.Get(id)
 	t.Fatalf("job %s never finished: %+v", id, j)
 	return fleet.JobInfo{}
+}
+
+// waitIdle polls until no request or recovered job is running. A job
+// is marked terminal in the job table before its outcome is journaled
+// and before its runner releases its slot, so a test that needs the
+// outcome on disk, or the slot back, waits for this too.
+func waitIdle(t *testing.T, s *server) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.inFlight.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("inFlight = %d ten seconds after the last job finished, want 0", s.inFlight.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 func TestPartitionReturnsJobID(t *testing.T) {
@@ -35,7 +51,7 @@ func TestPartitionReturnsJobID(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", rec.Code, rec.Body)
 	}
-	var resp partitionResponse
+	var resp serve.PartitionResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -78,33 +94,31 @@ func TestWALPersistsAcrossRestart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 
 	sa := testServer()
-	w, maxSeq, replayed, pending, err := openWAL(path)
+	pending, err := sa.OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa.attachWAL(w, maxSeq, replayed)
 	sa.requeue(pending)
 	rec := post(t, sa.handler(), "/partition?seed=3", testNets)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", rec.Code, rec.Body)
 	}
-	var resp partitionResponse
+	var resp serve.PartitionResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	w.close() // crash; no graceful anything beyond the fsyncs already done
+	sa.WAL.Close() // crash; no graceful anything beyond the fsyncs already done
 
 	sb := testServer()
-	w2, maxSeq2, replayed2, pending2, err := openWAL(path)
+	pending2, err := sb.OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w2.close()
-	sb.attachWAL(w2, maxSeq2, replayed2)
+	defer sb.WAL.Close()
 	if len(pending2) != 0 {
 		t.Fatalf("finished job came back as pending: %+v", pending2)
 	}
-	job, ok := sb.jobs.Get(resp.JobID)
+	job, ok := sb.Jobs.Get(resp.JobID)
 	if !ok {
 		t.Fatalf("restarted daemon lost job %s", resp.JobID)
 	}
@@ -113,7 +127,7 @@ func TestWALPersistsAcrossRestart(t *testing.T) {
 	}
 
 	// Job ids keep counting where the dead process stopped.
-	if id := sb.jobs.Create(); fleet.JobSeq(id) <= fleet.JobSeq(resp.JobID) {
+	if id := sb.Jobs.Create(); fleet.JobSeq(id) <= fleet.JobSeq(resp.JobID) {
 		t.Errorf("new job id %s does not continue after %s", id, resp.JobID)
 	}
 }
@@ -123,26 +137,24 @@ func TestWALPersistsAcrossRestart(t *testing.T) {
 // cause the next boot to re-run the job to completion.
 func TestWALReenqueuesInterruptedJob(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, _, _, _, err := openWAL(path)
-	if err != nil {
+	first := testServer()
+	if _, err := first.OpenWAL(path); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append(walRecord{Type: "accepted", JobID: "j7",
+	if err := first.WAL.Append(serve.Record{Type: "accepted", JobID: "j7",
 		Query: "seed=3&starts=2", Netlist: testNets}); err != nil {
 		t.Fatal(err)
 	}
-	w.close() // the "crash": accepted journaled, outcome never written
+	first.WAL.Close() // the "crash": accepted journaled, outcome never written
 
 	s := testServer()
-	w2, maxSeq, replayed, pending, err := openWAL(path)
+	pending, err := s.OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w2.close()
 	if len(pending) != 1 || pending[0].JobID != "j7" {
 		t.Fatalf("pending = %+v, want the interrupted j7", pending)
 	}
-	s.attachWAL(w2, maxSeq, replayed)
 	s.requeue(pending)
 
 	job := waitForJob(t, s, "j7")
@@ -151,11 +163,14 @@ func TestWALReenqueuesInterruptedJob(t *testing.T) {
 	}
 
 	// The outcome is durable: a third boot sees nothing left to do.
-	w3, _, _, pending3, err := openWAL(path)
+	waitIdle(t, s)
+	s.WAL.Close()
+	third := testServer()
+	pending3, err := third.OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w3.close()
+	defer third.WAL.Close()
 	if len(pending3) != 0 {
 		t.Fatalf("job still pending after recovery run: %+v", pending3)
 	}
@@ -167,20 +182,16 @@ func TestWALReenqueuesInterruptedJob(t *testing.T) {
 func TestWALRecoveredJobFailureIsJournaled(t *testing.T) {
 	s := testServer()
 	path := filepath.Join(t.TempDir(), "wal")
-	w, _, _, _, err := openWAL(path)
-	if err != nil {
+	if _, err := s.OpenWAL(path); err != nil {
 		t.Fatal(err)
 	}
-	defer w.close()
-	s.attachWAL(w, 0, nil)
-	s.requeue([]pendingJob{{JobID: "j3", Netlist: "frobnicate\n"}})
+	defer s.WAL.Close()
+	s.requeue([]serve.Record{{Type: "accepted", JobID: "j3", Netlist: "frobnicate\n"}})
 	job := waitForJob(t, s, "j3")
 	if job.Status != "failed" || job.Error == "" {
 		t.Fatalf("job = %+v, want failed with an error", job)
 	}
-	if n := s.inFlight.Load(); n != 0 {
-		t.Errorf("inFlight = %d after recovery, want 0", n)
-	}
+	waitIdle(t, s) // fails if the recovery run leaks its slot
 }
 
 // TestMemoryShedding503: with the watermark set below any real heap,
@@ -282,7 +293,7 @@ func TestBreakerSkipsTierAcrossRequests(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", rec.Code, rec.Body)
 	}
-	var resp partitionResponse
+	var resp serve.PartitionResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}

@@ -3,23 +3,20 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"fasthgp"
-	"fasthgp/internal/checkpoint"
 	"fasthgp/internal/faultinject"
 	"fasthgp/internal/fleet"
 	"fasthgp/internal/partition"
+	"fasthgp/internal/serve"
 )
 
 // serverConfig is the daemon's tunable surface, set by flags in main.
@@ -40,23 +37,18 @@ type serverConfig struct {
 	cacheSize        int           // result-cache entries (0 = caching off)
 }
 
-// server carries the daemon state: the admission semaphore, the job
-// table, the optional WAL and circuit breakers, and the atomic
-// counters behind GET /stats.
+// server carries the daemon state: the shared HTTP edge (job table,
+// optional WAL, drain), the admission semaphore, the optional circuit
+// breakers, and the atomic counters behind GET /stats.
 type server struct {
+	*serve.Edge
 	cfg      serverConfig
-	sem      chan struct{} // admission tokens; full queue = 429
-	begin    time.Time
-	jobs     *fleet.JobTable
-	wal      *wal                // nil = WAL disabled
+	sem      chan struct{}       // admission tokens; full queue = 429
 	breakers *fasthgp.BreakerSet // nil = breakers disabled
 	mem      *memWatcher         // nil = shedding disabled
 	cache    *resultCache        // nil = result caching disabled
 
-	draining   atomic.Bool                            // SIGTERM received: new jobs answer 503 + Retry-After
-	walLastErr atomic.Value                           // string: most recent WAL append failure (surfaced on /healthz)
-	lastScrub  atomic.Pointer[checkpoint.ScrubStatus] // latest WAL scrub outcome
-	retrySalt  atomic.Uint64                          // splitmix64 counter behind Retry-After jitter
+	retrySalt atomic.Uint64 // SplitMix64 counter behind Retry-After jitter
 
 	requests   atomic.Int64 // partition requests admitted or rejected
 	inFlight   atomic.Int64
@@ -67,23 +59,21 @@ type server struct {
 	shed503    atomic.Int64 // memory-watermark sheds
 	failed500  atomic.Int64
 	degraded   atomic.Int64 // 200s answered by a fallback tier
-	recovered  atomic.Int64 // panics converted to 500 by the middleware
-	walErrs    atomic.Int64 // WAL appends that failed (serving continued)
 	reqCounter atomic.Int64 // fault-injection index for hgpartd.request
 }
 
-func newServer(cfg serverConfig) *server {
+func newServer(cfg serverConfig, stdout io.Writer) *server {
 	if cfg.queue < 1 {
 		cfg.queue = 1
 	}
 	s := &server{
+		Edge:  serve.NewEdge("hgpartd", stdout, cfg.maxBody, cfg.drainTimeout),
 		cfg:   cfg,
 		sem:   make(chan struct{}, cfg.queue),
-		begin: time.Now(),
-		jobs:  fleet.NewJobTable(),
 		mem:   newMemWatcher(cfg.maxHeap),
 		cache: newResultCache(cfg.cacheSize),
 	}
+	s.Count = s.countStatus
 	if cfg.breakerThreshold > 0 {
 		s.breakers = fasthgp.NewBreakerSet(fasthgp.BreakerConfig{
 			Threshold: cfg.breakerThreshold,
@@ -93,42 +83,15 @@ func newServer(cfg serverConfig) *server {
 	return s
 }
 
-// attachWAL wires a recovered WAL into the server: job ids continue
-// after the dead process's, and every replayed job is visible to
-// GET /jobs/{id} in its last known state.
-func (s *server) attachWAL(w *wal, maxSeq int64, replayed []walRecord) {
-	s.wal = w
-	s.jobs.ContinueFrom(maxSeq)
-	state := make(map[string]fleet.JobInfo)
-	var order []string
-	for _, rec := range replayed {
-		j, seen := state[rec.JobID]
-		if !seen {
-			order = append(order, rec.JobID)
-			j = fleet.JobInfo{ID: rec.JobID, Status: "accepted"}
-		}
-		switch rec.Type {
-		case "done":
-			j.Status, j.Cut, j.TierName, j.Degraded, j.WallMS = "done", rec.Cut, rec.TierName, rec.Degraded, rec.WallMS
-		case "failed":
-			j.Status, j.Error = "failed", rec.Error
-		}
-		state[rec.JobID] = j
-	}
-	for _, id := range order {
-		s.jobs.Restore(state[id])
-	}
-}
-
 // requeue re-enqueues the WAL's accepted-but-unfinished jobs through
 // the normal admission semaphore. Recovered work is never dropped: each
 // job blocks for a token instead of answering 429 (there is no client
 // to answer). A job interrupted again before finishing simply stays
 // pending in the WAL for the next boot.
-func (s *server) requeue(pending []pendingJob) {
+func (s *server) requeue(pending []serve.Record) {
 	for _, p := range pending {
-		s.jobs.Restore(fleet.JobInfo{ID: p.JobID, Status: "requeued", Requeued: true})
-		go func(p pendingJob) {
+		s.Jobs.Restore(fleet.JobInfo{ID: p.JobID, Status: "requeued", Requeued: true})
+		go func(p serve.Record) {
 			s.sem <- struct{}{}
 			defer func() { <-s.sem }()
 			s.inFlight.Add(1)
@@ -139,43 +102,29 @@ func (s *server) requeue(pending []pendingJob) {
 }
 
 // runRecovered re-runs one WAL-replayed job end to end.
-func (s *server) runRecovered(p pendingJob) {
+func (s *server) runRecovered(p serve.Record) {
 	failJob := func(err error) {
-		s.jobs.Update(p.JobID, func(j *fleet.JobInfo) { j.Status, j.Error = "failed", err.Error() })
-		s.walAppend(walRecord{Type: "failed", JobID: p.JobID, Error: err.Error()})
-	}
-	h, inlineFixed, err := parseNetlistFixed(p.Format, strings.NewReader(p.Netlist))
-	if err != nil {
-		failJob(err)
-		return
+		s.Jobs.Update(p.JobID, func(j *fleet.JobInfo) { j.Status, j.Error = "failed", err.Error() })
+		s.WAL.Append(serve.Record{Type: "failed", JobID: p.JobID, Error: err.Error()})
 	}
 	q, err := url.ParseQuery(p.Query)
 	if err != nil {
 		failJob(err)
 		return
 	}
-	opts, _, err := s.portfolioOptions(q, h, inlineFixed)
+	ct, err := serve.ParseContract(p.Format, strings.NewReader(p.Netlist), q)
+	if err != nil {
+		failJob(err)
+		return
+	}
+	opts, _, err := s.portfolioOptions(q, ct)
 	if err != nil {
 		failJob(err)
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.reqTimeout)
 	defer cancel()
-	_, _ = s.execute(ctx, h, opts, p.JobID)
-}
-
-// parseNetlistFixed reads a netlist in the named wire format along with
-// any inline fixed-vertex directives (nets format only; nil otherwise).
-func parseNetlistFixed(format string, r io.Reader) (*fasthgp.Hypergraph, []int8, error) {
-	switch format {
-	case "", "nets":
-		return fasthgp.ReadNetlistFixed(r)
-	case "hgr":
-		h, err := fasthgp.ReadHMetisStream(r)
-		return h, nil, err
-	default:
-		return nil, nil, fmt.Errorf("unknown format %q", format)
-	}
+	_, _ = s.execute(ctx, ct.H, opts, p.JobID)
 }
 
 // handler builds the route table, every route behind the panic-recovery
@@ -186,48 +135,17 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("/partition", s.handlePartition)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/jobs/", s.handleJob)
-	return s.recoverMiddleware(mux)
-}
-
-func (s *server) recoverMiddleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				s.recovered.Add(1)
-				s.writeError(w, http.StatusInternalServerError, fmt.Sprintf("internal panic: %v", rec))
-			}
-		}()
-		next.ServeHTTP(w, r)
-	})
-}
-
-// partitionResponse is the JSON body of a successful POST /partition.
-type partitionResponse struct {
-	JobID      string `json:"job_id"`
-	Modules    int    `json:"modules"`
-	Nets       int    `json:"nets"`
-	Cut        int    `json:"cut"`
-	Tier       int    `json:"tier"`
-	TierName   string `json:"tier_name"`
-	Degraded   bool   `json:"degraded"`
-	Assignment []int  `json:"assignment"` // side of module v: 0 = left, 1 = right
-	WallMS     int64  `json:"wall_ms"`
+	mux.HandleFunc("/jobs/", s.HandleJob)
+	return s.Recover(mux)
 }
 
 func (s *server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, "POST a netlist body to /partition")
+		s.WriteError(w, http.StatusMethodNotAllowed, "POST a netlist body to /partition")
 		return
 	}
 	s.requests.Add(1)
-	// Drain: once SIGTERM arrives, new jobs are refused with a retryable
-	// 503 and a Retry-After hint while in-flight requests finish — the
-	// client (or the coordinator fronting this worker) re-routes instead
-	// of watching a connection die when the drain deadline passes.
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", s.drainRetryAfter())
-		s.writeError(w, http.StatusServiceUnavailable, "draining: daemon is shutting down; retry another instance")
+	if s.RejectDraining(w) {
 		return
 	}
 	// Memory-aware shedding: above the live-heap watermark new work is
@@ -235,7 +153,7 @@ func (s *server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	// killer (which would take every in-flight request down with it).
 	if s.mem != nil && s.mem.shouldShed() {
 		w.Header().Set("Retry-After", s.retryAfterHint(2))
-		s.writeError(w, http.StatusServiceUnavailable,
+		s.WriteError(w, http.StatusServiceUnavailable,
 			fmt.Sprintf("shedding load: live heap above %d-byte watermark; retry later", s.mem.limit))
 		return
 	}
@@ -245,7 +163,7 @@ func (s *server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	case s.sem <- struct{}{}:
 	default:
 		w.Header().Set("Retry-After", s.retryAfterHint(1))
-		s.writeError(w, http.StatusTooManyRequests, "work queue full; retry later")
+		s.WriteError(w, http.StatusTooManyRequests, "work queue full; retry later")
 		return
 	}
 	defer func() { <-s.sem }()
@@ -254,31 +172,22 @@ func (s *server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	reqIdx := int(s.reqCounter.Add(1) - 1)
 	faultinject.Fire(faultinject.PointServeRequest, reqIdx)
 
-	// The body is capped before parsing; MaxBytesReader makes the
-	// reader fail once cfg.maxBody is exceeded, which we map to 413
-	// (oversized) as distinct from 400 (malformed). The raw bytes are
-	// kept: an accepted request is journaled to the WAL verbatim so a
-	// crash can replay it.
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.maxBody))
-	if err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			s.writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit))
-			return
-		}
-		s.writeError(w, http.StatusBadRequest, err.Error())
+	// The body is capped before parsing (413 oversized, as distinct
+	// from 400 malformed). The raw bytes are kept: an accepted request
+	// is journaled to the WAL verbatim so a crash can replay it.
+	raw, ok := s.ReadBody(w, r)
+	if !ok {
 		return
 	}
 	format := r.URL.Query().Get("format")
-	h, inlineFixed, err := parseNetlistFixed(format, bytes.NewReader(raw))
+	ct, err := serve.ParseContract(format, bytes.NewReader(raw), r.URL.Query())
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
+		s.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	opts, optsKey, err := s.portfolioOptions(r.URL.Query(), h, inlineFixed)
+	opts, optsKey, err := s.portfolioOptions(r.URL.Query(), ct)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
+		s.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
@@ -288,7 +197,7 @@ func (s *server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	// are ever stored, so a hit is always a full-fidelity answer.
 	var ck cacheKey
 	if s.cache != nil {
-		ck = cacheKey{fingerprint: fingerprintFor(h), opts: optsKey}
+		ck = cacheKey{fingerprint: fingerprintFor(ct.H), opts: optsKey}
 		if resp, ok := s.cache.get(ck); ok {
 			s.writePartition(w, resp, reqIdx)
 			return
@@ -298,23 +207,23 @@ func (s *server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	// A propagated deadline already in the past is refused before the
 	// job is accepted (and journaled): the caller gave up, and a WAL
 	// record with no outcome would be replayed as pending at next boot.
-	timeout, expired := s.requestTimeout(r)
+	timeout, expired := serve.RequestTimeout(r, s.cfg.reqTimeout)
 	if expired {
-		s.writeError(w, http.StatusGatewayTimeout, "propagated deadline already expired")
+		s.WriteError(w, http.StatusGatewayTimeout, "propagated deadline already expired")
 		return
 	}
 
 	// The request is now accepted: give it a job id and journal it
 	// before running, so a crash from here on re-enqueues it at boot.
-	jobID := s.jobs.Create()
-	s.walAppend(walRecord{Type: "accepted", JobID: jobID,
+	jobID := s.Jobs.Create()
+	s.WAL.Append(serve.Record{Type: "accepted", JobID: jobID,
 		Format: format, Query: r.URL.RawQuery, Netlist: string(raw)})
 
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-	resp, err := s.execute(ctx, h, opts, jobID)
+	resp, err := s.execute(ctx, ct.H, opts, jobID)
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, fmt.Sprintf("partition failed: %v", err))
+		s.WriteError(w, http.StatusInternalServerError, fmt.Sprintf("partition failed: %v", err))
 		return
 	}
 	if s.cache != nil && !resp.Degraded {
@@ -326,15 +235,15 @@ func (s *server) handlePartition(w http.ResponseWriter, r *http.Request) {
 // execute runs the portfolio for one accepted job, updating the job
 // table and journaling the outcome. Shared by live requests and boot
 // recovery.
-func (s *server) execute(ctx context.Context, h *fasthgp.Hypergraph, opts []fasthgp.PortfolioOption, jobID string) (partitionResponse, error) {
-	s.jobs.Update(jobID, func(j *fleet.JobInfo) { j.Status = "running" })
+func (s *server) execute(ctx context.Context, h *fasthgp.Hypergraph, opts []fasthgp.PortfolioOption, jobID string) (serve.PartitionResponse, error) {
+	s.Jobs.Update(jobID, func(j *fleet.JobInfo) { j.Status = "running" })
 	start := time.Now()
 	res, err := fasthgp.PartitionPortfolio(ctx, h, opts...)
 	wallMS := time.Since(start).Milliseconds()
 	if err != nil {
-		s.jobs.Update(jobID, func(j *fleet.JobInfo) { j.Status, j.Error, j.WallMS = "failed", err.Error(), wallMS })
-		s.walAppend(walRecord{Type: "failed", JobID: jobID, Error: err.Error()})
-		return partitionResponse{}, err
+		s.Jobs.Update(jobID, func(j *fleet.JobInfo) { j.Status, j.Error, j.WallMS = "failed", err.Error(), wallMS })
+		s.WAL.Append(serve.Record{Type: "failed", JobID: jobID, Error: err.Error()})
+		return serve.PartitionResponse{}, err
 	}
 	if res.Degraded {
 		s.degraded.Add(1)
@@ -345,12 +254,12 @@ func (s *server) execute(ctx context.Context, h *fasthgp.Hypergraph, opts []fast
 			assignment[v] = 1
 		}
 	}
-	s.jobs.Update(jobID, func(j *fleet.JobInfo) {
+	s.Jobs.Update(jobID, func(j *fleet.JobInfo) {
 		j.Status, j.Cut, j.TierName, j.Degraded, j.WallMS = "done", res.CutSize, res.TierName, res.Degraded, wallMS
 	})
-	s.walAppend(walRecord{Type: "done", JobID: jobID,
+	s.WAL.Append(serve.Record{Type: "done", JobID: jobID,
 		Cut: res.CutSize, TierName: res.TierName, Degraded: res.Degraded, WallMS: wallMS})
-	return partitionResponse{
+	return serve.PartitionResponse{
 		JobID:      jobID,
 		Modules:    h.NumVertices(),
 		Nets:       h.NumEdges(),
@@ -361,80 +270,6 @@ func (s *server) execute(ctx context.Context, h *fasthgp.Hypergraph, opts []fast
 		Assignment: assignment,
 		WallMS:     wallMS,
 	}, nil
-}
-
-// walAppend journals rec if the WAL is enabled. Append failures never
-// fail the request — the daemon trades durability for availability and
-// reports the error count and the most recent error on /healthz and
-// /stats (a daemon that can serve but not journal is degraded: a crash
-// right now would lose this work).
-func (s *server) walAppend(rec walRecord) {
-	if s.wal == nil {
-		return
-	}
-	if err := s.wal.append(rec); err != nil {
-		s.walErrs.Add(1)
-		s.walLastErr.Store(err.Error())
-	}
-}
-
-// startDraining flips the daemon into drain mode: new partition
-// requests answer 503 + Retry-After while in-flight ones finish.
-func (s *server) startDraining() { s.draining.Store(true) }
-
-// drainRetryAfter is the Retry-After hint handed out during drain: the
-// drain grace in whole seconds (at least 1), i.e. "by then this
-// process is gone; try again and land on its replacement".
-func (s *server) drainRetryAfter() string {
-	secs := int(s.cfg.drainTimeout / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
-}
-
-// requestTimeout derives one request's wall budget: the configured
-// -req-timeout, capped by a coordinator-propagated X-Request-Deadline
-// header (unix milliseconds). expired reports a deadline already in
-// the past — the caller gave up; running would waste a worker slot.
-func (s *server) requestTimeout(r *http.Request) (timeout time.Duration, expired bool) {
-	timeout = s.cfg.reqTimeout
-	hdr := r.Header.Get("X-Request-Deadline")
-	if hdr == "" {
-		return timeout, false
-	}
-	ms, err := strconv.ParseInt(hdr, 10, 64)
-	if err != nil {
-		return timeout, false // malformed propagation never breaks a request
-	}
-	remaining := time.Until(time.UnixMilli(ms))
-	if remaining <= 0 {
-		return 0, true
-	}
-	if remaining < timeout {
-		timeout = remaining
-	}
-	return timeout, false
-}
-
-// handleJob serves GET /jobs/{id} from the job table (rebuilt from the
-// WAL at boot, so it answers for jobs the dead process accepted).
-func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, "GET /jobs/{id}")
-		return
-	}
-	id := strings.TrimPrefix(r.URL.Path, "/jobs/")
-	if id == "" || strings.Contains(id, "/") {
-		s.writeError(w, http.StatusBadRequest, "want /jobs/{id}")
-		return
-	}
-	job, ok := s.jobs.Get(id)
-	if !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Sprintf("job %q not tracked (finished jobs are evicted after %d newer jobs)", id, fleet.MaxJobs))
-		return
-	}
-	s.writeJSON(w, http.StatusOK, job)
 }
 
 // portfolioOptions merges per-request query parameters over the
@@ -448,7 +283,7 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 // (the netlist fingerprint alone would collide: inline fixed
 // directives don't change the hypergraph). Parallelism is excluded:
 // the engine guarantees it never changes the result.
-func (s *server) portfolioOptions(q url.Values, h *fasthgp.Hypergraph, inlineFixed []int8) ([]fasthgp.PortfolioOption, string, error) {
+func (s *server) portfolioOptions(q url.Values, ct *serve.Contract) ([]fasthgp.PortfolioOption, string, error) {
 	chain, starts, seed, budget := s.cfg.chain, s.cfg.starts, s.cfg.seed, s.cfg.budget
 	if v := q.Get("chain"); v != "" {
 		chain = strings.Split(v, ",")
@@ -477,24 +312,6 @@ func (s *server) portfolioOptions(q url.Values, h *fasthgp.Hypergraph, inlineFix
 	if budget <= 0 || budget > s.cfg.reqTimeout {
 		budget = s.cfg.reqTimeout
 	}
-	constraint := fasthgp.Constraint{FixedSide: inlineFixed}
-	if v := q.Get("epsilon"); v != "" {
-		eps, err := strconv.ParseFloat(v, 64)
-		if err != nil || eps < 0 {
-			return nil, "", fmt.Errorf("bad epsilon %q", v)
-		}
-		constraint.Epsilon = eps
-	}
-	if v := q.Get("fixed"); v != "" {
-		fixed, err := fasthgp.ParseFixedSpec(v, h.NumVertices())
-		if err != nil {
-			return nil, "", err
-		}
-		constraint.FixedSide = fixed
-	}
-	if err := constraint.Validate(h.NumVertices(), 2); err != nil {
-		return nil, "", err
-	}
 	opts := []fasthgp.PortfolioOption{
 		fasthgp.WithStarts(starts), fasthgp.WithSeed(seed), fasthgp.WithBudget(budget),
 		fasthgp.WithParallelism(s.cfg.parallelism),
@@ -506,11 +323,11 @@ func (s *server) portfolioOptions(q url.Values, h *fasthgp.Hypergraph, inlineFix
 	if s.breakers != nil {
 		opts = append(opts, fasthgp.WithBreakers(s.breakers))
 	}
-	if !constraint.IsZero() {
-		opts = append(opts, fasthgp.WithConstraint(constraint))
+	if !ct.Constraint.IsZero() {
+		opts = append(opts, fasthgp.WithConstraint(ct.Constraint))
 	}
 	key := fmt.Sprintf("chain=%s starts=%d seed=%d budget=%s constraint=%q",
-		strings.Join(chain, ","), starts, seed, budget, constraint.Key())
+		strings.Join(chain, ","), starts, seed, budget, ct.Constraint.Key())
 	return opts, key, nil
 }
 
@@ -522,11 +339,8 @@ func (s *server) portfolioOptions(q url.Values, h *fasthgp.Hypergraph, inlineFix
 // durable WAL record.
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := map[string]any{
-		"status":         "ok",
-		"uptime_ms":      time.Since(s.begin).Milliseconds(),
 		"queue_depth":    len(s.sem),
 		"queue_capacity": s.cfg.queue,
-		"jobs":           s.jobs.Counts(),
 	}
 	var reasons []string
 	if s.breakers != nil {
@@ -551,36 +365,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	} else {
 		resp["cache"] = false
 	}
-	if s.wal != nil {
-		resp["wal"] = true
-		resp["last_checkpoint_age_ms"] = s.wal.lastAppendAge().Milliseconds()
-		resp["wal_errors"] = s.walErrs.Load()
-		if n := s.walErrs.Load(); n > 0 {
-			last, _ := s.walLastErr.Load().(string)
-			resp["wal_last_error"] = last
-			reasons = append(reasons, fmt.Sprintf("%d WAL append error(s), last: %s", n, last))
-		}
-		if p := s.lastScrub.Load(); p != nil {
-			st := *p
-			st.AgeMS = time.Since(st.At).Milliseconds()
-			resp["wal_scrub"] = st
-			if !st.Healthy() {
-				reasons = append(reasons, "wal scrub: "+st.Problem())
-			}
-		}
-	} else {
-		resp["wal"] = false
-	}
-	if s.draining.Load() {
-		resp["draining"] = true
-		reasons = append(reasons, "draining: shutting down")
-	}
-	if len(reasons) > 0 {
-		sort.Strings(reasons)
-		resp["status"] = "degraded"
-		resp["degraded_reasons"] = reasons
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.WriteHealth(w, resp, reasons)
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -599,31 +384,14 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"shed":             s.shed503.Load(),
 		"failed":           s.failed500.Load(),
 		"degraded":         s.degraded.Load(),
-		"panics_recovered": s.recovered.Load(),
-		"wal_errors":       s.walErrs.Load(),
-		"jobs":             s.jobs.Counts(),
+		"panics_recovered": s.Panics.Load(),
 		"queue_capacity":   s.cfg.queue,
-		"uptime_ms":        time.Since(s.begin).Milliseconds(),
 	}
-	if p := s.lastScrub.Load(); p != nil {
-		st := *p
-		st.AgeMS = time.Since(st.At).Milliseconds()
-		stats["wal_scrub"] = st
-	}
-	s.writeJSON(w, http.StatusOK, stats)
+	s.WriteStats(w, stats)
 }
 
-func (s *server) writeJSON(w http.ResponseWriter, code int, v any) {
-	s.countStatus(code)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func (s *server) writeError(w http.ResponseWriter, code int, msg string) {
-	s.writeJSON(w, code, map[string]any{"error": msg, "status": code})
-}
-
+// countStatus feeds the /stats status counters; it sees every response
+// the edge writes.
 func (s *server) countStatus(code int) {
 	switch code {
 	case http.StatusOK:

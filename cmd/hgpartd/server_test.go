@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -13,6 +15,7 @@ import (
 	"time"
 
 	"fasthgp/internal/faultinject"
+	"fasthgp/internal/serve"
 )
 
 const testNets = `module a
@@ -38,7 +41,7 @@ func testServer(mutate ...func(*serverConfig)) *server {
 	for _, m := range mutate {
 		m(&cfg)
 	}
-	return newServer(cfg)
+	return newServer(cfg, io.Discard)
 }
 
 func post(t *testing.T, h http.Handler, url, body string) *httptest.ResponseRecorder {
@@ -63,7 +66,7 @@ func TestPartitionValidNetlist(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", rec.Code, rec.Body)
 	}
-	var resp partitionResponse
+	var resp serve.PartitionResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +138,8 @@ func TestInjectedPanicBecomes500(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500; body %s", rec.Code, rec.Body)
 	}
-	if s.recovered.Load() != 1 {
-		t.Errorf("panics recovered = %d, want 1", s.recovered.Load())
+	if s.Panics.Load() != 1 {
+		t.Errorf("panics recovered = %d, want 1", s.Panics.Load())
 	}
 	if rec = post(t, s.handler(), "/partition", testNets); rec.Code != http.StatusOK {
 		t.Fatalf("request after recovered panic = %d, want 200", rec.Code)
@@ -152,7 +155,7 @@ func TestPerRequestChainOverride(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", rec.Code, rec.Body)
 	}
-	var resp partitionResponse
+	var resp serve.PartitionResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +270,7 @@ func (b *syncBuffer) String() string {
 func TestDrainRejectsNewJobs(t *testing.T) {
 	s := testServer(func(c *serverConfig) { c.drainTimeout = 7 * time.Second })
 	h := s.handler()
-	s.startDraining()
+	s.StartDraining()
 	rec := post(t, h, "/partition", testNets)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503; body %s", rec.Code, rec.Body)
@@ -275,7 +278,7 @@ func TestDrainRejectsNewJobs(t *testing.T) {
 	if got := rec.Header().Get("Retry-After"); got != "7" {
 		t.Errorf("Retry-After = %q, want %q (the drain grace in seconds)", got, "7")
 	}
-	if counts := s.jobs.Counts(); len(counts) != 0 {
+	if counts := s.Jobs.Counts(); len(counts) != 0 {
 		t.Errorf("draining daemon accepted a job: %v", counts)
 	}
 	// The health probe still answers, and reports the drain.
@@ -316,7 +319,7 @@ func TestDeadlineHeader(t *testing.T) {
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status with expired deadline = %d, want 504; body %s", rec.Code, rec.Body)
 	}
-	if counts := s.jobs.Counts(); counts["accepted"]+counts["running"]+counts["failed"] != 0 && len(counts) != 1 {
+	if counts := s.Jobs.Counts(); counts["accepted"]+counts["running"]+counts["failed"] != 0 && len(counts) != 1 {
 		t.Errorf("expired-deadline request left job state: %v", counts)
 	}
 
@@ -341,30 +344,39 @@ func TestRequestTimeoutDerivation(t *testing.T) {
 		}
 		return r
 	}
-	if d, expired := s.requestTimeout(mk("")); expired || d != 30*time.Second {
+	if d, expired := serve.RequestTimeout(mk(""), s.cfg.reqTimeout); expired || d != 30*time.Second {
 		t.Errorf("no header: (%v, %v), want (30s, false)", d, expired)
 	}
 	far := strconv.FormatInt(time.Now().Add(time.Hour).UnixMilli(), 10)
-	if d, expired := s.requestTimeout(mk(far)); expired || d != 30*time.Second {
+	if d, expired := serve.RequestTimeout(mk(far), s.cfg.reqTimeout); expired || d != 30*time.Second {
 		t.Errorf("far deadline must not raise the cap: (%v, %v)", d, expired)
 	}
 	near := strconv.FormatInt(time.Now().Add(5*time.Second).UnixMilli(), 10)
-	if d, expired := s.requestTimeout(mk(near)); expired || d > 5*time.Second || d < 4*time.Second {
+	if d, expired := serve.RequestTimeout(mk(near), s.cfg.reqTimeout); expired || d > 5*time.Second || d < 4*time.Second {
 		t.Errorf("near deadline must cap the budget: (%v, %v)", d, expired)
 	}
 	past := strconv.FormatInt(time.Now().Add(-time.Minute).UnixMilli(), 10)
-	if _, expired := s.requestTimeout(mk(past)); !expired {
+	if _, expired := serve.RequestTimeout(mk(past), s.cfg.reqTimeout); !expired {
 		t.Error("past deadline not reported expired")
 	}
 }
 
-// TestWALErrorSurfacesOnHealthz: a failing WAL append degrades the
-// health report and carries the underlying error text.
+// TestWALErrorSurfacesOnHealthz: a failing WAL append (a full disk,
+// injected) never fails the request, but degrades the health report
+// and carries the underlying error text.
 func TestWALErrorSurfacesOnHealthz(t *testing.T) {
 	s := testServer()
-	s.walErrs.Add(2)
-	s.walLastErr.Store("write wal: disk full")
-	s.wal = &wal{} // non-nil so healthz reports the WAL section
+	if _, err := s.OpenWAL(filepath.Join(t.TempDir(), "wal")); err != nil {
+		t.Fatal(err)
+	}
+	defer s.WAL.Close()
+	defer faultinject.Install(&faultinject.Plan{Rules: []faultinject.Rule{
+		{Point: faultinject.PointCheckpointWrite, Index: faultinject.AnyIndex,
+			Kind: faultinject.KindErrno, Errno: syscall.ENOSPC},
+	}})()
+	if rec := post(t, s.handler(), "/partition?seed=3", testNets); rec.Code != http.StatusOK {
+		t.Fatalf("request with a full WAL disk = %d, want 200; body %s", rec.Code, rec.Body)
+	}
 	rec := httptest.NewRecorder()
 	s.handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	var health map[string]any
@@ -374,13 +386,16 @@ func TestWALErrorSurfacesOnHealthz(t *testing.T) {
 	if health["status"] != "degraded" {
 		t.Errorf("status = %v, want degraded", health["status"])
 	}
-	if health["wal_last_error"] != "write wal: disk full" {
+	if health["wal_errors"] != float64(2) { // accepted + done
+		t.Errorf("wal_errors = %v, want 2", health["wal_errors"])
+	}
+	if last, _ := health["wal_last_error"].(string); !strings.Contains(last, "no space left") {
 		t.Errorf("wal_last_error = %v", health["wal_last_error"])
 	}
 	reasons, _ := health["degraded_reasons"].([]any)
 	found := false
 	for _, r := range reasons {
-		if rs, ok := r.(string); ok && strings.Contains(rs, "disk full") {
+		if rs, ok := r.(string); ok && strings.Contains(rs, "no space left") {
 			found = true
 		}
 	}

@@ -5,9 +5,10 @@
 //   - zero dropped accepted jobs: every request the service accepts
 //     (i.e. does not refuse with a retryable 429/503) must complete
 //     with a 200 — even while workers are being SIGKILLed mid-run;
-//   - every 200 is oracle-certified: the returned assignment is
-//     rebuilt into a Bipartition and VerifyCut recomputes the claimed
-//     cut from scratch;
+//   - every 200 is oracle-certified by the same contract check the
+//     coordinator applies: the oracle recomputes the claimed cut from
+//     scratch, and every module pinned by an inline fixed directive
+//     must sit on its pinned side;
 //   - job ids are unique: an accepted job completes exactly once;
 //   - the final /jobs/{id} sweep finds every completed job terminal
 //     on the service side;
@@ -46,20 +47,21 @@ import (
 	"sync"
 	"time"
 
-	"fasthgp"
+	"fasthgp/internal/serve"
+	"fasthgp/internal/splitmix"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// corpusEntry is one replayable netlist with its parsed hypergraph
-// (the oracle needs the hypergraph to recompute cuts from scratch).
+// corpusEntry is one replayable netlist with its parsed contract: the
+// hypergraph the oracle recomputes cuts on, and the fixed sides its
+// inline directives pin.
 type corpusEntry struct {
-	name    string
-	raw     string
-	h       *fasthgp.Hypergraph
-	modules int
+	name string
+	raw  string
+	ct   *serve.Contract
 }
 
 // result is one request's outcome.
@@ -197,13 +199,13 @@ func loadCorpus(dir string) ([]corpusEntry, error) {
 		if err != nil {
 			return nil, err
 		}
-		h, _, err := fasthgp.ReadNetlistFixed(strings.NewReader(string(raw)))
+		// The requests carry no epsilon or fixed parameter, so the
+		// contract is the netlist and its inline fixed directives.
+		ct, err := serve.ParseContract("", strings.NewReader(string(raw)), nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", p, err)
 		}
-		entries = append(entries, corpusEntry{
-			name: filepath.Base(p), raw: string(raw), h: h, modules: h.NumVertices(),
-		})
+		entries = append(entries, corpusEntry{name: filepath.Base(p), raw: string(raw), ct: ct})
 	}
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("no *.nets files in %s", dir)
@@ -211,29 +213,11 @@ func loadCorpus(dir string) ([]corpusEntry, error) {
 	return entries, nil
 }
 
-// splitmix64 drives the deterministic request mix.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// partitionResponse is the slice of the service's 200 body the
-// generator verifies (hgpartd and hgpartcoord share the shape).
-type partitionResponse struct {
-	JobID      string `json:"job_id"`
-	Cut        int    `json:"cut"`
-	Degraded   bool   `json:"degraded"`
-	Assignment []int  `json:"assignment"`
-	Worker     string `json:"worker"`
-}
-
 // fire sends request i: pick a netlist deterministically, POST it,
 // absorb refusals with their Retry-After hint, and oracle-check the
 // eventual 200. Any other terminal outcome is a dropped job.
 func fire(client *http.Client, base string, entries []corpusEntry, seed int64, i, starts int, budget time.Duration, chain string, reqCap time.Duration) result {
-	mix := splitmix64(uint64(seed) ^ splitmix64(uint64(i)))
+	mix := splitmix.Mix64(uint64(seed) ^ splitmix.Mix64(uint64(i)))
 	e := int(mix % uint64(len(entries)))
 	query := fmt.Sprintf("starts=%d&seed=%d", starts, int64(mix%1024))
 	if budget > 0 {
@@ -268,15 +252,16 @@ func fire(client *http.Client, base string, entries []corpusEntry, seed int64, i
 		switch {
 		case resp.StatusCode == http.StatusOK:
 			res.latency = time.Since(begin)
-			var pr partitionResponse
+			var pr serve.PartitionResponse
 			if err := json.Unmarshal(body, &pr); err != nil {
 				res.err = "garbled 200 body: " + err.Error()
 				return res
 			}
 			res.jobID = pr.JobID
-			res.verifyOK = oracleCheck(entries[e], pr) == nil
-			if !res.verifyOK {
-				res.err = oracleCheck(entries[e], pr).Error()
+			if err := entries[e].ct.Check(pr); err != nil {
+				res.err = err.Error()
+			} else {
+				res.verifyOK = true
 			}
 			return res
 		case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable:
@@ -302,29 +287,6 @@ func fire(client *http.Client, base string, entries []corpusEntry, seed int64, i
 			return res
 		}
 	}
-}
-
-// oracleCheck rebuilds the returned assignment into a Bipartition and
-// lets the invariant oracle recompute the claimed cut from scratch.
-func oracleCheck(e corpusEntry, pr partitionResponse) error {
-	if len(pr.Assignment) != e.modules {
-		return fmt.Errorf("assignment has %d entries, netlist has %d modules", len(pr.Assignment), e.modules)
-	}
-	p := fasthgp.NewBipartition(e.modules)
-	for v, side := range pr.Assignment {
-		switch side {
-		case 0:
-			p.Assign(v, fasthgp.Left)
-		case 1:
-			p.Assign(v, fasthgp.Right)
-		default:
-			return fmt.Errorf("assignment[%d] = %d, want 0 or 1", v, side)
-		}
-	}
-	if _, err := fasthgp.VerifyCut(e.h, p, pr.Cut); err != nil {
-		return fmt.Errorf("oracle rejected the result: %w", err)
-	}
-	return nil
 }
 
 // tally reduces the per-request results into the run summary.

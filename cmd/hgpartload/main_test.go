@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"fasthgp"
+	"fasthgp/internal/serve"
 )
 
 const testNets = `module a
@@ -179,22 +180,78 @@ func TestLoadRunDetectsLyingService(t *testing.T) {
 }
 
 func TestOracleCheckRejectsBadAssignment(t *testing.T) {
-	h, _, err := fasthgp.ReadNetlistFixed(strings.NewReader(testNets))
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "fixed.nets"), []byte(fixedNets), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := loadCorpus(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := corpusEntry{h: h, modules: h.NumVertices()}
-	assignment, cut := halfSplit(h)
-	if err := oracleCheck(e, partitionResponse{Cut: cut, Assignment: assignment}); err != nil {
+	e := entries[0]
+	assignment, cut := halfSplit(e.ct.H)
+	if err := e.ct.Check(serve.PartitionResponse{Cut: cut, Assignment: assignment}); err == nil {
+		t.Error("answer moving the fixed module a to the left accepted")
+	}
+	for v := range assignment {
+		assignment[v] ^= 1 // the mirror image: same cut, a on its pinned right side
+	}
+	if err := e.ct.Check(serve.PartitionResponse{Cut: cut, Assignment: assignment}); err != nil {
 		t.Errorf("honest response rejected: %v", err)
 	}
-	if err := oracleCheck(e, partitionResponse{Cut: cut + 1, Assignment: assignment}); err == nil {
+	if err := e.ct.Check(serve.PartitionResponse{Cut: cut + 1, Assignment: assignment}); err == nil {
 		t.Error("wrong cut accepted")
 	}
-	if err := oracleCheck(e, partitionResponse{Cut: 0, Assignment: []int{0}}); err == nil {
+	if err := e.ct.Check(serve.PartitionResponse{Cut: 0, Assignment: []int{0}}); err == nil {
 		t.Error("truncated assignment accepted")
 	}
-	if err := oracleCheck(e, partitionResponse{Cut: 0, Assignment: []int{0, 1, 2, 0}}); err == nil {
+	if err := e.ct.Check(serve.PartitionResponse{Cut: 0, Assignment: []int{0, 1, 2, 0}}); err == nil {
 		t.Error("out-of-range side accepted")
+	}
+}
+
+// fixedNets pins module a to the right side, so halfSplit (first half
+// left) puts a fixed vertex on the wrong side while its cut is true.
+const fixedNets = testNets + "fixed a R\n"
+
+// TestLoadRunDetectsMovedFixedVertex: a service that reports the true
+// cut of an answer that moves a fixed vertex must fail the run — the
+// check covers the fixed sides, not only the cut.
+func TestLoadRunDetectsMovedFixedVertex(t *testing.T) {
+	var seq atomic.Int64
+	mux := http.NewServeMux() // no /jobs/ route: the sweep sees 404s, which it forgives
+	mux.HandleFunc("/partition", func(w http.ResponseWriter, r *http.Request) {
+		h, _, err := fasthgp.ReadNetlistFixed(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		assignment, cut := halfSplit(h) // true cut, but module a sits left
+		json.NewEncoder(w).Encode(map[string]any{
+			"job_id":     fmt.Sprintf("j%d", seq.Add(1)),
+			"cut":        cut,
+			"assignment": assignment,
+		})
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "fixed.nets"), []byte(fixedNets), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	code := run([]string{
+		"-target", srv.URL, "-corpus", dir,
+		"-rps", "100", "-duration", "100ms",
+	}, &out, &errb)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1 (fixed side must be checked); stdout: %s", code, out.String())
+	}
+	var s summary
+	if err := json.Unmarshal(out.Bytes()[bytes.IndexByte(out.Bytes(), '{'):], &s); err != nil {
+		t.Fatalf("summary: %v; stdout: %s", err, out.String())
+	}
+	if s.Completed == 0 || s.VerifyFailed != s.Completed || s.Dropped+s.SweepMissing != 0 {
+		t.Errorf("summary = %+v, want every completed answer verify-failed and nothing else wrong", s)
 	}
 }

@@ -810,7 +810,9 @@ func WithParallelism(p int) PortfolioOption { return func(c *portfolioConfig) { 
 
 // WithKernelWorkers sets each tier's intra-start kernel worker count
 // (0 = serial kernels); wall time only, never the result.
-func WithKernelWorkers(w int) PortfolioOption { return func(c *portfolioConfig) { c.kernelWorkers = w } }
+func WithKernelWorkers(w int) PortfolioOption {
+	return func(c *portfolioConfig) { c.kernelWorkers = w }
+}
 
 // WithMaxAttempts caps per-tier retries of transient failures —
 // panics and oracle-rejected results (default 2: one try + one retry).

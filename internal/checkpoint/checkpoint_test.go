@@ -270,8 +270,8 @@ func TestEncodeDecodeBest(t *testing.T) {
 	bad := [][]byte{
 		nil,
 		{1, 2, 3},
-		checkpoint.EncodeBest(sides, -1),                  // negative cut
-		checkpoint.EncodeBest(sides[:3], 7),               // wrong vertex count
+		checkpoint.EncodeBest(sides, -1),    // negative cut
+		checkpoint.EncodeBest(sides[:3], 7), // wrong vertex count
 		checkpoint.EncodeBest([]partition.Side{1, 0, 1, partition.Unassigned}, 7), // incomplete
 	}
 	for i, b := range bad {

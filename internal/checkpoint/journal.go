@@ -20,7 +20,7 @@
 // The run-level layer (run.go) gives the frames meaning: a Meta header
 // binds the journal to one (algorithm, instance, seed, starts) run, and
 // start-completion records carry the progress the engine resumes from.
-// cmd/hgpartd reuses the frame layer for its request WAL.
+// internal/serve reuses the frame layer for the daemons' request WAL.
 package checkpoint
 
 import (

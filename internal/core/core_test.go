@@ -594,8 +594,8 @@ func TestConstraintSeedingAndEnforcement(t *testing.T) {
 	for i := range fixed {
 		fixed[i] = partition.FreeVertex
 	}
-	fixed[0] = 1     // cluster-A vertex forced Right
-	fixed[n-1] = 0   // cluster-B vertex forced Left
+	fixed[0] = 1   // cluster-A vertex forced Right
+	fixed[n-1] = 0 // cluster-B vertex forced Left
 	c := partition.Constraint{Epsilon: 0.25, FixedSide: fixed}
 	maxSide := c.MaxSideWeight(h.TotalVertexWeight(), 2)
 	for seed := int64(1); seed <= 6; seed++ {

@@ -8,7 +8,7 @@
 //
 //   - Bit-for-bit seed determinism, independent of Parallelism. Every
 //     start draws from its own RNG stream seeded seed ⊕
-//     splitmix64(startIndex), so no start observes another's random
+//     splitmix.Mix64(startIndex), so no start observes another's random
 //     draws, and the best-result reduction scans starts in ascending
 //     index order with a *strict* improvement predicate — the lowest
 //     start index wins ties. Parallel output ≡ serial output.
@@ -38,6 +38,7 @@ import (
 
 	"fasthgp/internal/faultinject"
 	"fasthgp/internal/resilience"
+	"fasthgp/internal/splitmix"
 )
 
 // Normalize clamps a multi-start count: values < 1 mean 1. It is the
@@ -82,23 +83,11 @@ func NormalizeKernelWorkers(w int) int {
 	return w
 }
 
-// splitmix64 is the SplitMix64 output mixer (Steele–Lea–Flood, the
-// stream-splitting generator of JDK 8). A single application
-// decorrelates consecutive integers into statistically independent
-// 64-bit values, which makes seed ⊕ splitmix64(i) an independent seed
-// stream per start index.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // StartSeed derives the RNG seed of start index i from the user-facing
 // seed. Starts never share a stream, and the mapping is pure, so any
 // start can be re-executed in isolation.
 func StartSeed(seed int64, i int) int64 {
-	return int64(uint64(seed) ^ splitmix64(uint64(i)))
+	return int64(uint64(seed) ^ splitmix.Mix64(uint64(i)))
 }
 
 // StartRNG returns the dedicated RNG of start index i under seed.

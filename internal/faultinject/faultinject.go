@@ -26,6 +26,8 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+
+	"fasthgp/internal/splitmix"
 )
 
 // Point names an instrumentation site.
@@ -163,21 +165,12 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("faultinject: forced panic at %s[%d]", e.Point, e.Index)
 }
 
-// splitmix64 is the SplitMix64 output mixer, used to derive the
-// deterministic latency jitter from (seed, index).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // jitter maps a nominal delay to [delay/2, 3*delay/2) deterministically.
 func jitter(seed int64, idx int, d time.Duration) time.Duration {
 	if d <= 0 {
 		return 0
 	}
-	h := splitmix64(uint64(seed) ^ splitmix64(uint64(idx)))
+	h := splitmix.Mix64(uint64(seed) ^ splitmix.Mix64(uint64(idx)))
 	frac := float64(h%1024) / 1024 // [0, 1)
 	return d/2 + time.Duration(frac*float64(d))
 }

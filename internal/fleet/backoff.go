@@ -3,7 +3,7 @@ package fleet
 // Deterministic retry backoff. The coordinator retries a failed forward
 // on the next worker in ring order; between attempts it sleeps an
 // exponentially growing, jittered delay. The jitter is derived from
-// (seed, attempt) with splitmix64 — never the wall clock — so a chaos
+// (seed, attempt) with SplitMix64 — never the wall clock — so a chaos
 // run with a fixed seed replays the same retry timing every time, and
 // concurrent requests with different seeds don't retry in lockstep
 // (no thundering herd onto a recovering worker).
@@ -11,6 +11,8 @@ package fleet
 import (
 	"context"
 	"time"
+
+	"fasthgp/internal/splitmix"
 )
 
 // BackoffConfig shapes a retry schedule.
@@ -45,7 +47,7 @@ func (c BackoffConfig) Delay(attempt int) time.Duration {
 	if d > c.Cap {
 		d = c.Cap
 	}
-	h := splitmix64(uint64(c.Seed) ^ splitmix64(uint64(attempt)))
+	h := splitmix.Mix64(uint64(c.Seed) ^ splitmix.Mix64(uint64(attempt)))
 	frac := float64(h%1024) / 1024 // [0, 1)
 	return d/2 + time.Duration(frac*float64(d))
 }

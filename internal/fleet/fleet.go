@@ -24,20 +24,10 @@
 //     by the worker daemon and the coordinator.
 //
 // All clocks are injectable (RegistryConfig.Now), all randomness is
-// splitmix64-derived from explicit seeds, and nothing here opens a
+// SplitMix64-derived from explicit seeds, and nothing here opens a
 // socket — the chaos harness drives the same code paths over HTTP that
 // these types' tests drive directly.
 package fleet
-
-// splitmix64 is the SplitMix64 output mixer, the same stream-splitting
-// construction the engine, portfolio, and faultinject use. It drives
-// the ring's virtual-node placement and the backoff jitter.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
 
 // fnv1a hashes a string with 64-bit FNV-1a (the same family as the
 // netlist fingerprint), giving each worker id a stable base point for

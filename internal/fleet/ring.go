@@ -11,6 +11,8 @@ package fleet
 import (
 	"sort"
 	"sync"
+
+	"fasthgp/internal/splitmix"
 )
 
 // DefaultReplicas is the virtual-node count per member when NewRing is
@@ -46,7 +48,7 @@ func NewRing(replicas int) *Ring {
 // point split into per-replica streams, the same construction the
 // engine uses for per-start RNGs.
 func vnode(id string, i int) uint64 {
-	return splitmix64(fnv1a(id) ^ splitmix64(uint64(i)))
+	return splitmix.Mix64(fnv1a(id) ^ splitmix.Mix64(uint64(i)))
 }
 
 // Add inserts a member; it reports false if the member was already

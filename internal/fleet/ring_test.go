@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"fasthgp/internal/splitmix"
 )
 
 func TestRingLookupDeterministicAcrossJoinOrder(t *testing.T) {
@@ -16,7 +18,7 @@ func TestRingLookupDeterministicAcrossJoinOrder(t *testing.T) {
 		b.Add(id)
 	}
 	for key := uint64(0); key < 200; key++ {
-		k := splitmix64(key)
+		k := splitmix.Mix64(key)
 		got, want := b.Lookup(k, 0), a.Lookup(k, 0)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("key %d: join order changed routing: %v vs %v", k, got, want)
@@ -30,7 +32,7 @@ func TestRingLookupDistinctPreferenceOrder(t *testing.T) {
 		r.Add(fmt.Sprintf("w%d", i))
 	}
 	for key := uint64(0); key < 100; key++ {
-		order := r.Lookup(splitmix64(key), 0)
+		order := r.Lookup(splitmix.Mix64(key), 0)
 		if len(order) != 5 {
 			t.Fatalf("key %d: %d candidates, want all 5", key, len(order))
 		}
@@ -51,7 +53,7 @@ func TestRingRemoveMovesOnlyDepartedKeys(t *testing.T) {
 	}
 	before := make(map[uint64]string)
 	for key := uint64(0); key < 500; key++ {
-		k := splitmix64(key)
+		k := splitmix.Mix64(key)
 		before[k] = r.Lookup(k, 1)[0]
 	}
 	if !r.Remove("w2") {
@@ -84,7 +86,7 @@ func TestRingBalance(t *testing.T) {
 	counts := make(map[string]int)
 	const keys = 20000
 	for key := uint64(0); key < keys; key++ {
-		counts[r.Lookup(splitmix64(key), 1)[0]]++
+		counts[r.Lookup(splitmix.Mix64(key), 1)[0]]++
 	}
 	mean := keys / members
 	for id, n := range counts {

@@ -83,32 +83,32 @@ func TestParseHMetisStreamAccepts(t *testing.T) {
 
 func TestParseHMetisStreamRejects(t *testing.T) {
 	for name, input := range map[string]string{
-		"empty":              "",
-		"only-comments":      "% nothing\n% here\n",
-		"one-field-header":   "3\n",
-		"four-field-header":  "1 2 11 9\n1 2\n",
-		"bad-fmt":            "1 2 7\n1 2\n",
-		"negative-edges":     "-1 2\n",
-		"negative-verts":     "1 -2\n1 2\n",
-		"header-not-number":  "x 2\n1 2\n",
-		"header-overflow":    "99999999999999999999 2\n1 2\n",
-		"header-over-cap":    "1 4194305\n1 2\n",
-		"missing-edge":       "2 4\n1 2\n",
-		"vertex-zero":        "1 2\n0 1\n",
-		"vertex-over":        "1 2\n1 3\n",
-		"vertex-junk":        "1 2\n1 2x\n",
-		"vertex-underscore":  "1 22\n1 1_2\n",
-		"duplicate-pin":      "1 4\n1 2 1\n",
-		"weight-negative":    "1 2 1\n-5 1 2\n",
-		"weight-overflow":    "1 2 1\n9223372036854775808 1 2\n",
-		"weight-no-pins":     "1 2 1\n5\n",
-		"trailing-content":   "1 2\n1 2\n3 4\n",
-		"missing-vweights":   "1 2 10\n1 2\n3\n",
-		"bad-vweight":        "1 2 10\n1 2\nx\n4\n",
-		"negative-vweight":   "1 2 10\n1 2\n-3\n4\n",
-		"pin-empty-sign":     "1 2\n+ 1\n",
-		"dup-after-unicode":  "1 4\n2 3 2\n",
-		"weight-hex":         "1 2 1\n0x5 1 2\n",
+		"empty":             "",
+		"only-comments":     "% nothing\n% here\n",
+		"one-field-header":  "3\n",
+		"four-field-header": "1 2 11 9\n1 2\n",
+		"bad-fmt":           "1 2 7\n1 2\n",
+		"negative-edges":    "-1 2\n",
+		"negative-verts":    "1 -2\n1 2\n",
+		"header-not-number": "x 2\n1 2\n",
+		"header-overflow":   "99999999999999999999 2\n1 2\n",
+		"header-over-cap":   "1 4194305\n1 2\n",
+		"missing-edge":      "2 4\n1 2\n",
+		"vertex-zero":       "1 2\n0 1\n",
+		"vertex-over":       "1 2\n1 3\n",
+		"vertex-junk":       "1 2\n1 2x\n",
+		"vertex-underscore": "1 22\n1 1_2\n",
+		"duplicate-pin":     "1 4\n1 2 1\n",
+		"weight-negative":   "1 2 1\n-5 1 2\n",
+		"weight-overflow":   "1 2 1\n9223372036854775808 1 2\n",
+		"weight-no-pins":    "1 2 1\n5\n",
+		"trailing-content":  "1 2\n1 2\n3 4\n",
+		"missing-vweights":  "1 2 10\n1 2\n3\n",
+		"bad-vweight":       "1 2 10\n1 2\nx\n4\n",
+		"negative-vweight":  "1 2 10\n1 2\n-3\n4\n",
+		"pin-empty-sign":    "1 2\n+ 1\n",
+		"dup-after-unicode": "1 4\n2 3 2\n",
+		"weight-hex":        "1 2 1\n0x5 1 2\n",
 	} {
 		if h := parseAllWays(t, name, []byte(input)); h != nil {
 			t.Errorf("%s: expected reject, all parsers accepted", name)

@@ -24,6 +24,7 @@ import (
 	"fasthgp/internal/faultinject"
 	"fasthgp/internal/hypergraph"
 	"fasthgp/internal/partition"
+	"fasthgp/internal/splitmix"
 	"fasthgp/internal/verify"
 )
 
@@ -121,16 +122,7 @@ var ErrNoTiers = errors.New("resilience: portfolio has no tiers")
 // portfolio seed — jittered so retries explore fresh starts, pure so a
 // run replays exactly.
 func AttemptSeed(seed int64, tier, attempt int) int64 {
-	return int64(uint64(seed) ^ splitmix64(uint64(tier)<<20|uint64(attempt)))
-}
-
-// splitmix64 is the SplitMix64 output mixer (same stream-splitting
-// construction the engine uses for per-start seeds).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return int64(uint64(seed) ^ splitmix.Mix64(uint64(tier)<<20|uint64(attempt)))
 }
 
 // RunPortfolio runs the fallback chain over h. The first tier to
@@ -301,7 +293,7 @@ func jitterBackoff(d time.Duration, seed int64, tier, attempt int) time.Duration
 	if d <= 0 {
 		return 0
 	}
-	h := splitmix64(uint64(AttemptSeed(seed, tier, attempt)))
+	h := splitmix.Mix64(uint64(AttemptSeed(seed, tier, attempt)))
 	frac := float64(h%1024) / 1024
 	return d/2 + time.Duration(frac*float64(d))
 }
