@@ -106,8 +106,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		faults     = fs.String("faultinject", "", "fault-injection spec, e.g. 'panic@engine.start:2' (also read from FASTHGP_FAULTS)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file at exit (go tool pprof)")
-		vcycle     = fs.Bool("vcycle", true, "multilevel: corridor max-flow refinement at every uncoarsening level (false = FM-only flat pass)")
-		corridor   = fs.Float64("corridor", 0, "multilevel: per-side flow corridor weight budget as a fraction of half the total weight (0 = default 0.1)")
+		vcycle     = fs.Bool("vcycle", true, "multilevel: corridor max-flow refinement at the finest uncoarsening level (false = FM-only flat pass)")
 		stats      = fs.Bool("stats", false, "print engine multi-start statistics")
 		doVerify   = fs.Bool("verify", false, "recheck the result with the invariant oracle; exit nonzero on any violation")
 		verbose    = fs.Bool("v", false, "print the side of every module")
@@ -273,7 +272,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			printStats(stdout, res.Engine)
 		}
 		if *doVerify {
-			rep, err := fasthgp.VerifyKWay(h, res.Part, *k)
+			rep, err := fasthgp.VerifyKWay(h, res.Part, *k, constraint)
 			if err != nil {
 				return fail(fmt.Errorf("verification FAILED: %w", err))
 			}
@@ -330,7 +329,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "multilevel":
 		res, err := fasthgp.MultilevelCtx(ctx, h, fasthgp.MultilevelOptions{
 			Starts: *starts, Seed: *seed, Parallelism: *parallel, KernelWorkers: *workers,
-			Constraint: constraint, DisableFlow: !*vcycle, CorridorFraction: *corridor})
+			Constraint: constraint, DisableFlow: !*vcycle})
 		if err != nil {
 			return fail(err)
 		}

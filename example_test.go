@@ -140,18 +140,18 @@ func ExamplePlaceMinCut() {
 	// HPWL: 1
 }
 
-func ExampleRebalance() {
+func ExampleEnforceConstraint() {
 	h := bridgeNetlist()
 	p := fasthgp.NewBipartition(8)
 	p.Assign(0, fasthgp.Right)
 	for v := 1; v < 8; v++ {
 		p.Assign(v, fasthgp.Left)
 	}
-	moved, err := fasthgp.Rebalance(h, p, 0)
-	if err != nil {
+	// ε = 0.1 caps each side at ⌊1.1·⌈8/2⌉⌋ = 4 modules.
+	if err := fasthgp.EnforceConstraint(h, p, fasthgp.Constraint{Epsilon: 0.1}); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("moved:", moved, "imbalance:", fasthgp.Imbalance(h, p))
+	fmt.Println("imbalance:", fasthgp.Imbalance(h, p), "cut:", fasthgp.CutSize(h, p))
 	// Output:
-	// moved: 3 imbalance: 0
+	// imbalance: 0 cut: 1
 }

@@ -90,16 +90,13 @@ func NewBipartition(n int) *Bipartition { return partition.New(n) }
 // registry honors: an ε-imbalance bound (each side weighs at most
 // (1+Epsilon)·⌈w(V)/2⌉, or ⌈w(V)/K⌉ per part K-way) plus an optional
 // fixed-vertex assignment (FixedSide[v] pins vertex v to a side, −1
-// leaves it free). The zero value is unconstrained and preserves each
-// algorithm's historical behavior exactly.
+// leaves it free). It is the one balance setting of every partitioner.
+// The zero value is unconstrained and preserves each algorithm's
+// historical behavior exactly.
 type Constraint = partition.Constraint
 
 // FreeVertex marks an unpinned vertex in Constraint.FixedSide.
 const FreeVertex = partition.FreeVertex
-
-// FromBalanceFraction converts a legacy balance fraction b (allowed
-// |weight(L) − weight(R)| ≤ 2b·w(V)) into the equivalent ε-constraint.
-func FromBalanceFraction(b float64) Constraint { return partition.FromBalanceFraction(b) }
 
 // Options configures Algorithm I (see internal/core for details).
 type Options = core.Options
@@ -326,23 +323,10 @@ func KWayCtx(ctx context.Context, h *Hypergraph, opts KWayOptions) (*KWayResult,
 	return kway.PartitionCtx(ctx, h, opts)
 }
 
-// ErrNegativeTolerance is returned by Rebalance when the tolerance is
-// negative — historically the value was silently clamped, masking
-// caller bugs.
-var ErrNegativeTolerance = rebalance.ErrNegativeTolerance
-
 // ErrConstraintInfeasible is returned (wrapped, with the reason) when a
 // constraint provably admits no partition — e.g. one side's fixed
 // vertices alone outweigh the ε bound.
 var ErrConstraintInfeasible = rebalance.ErrInfeasible
-
-// Rebalance repairs the weight balance of p in place, moving the
-// cheapest vertices from the heavy side until the imbalance is within
-// tolerance; it returns the number of vertices moved. A negative
-// tolerance is rejected with ErrNegativeTolerance.
-func Rebalance(h *Hypergraph, p *Bipartition, tolerance int64) (int, error) {
-	return rebalance.Bisect(h, p, tolerance)
-}
 
 // EnforceConstraint makes p satisfy c in place: fixed vertices are
 // forced onto their pinned sides, then free vertices move off any side
@@ -375,13 +359,10 @@ func WriteNetlistFixed(w io.Writer, h *Hypergraph, fixed []int8) error {
 // and verified constraints can never diverge.
 func ParseFixedSpec(spec string, n int) ([]int8, error) { return netio.ParseFixedSpec(spec, n) }
 
-// ReadHMetis parses a hypergraph in the hMETIS .hgr benchmark format.
-func ReadHMetis(r io.Reader) (*Hypergraph, error) { return netio.ReadHMetis(r) }
-
-// ReadHMetisStream parses the hMETIS .hgr format through the zero-copy
-// streaming parser: one reusable chunk buffer, no per-line string or
-// token materialization. Accepts and rejects exactly as ReadHMetis.
-func ReadHMetisStream(r io.Reader) (*Hypergraph, error) { return netio.ParseHMetisStream(r) }
+// ReadHMetis parses a hypergraph in the hMETIS .hgr benchmark format
+// through the zero-copy streaming parser: one reusable chunk buffer, no
+// per-line string or token materialization.
+func ReadHMetis(r io.Reader) (*Hypergraph, error) { return netio.ParseHMetisStream(r) }
 
 // ReadHMetisFile parses the .hgr file at path, memory-mapping it
 // read-only where the platform allows (the file bytes become the parse
@@ -475,8 +456,9 @@ func Cluster(h *Hypergraph, opts ClusterOptions) (*ClusterResult, error) {
 
 // AlgoConfig carries the knobs shared by every bipartitioner for
 // uniform invocation through the Algorithms registry. Algorithm-
-// specific options (balance windows, cooling schedules, …) stay at
-// their defaults; call the dedicated entry points to tune those.
+// specific options (Algorithm I's completion rule, multilevel's flow
+// switch, …) stay at their defaults; call the dedicated entry points
+// to set those.
 type AlgoConfig struct {
 	// Starts is the multi-start count (values < 1 mean 1; for Flow it
 	// is the number of seed pairs).
@@ -663,14 +645,9 @@ func runRandomAlgo(ctx context.Context, h *Hypergraph, cfg AlgoConfig) (*AlgoRes
 		Parallelism: cfg.Parallelism,
 		Seed:        cfg.Seed,
 		Run: func(_ context.Context, _ int, rng *rand.Rand, _ *engine.Scratch) (*AlgoResult, error) {
-			var p *Bipartition
-			if cfg.Constraint.IsZero() {
-				p = kl.RandomBisection(h.NumVertices(), rng)
-			} else {
-				p = kl.RandomBisectionConstrained(h, rng, cfg.Constraint)
-				if err := rebalance.Enforce(h, p, cfg.Constraint); err != nil {
-					return nil, fmt.Errorf("random: %w", err)
-				}
+			p := kl.SeedBisection(h, rng, cfg.Constraint)
+			if err := rebalance.Enforce(h, p, cfg.Constraint); err != nil {
+				return nil, fmt.Errorf("random: %w", err)
 			}
 			return &AlgoResult{Partition: p, CutSize: partition.CutSize(h, p)}, nil
 		},
@@ -722,22 +699,12 @@ func VerifyCut(h *Hypergraph, p *Bipartition, claimed int) (*VerifyReport, error
 	return verify.CheckCut(h, p, claimed)
 }
 
-// VerifyKWay validates a K-way labeling and recomputes its cut-net
+// VerifyKWay validates a K-way labeling against the contract c read
+// K-way — every part at most c.MaxSideWeight(w(V), k) when c carries an
+// ε, every fixed vertex on its part id — and recomputes its cut-net
 // count and connectivity objective.
-func VerifyKWay(h *Hypergraph, part []int, k int) (*KWayVerifyReport, error) {
-	return verify.CheckKWay(h, part, k)
-}
-
-// VerifyEpsilon is Verify plus the ε-imbalance bound: both sides must
-// weigh at most (1+eps)·⌈w(V)/2⌉.
-func VerifyEpsilon(h *Hypergraph, p *Bipartition, eps float64) (*VerifyReport, error) {
-	return verify.CheckEpsilon(h, p, eps)
-}
-
-// VerifyFixed is Verify plus the fixed-vertex contract: every pinned
-// vertex must sit on its pinned side.
-func VerifyFixed(h *Hypergraph, p *Bipartition, fixed []int8) (*VerifyReport, error) {
-	return verify.CheckFixed(h, p, fixed)
+func VerifyKWay(h *Hypergraph, part []int, k int, c Constraint) (*KWayVerifyReport, error) {
+	return verify.CheckKWay(h, part, k, c)
 }
 
 // VerifyConstraint certifies p against the full contract c — validity,

@@ -2,7 +2,6 @@ package fasthgp
 
 import (
 	"bytes"
-	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -54,7 +53,7 @@ func TestFacadeBaselines(t *testing.T) {
 	if r, err := FM(h, FMOptions{Seed: 1}); err != nil || r.CutSize < 1 {
 		t.Errorf("FM: %v, cut=%v", err, r)
 	}
-	if r, err := Anneal(h, AnnealOptions{Seed: 1, MovesPerTemp: 40}); err != nil || r.CutSize < 1 {
+	if r, err := Anneal(h, AnnealOptions{Seed: 1}); err != nil || r.CutSize < 1 {
 		t.Errorf("Anneal: %v, cut=%v", err, r)
 	}
 	if _, cut, err := RandomBisection(h, rand.New(rand.NewSource(1))); err != nil || cut < 1 {
@@ -190,42 +189,18 @@ func TestFacadeKWay(t *testing.T) {
 	}
 }
 
-func TestFacadeRebalance(t *testing.T) {
+func TestFacadeEnforceConstraint(t *testing.T) {
 	h, err := FromEdges(10, [][]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {7, 8}, {8, 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// ε = 0.1 caps each side at ⌊1.1·5⌋ = 5 of the 10 modules.
 	p := New10Lopsided()
-	moved, err := Rebalance(h, p, 0)
-	if err != nil {
+	if err := EnforceConstraint(h, p, Constraint{Epsilon: 0.1}); err != nil {
 		t.Fatal(err)
 	}
-	if moved == 0 || Imbalance(h, p) != 0 {
-		t.Errorf("moved %d, imbalance %d", moved, Imbalance(h, p))
-	}
-}
-
-// TestFacadeRebalanceNegativeTolerance: a negative tolerance is a
-// caller bug, not a "move everything" request — it must be rejected
-// with the typed sentinel and leave the partition untouched.
-func TestFacadeRebalanceNegativeTolerance(t *testing.T) {
-	h, err := FromEdges(10, [][]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {7, 8}, {8, 9}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := New10Lopsided()
-	before := append([]Side(nil), p.Sides()...)
-	moved, err := Rebalance(h, p, -1)
-	if !errors.Is(err, ErrNegativeTolerance) {
-		t.Fatalf("Rebalance(-1) error = %v, want ErrNegativeTolerance", err)
-	}
-	if moved != 0 {
-		t.Errorf("Rebalance(-1) reported %d moves", moved)
-	}
-	for v, s := range p.Sides() {
-		if s != before[v] {
-			t.Fatalf("Rebalance(-1) mutated vertex %d", v)
-		}
+	if Imbalance(h, p) != 0 {
+		t.Errorf("imbalance %d, want 0", Imbalance(h, p))
 	}
 }
 

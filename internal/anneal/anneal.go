@@ -26,6 +26,29 @@ import (
 	"fasthgp/internal/rebalance"
 )
 
+// The schedule and the soft balance window. The initial temperature is
+// calibrated per walk so that an average uphill move is accepted with
+// probability ~0.8.
+const (
+	// cooling is the geometric cooling ratio.
+	cooling = 0.95
+	// movesPerVertex sets the proposed moves per temperature: this many
+	// times the vertex count.
+	movesPerVertex = 10
+	// minTemp ends the schedule.
+	minTemp = 0.05
+	// frozenTemps ends the schedule early after this many consecutive
+	// temperatures with no accepted move.
+	frozenTemps = 4
+	// windowFraction is the feasibility window without an ε: imbalance
+	// up to windowFraction·total weight is free; beyond it the penalty
+	// applies and the configuration is not recorded as a result.
+	windowFraction = 0.1
+	// penaltyWeight scales the imbalance penalty in cut units per
+	// average vertex weight.
+	penaltyWeight = 2
+)
+
 // Options configures the annealer. The zero value gives sensible
 // defaults for netlist-sized instances.
 type Options struct {
@@ -39,59 +62,18 @@ type Options struct {
 	// Parallelism is the number of workers running walks concurrently;
 	// values < 1 mean GOMAXPROCS. Wall time only, never the result.
 	Parallelism int
-	// InitialTemp is the starting temperature; 0 auto-calibrates so
-	// that an average uphill move is accepted with probability ~0.8.
-	InitialTemp float64
-	// Cooling is the geometric cooling ratio (default 0.95).
-	Cooling float64
-	// MovesPerTemp is the number of proposed moves per temperature
-	// (default 10·n).
-	MovesPerTemp int
-	// MinTemp ends the schedule (default 0.05).
-	MinTemp float64
-	// FrozenTemps ends the schedule early after this many consecutive
-	// temperatures with no accepted move (default 4).
-	FrozenTemps int
-	// BalanceFraction is the feasibility window: imbalance up to
-	// BalanceFraction·total weight is free; beyond it the penalty
-	// applies and the configuration is not recorded as a result
-	// (default 0.1).
-	BalanceFraction float64
-	// PenaltyWeight scales the imbalance penalty in cut units per
-	// average vertex weight (default 2).
-	PenaltyWeight float64
 	// Constraint is the unified balance contract. Fixed vertices are
 	// never proposed as moves (rejected before any Metropolis draw, so
 	// the walk stays deterministic), and when an ε bound is present the
 	// feasibility window derives from Constraint.MaxSideWeight instead
-	// of BalanceFraction. The final result is hard-enforced against the
-	// contract. The zero value preserves historical behavior exactly.
+	// of the default 10% of the total weight. The final result is
+	// hard-enforced against the contract. The zero value preserves
+	// historical behavior exactly.
 	Constraint partition.Constraint
 	// Checkpoint, when non-nil, journals every completed walk into its
 	// sink and resumes from its recovered state — see internal/checkpoint.
 	// A resumed run returns the same Result an uninterrupted run would.
 	Checkpoint *engine.CheckpointIO
-}
-
-func (o *Options) defaults(h *hypergraph.Hypergraph) {
-	if o.Cooling <= 0 || o.Cooling >= 1 {
-		o.Cooling = 0.95
-	}
-	if o.MovesPerTemp <= 0 {
-		o.MovesPerTemp = 10 * h.NumVertices()
-	}
-	if o.MinTemp <= 0 {
-		o.MinTemp = 0.05
-	}
-	if o.FrozenTemps <= 0 {
-		o.FrozenTemps = 4
-	}
-	if o.BalanceFraction <= 0 {
-		o.BalanceFraction = 0.1
-	}
-	if o.PenaltyWeight <= 0 {
-		o.PenaltyWeight = 2
-	}
 }
 
 // Result is the outcome of an annealing run.
@@ -123,7 +105,6 @@ func BisectCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (*Re
 	if h.NumVertices() < 2 {
 		return nil, fmt.Errorf("anneal: hypergraph has %d vertices; need at least 2", h.NumVertices())
 	}
-	opts.defaults(h)
 	best, es, err := engine.Run(ctx, engine.Spec[*Result]{
 		Name:        "anneal",
 		Starts:      opts.Starts,
@@ -163,20 +144,14 @@ func BisectCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (*Re
 // annealOnce runs a single annealing walk with its own RNG stream.
 func annealOnce(ctx context.Context, h *hypergraph.Hypergraph, opts Options, rng *rand.Rand) (*Result, error) {
 	c := opts.Constraint
-	var p *partition.Bipartition
-	if c.IsZero() {
-		p = kl.RandomBisection(h.NumVertices(), rng)
-	} else {
-		p = kl.RandomBisectionConstrained(h, rng, c)
-	}
-	s, err := cutstate.New(h, p)
+	s, err := cutstate.New(h, kl.SeedBisection(h, rng, c))
 	if err != nil {
 		return nil, fmt.Errorf("anneal: %w", err)
 	}
 
 	n := h.NumVertices()
 	total := h.TotalVertexWeight()
-	window := int64(opts.BalanceFraction * float64(total))
+	window := int64(windowFraction * float64(total))
 	if c.HasBalance() {
 		// Feasible ⇔ both sides ≤ maxSide ⇔ |lw − rw| ≤ 2·maxSide − total.
 		window = 2*c.MaxSideWeight(total, 2) - total
@@ -189,7 +164,7 @@ func annealOnce(ctx context.Context, h *hypergraph.Hypergraph, opts Options, rng
 		if imb <= window {
 			return 0
 		}
-		return opts.PenaltyWeight * float64(imb-window) / meanW
+		return penaltyWeight * float64(imb-window) / meanW
 	}
 	cost := func() float64 { return float64(s.Cut()) + penalty(s.Imbalance()) }
 
@@ -203,10 +178,7 @@ func annealOnce(ctx context.Context, h *hypergraph.Hypergraph, opts Options, rng
 		return after - before
 	}
 
-	temp := opts.InitialTemp
-	if temp <= 0 {
-		temp = calibrate(s, rng, moveDelta)
-	}
+	temp := calibrate(s, rng, moveDelta)
 
 	best := s.Partition().Clone()
 	bestCut := s.Cut()
@@ -223,12 +195,13 @@ func annealOnce(ctx context.Context, h *hypergraph.Hypergraph, opts Options, rng
 
 	res := &Result{}
 	frozen := 0
-	for temp > opts.MinTemp && frozen < opts.FrozenTemps && ctx.Err() == nil {
+	movesPerTemp := movesPerVertex * n
+	for temp > minTemp && frozen < frozenTemps && ctx.Err() == nil {
 		res.Temperatures++
 		acceptedHere := 0
-		for i := 0; i < opts.MovesPerTemp; i++ {
-			// Poll cancellation inside the hot loop too: MovesPerTemp is
-			// 10·n by default, far too long a stride near a deadline.
+		for i := 0; i < movesPerTemp; i++ {
+			// Poll cancellation inside the hot loop too: 10·n moves per
+			// temperature is far too long a stride near a deadline.
 			if i&1023 == 1023 && ctx.Err() != nil {
 				break
 			}
@@ -252,16 +225,12 @@ func annealOnce(ctx context.Context, h *hypergraph.Hypergraph, opts Options, rng
 		} else {
 			frozen = 0
 		}
-		temp *= opts.Cooling
+		temp *= cooling
 	}
 
 	// Guard against the pathological all-one-side walk.
 	if l, r, _ := best.Counts(); l == 0 || r == 0 {
-		if c.IsZero() {
-			best = kl.RandomBisection(n, rng)
-		} else {
-			best = kl.RandomBisectionConstrained(h, rng, c)
-		}
+		best = kl.SeedBisection(h, rng, c)
 		bestCut = partition.CutSize(h, best)
 	}
 	// Hard-enforce the contract on the way out: the walk keeps fixed

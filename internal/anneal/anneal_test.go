@@ -34,7 +34,7 @@ func TestValidAndConsistent(t *testing.T) {
 			b.AddEdge(rng.Intn(n), rng.Intn(n), rng.Intn(n))
 		}
 		h := b.MustBuild()
-		res, err := Bisect(h, Options{Seed: int64(trial), MovesPerTemp: 4 * n})
+		res, err := Bisect(h, Options{Seed: int64(trial)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,11 +52,11 @@ func TestValidAndConsistent(t *testing.T) {
 
 func TestDeterministicPerSeed(t *testing.T) {
 	h := mkHG(t, 10, [][]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {5, 6}, {6, 7}, {7, 8}, {8, 9}, {4, 5}})
-	a, err := Bisect(h, Options{Seed: 7, MovesPerTemp: 20})
+	a, err := Bisect(h, Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Bisect(h, Options{Seed: 7, MovesPerTemp: 20})
+	b, err := Bisect(h, Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +99,11 @@ func TestBalanceFeasible(t *testing.T) {
 		b.SetVertexWeight(v, int64(1+rng.Intn(4)))
 	}
 	h := b.MustBuild()
-	res, err := Bisect(h, Options{Seed: 1, BalanceFraction: 0.15})
+	res, err := Bisect(h, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	window := int64(0.15 * float64(h.TotalVertexWeight()))
+	window := int64(windowFraction * float64(h.TotalVertexWeight()))
 	if imb := partition.Imbalance(h, res.Partition); imb > window {
 		t.Errorf("imbalance %d beyond window %d", imb, window)
 	}

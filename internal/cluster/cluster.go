@@ -16,13 +16,14 @@ import (
 	"fasthgp/internal/partition"
 )
 
+// passes is the number of merge sweeps.
+const passes = 3
+
 // Options configures Cluster.
 type Options struct {
 	// MaxClusterWeight caps the total module weight of a cluster
 	// (default: total/16, at least the heaviest module).
 	MaxClusterWeight int64
-	// Passes is the number of merge sweeps (default 3).
-	Passes int
 	// Seed orders the sweeps deterministically.
 	Seed int64
 }
@@ -47,9 +48,6 @@ func Cluster(h *hypergraph.Hypergraph, opts Options) (*Result, error) {
 	n := h.NumVertices()
 	if n == 0 {
 		return nil, fmt.Errorf("cluster: empty hypergraph")
-	}
-	if opts.Passes <= 0 {
-		opts.Passes = 3
 	}
 	cap := opts.MaxClusterWeight
 	if cap <= 0 {
@@ -81,7 +79,7 @@ func Cluster(h *hypergraph.Hypergraph, opts Options) (*Result, error) {
 
 	rng := rand.New(rand.NewSource(opts.Seed))
 	score := make(map[int]float64, 16)
-	for pass := 0; pass < opts.Passes; pass++ {
+	for pass := 0; pass < passes; pass++ {
 		merged := false
 		for _, v := range rng.Perm(n) {
 			rv := find(v)

@@ -47,14 +47,15 @@ func (r *Result) Stats() LevelStats {
 	}
 }
 
+// maxLevels bounds the hierarchy depth.
+const maxLevels = 30
+
 // Options configures Contract and BuildHierarchy. The zero value
-// reproduces the historical Step/Hierarchy behaviour exactly.
+// contracts without pins or a weight cap.
 type Options struct {
 	// MinVertices stops BuildHierarchy once a level has at most this
 	// many vertices (minimum 2).
 	MinVertices int
-	// MaxLevels bounds the hierarchy depth (0 = 30).
-	MaxLevels int
 	// Fixed pins fine vertices to sides (partition.FreeVertex = free).
 	// Vertices pinned to different sides are never contracted together,
 	// and every Result carries the propagated coarse assignment.
@@ -65,36 +66,18 @@ type Options struct {
 	// constraint satisfiable at every level: a single cluster heavier
 	// than the side bound could never be placed.
 	MaxClusterWeight int64
-	// MaxRatedEdgeSize skips nets larger than this during rating
-	// (0 = rate everything); see matching.HeavyEdgeOptions.
-	MaxRatedEdgeSize int
-}
-
-// Step performs one level of matching and contraction. The returned
-// coarse hypergraph has at least half as many vertices when any match
-// exists; when nothing can be matched (e.g. an edgeless hypergraph)
-// the contraction is the identity.
-func Step(h *hypergraph.Hypergraph, rng *rand.Rand) *Result {
-	return Contract(h, rng, Options{})
-}
-
-// StepFixed is Step under a fixed-side assignment (−1 = free): two
-// vertices pinned to different sides are never matched, so every coarse
-// vertex has a well-defined fixed side, returned in Result.Fixed.
-// A nil fixed slice reproduces Step exactly.
-func StepFixed(h *hypergraph.Hypergraph, rng *rand.Rand, fixed []int8) *Result {
-	return Contract(h, rng, Options{Fixed: fixed})
 }
 
 // Contract performs one level of heavy-edge matching and contraction
-// under opts (MinVertices/MaxLevels are ignored here; they belong to
-// BuildHierarchy).
+// under opts (MinVertices is ignored here; it belongs to
+// BuildHierarchy). The returned coarse hypergraph has at least half as
+// many vertices when any match exists; when nothing can be matched
+// (e.g. an edgeless hypergraph) the contraction is the identity.
 func Contract(h *hypergraph.Hypergraph, rng *rand.Rand, opts Options) *Result {
 	n := h.NumVertices()
 	mate := matching.HeavyEdge(h, rng, matching.HeavyEdgeOptions{
-		Fixed:            opts.Fixed,
-		MaxPairWeight:    opts.MaxClusterWeight,
-		MaxRatedEdgeSize: opts.MaxRatedEdgeSize,
+		Fixed:         opts.Fixed,
+		MaxPairWeight: opts.MaxClusterWeight,
 	})
 
 	// Assign coarse ids: matched pairs share one id.
@@ -212,35 +195,19 @@ func pinsEqual(a, b []int) bool {
 	return true
 }
 
-// Hierarchy coarsens h repeatedly until at most minVertices remain, the
-// contraction stops making progress (shrink factor > 0.95), or
-// maxLevels levels were produced. Levels are ordered fine→coarse.
-func Hierarchy(h *hypergraph.Hypergraph, rng *rand.Rand, minVertices, maxLevels int) []*Result {
-	return BuildHierarchy(h, rng, Options{MinVertices: minVertices, MaxLevels: maxLevels})
-}
-
-// HierarchyFixed is Hierarchy with a fine-level fixed-side assignment
-// propagated through every contraction: each level's Result.Fixed pins
-// the coarse vertices. A nil fixed slice reproduces Hierarchy exactly.
-func HierarchyFixed(h *hypergraph.Hypergraph, rng *rand.Rand, minVertices, maxLevels int, fixed []int8) []*Result {
-	return BuildHierarchy(h, rng, Options{MinVertices: minVertices, MaxLevels: maxLevels, Fixed: fixed})
-}
-
 // BuildHierarchy coarsens h under opts until at most opts.MinVertices
 // vertices remain, the contraction stops making progress (shrink
-// factor > 0.95), or opts.MaxLevels levels were produced. Levels are
-// ordered fine→coarse; each level's Fixed feeds the next contraction.
+// factor > 0.95), or maxLevels levels were produced. Levels are
+// ordered fine→coarse; each level's Fixed feeds the next contraction,
+// so every level's Result.Fixed pins its coarse vertices.
 func BuildHierarchy(h *hypergraph.Hypergraph, rng *rand.Rand, opts Options) []*Result {
 	if opts.MinVertices < 2 {
 		opts.MinVertices = 2
 	}
-	if opts.MaxLevels <= 0 {
-		opts.MaxLevels = 30
-	}
 	var levels []*Result
 	cur := h
 	fixed := opts.Fixed
-	for len(levels) < opts.MaxLevels && cur.NumVertices() > opts.MinVertices {
+	for len(levels) < maxLevels && cur.NumVertices() > opts.MinVertices {
 		stepOpts := opts
 		stepOpts.Fixed = fixed
 		step := Contract(cur, rng, stepOpts)

@@ -29,7 +29,7 @@ func randomHG(rng *rand.Rand, n, m int) *hypergraph.Hypergraph {
 func TestStepShrinks(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	h := randomHG(rng, 100, 220)
-	res := Step(h, rng)
+	res := Contract(h, rng, Options{})
 	if res.Coarse.NumVertices() >= h.NumVertices() {
 		t.Errorf("no shrink: %d → %d", h.NumVertices(), res.Coarse.NumVertices())
 	}
@@ -41,7 +41,7 @@ func TestStepShrinks(t *testing.T) {
 func TestStepWeightConservation(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	h := randomHG(rng, 60, 140)
-	res := Step(h, rng)
+	res := Contract(h, rng, Options{})
 	if res.Coarse.TotalVertexWeight() != h.TotalVertexWeight() {
 		t.Errorf("vertex weight changed: %d → %d", h.TotalVertexWeight(), res.Coarse.TotalVertexWeight())
 	}
@@ -72,7 +72,7 @@ func TestStepWeightConservation(t *testing.T) {
 func TestStepMapValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	h := randomHG(rng, 50, 100)
-	res := Step(h, rng)
+	res := Contract(h, rng, Options{})
 	seen := make([]int, res.Coarse.NumVertices())
 	for v := 0; v < h.NumVertices(); v++ {
 		cv := res.Map[v]
@@ -91,19 +91,19 @@ func TestStepMapValid(t *testing.T) {
 func TestEdgelessIdentity(t *testing.T) {
 	h := hypergraph.NewBuilder(5).MustBuild()
 	rng := rand.New(rand.NewSource(4))
-	res := Step(h, rng)
+	res := Contract(h, rng, Options{})
 	if res.Coarse.NumVertices() != 5 {
 		t.Errorf("edgeless hypergraph contracted: %d vertices", res.Coarse.NumVertices())
 	}
-	if len(Hierarchy(h, rng, 2, 0)) != 0 {
-		t.Error("Hierarchy made progress on edgeless hypergraph")
+	if len(BuildHierarchy(h, rng, Options{MinVertices: 2})) != 0 {
+		t.Error("BuildHierarchy made progress on edgeless hypergraph")
 	}
 }
 
 func TestHierarchyTerminates(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	h := randomHG(rng, 300, 700)
-	levels := Hierarchy(h, rng, 30, 0)
+	levels := BuildHierarchy(h, rng, Options{MinVertices: 30})
 	if len(levels) == 0 {
 		t.Fatal("no levels")
 	}
@@ -128,7 +128,7 @@ func TestPropertyWeightedCutPreserved(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 6 + rng.Intn(40)
 		h := randomHG(rng, n, 2*n)
-		res := Step(h, rng)
+		res := Contract(h, rng, Options{})
 		if res.Coarse.NumVertices() < 2 {
 			return true
 		}
@@ -144,7 +144,7 @@ func TestPropertyWeightedCutPreserved(t *testing.T) {
 func TestProjectSides(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	h := randomHG(rng, 20, 40)
-	res := Step(h, rng)
+	res := Contract(h, rng, Options{})
 	cp := kl.RandomBisection(res.Coarse.NumVertices(), rng)
 	fp := Project(20, res.Map, cp)
 	for v := 0; v < 20; v++ {

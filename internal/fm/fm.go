@@ -29,8 +29,6 @@ type Options struct {
 	// Starts is the number of independent random initial bisections
 	// tried by Bisect; the best final cut wins (default 1).
 	Starts int
-	// MaxPasses bounds improvement passes (default 12).
-	MaxPasses int
 	// BalanceFraction is the allowed deviation from perfect weight
 	// balance: each side must keep at least (0.5 − BalanceFraction) of
 	// the total vertex weight (default 0.1, the r-bipartition spirit of
@@ -46,9 +44,9 @@ type Options struct {
 	Parallelism int
 	// Constraint is the unified balance contract: fixed vertices never
 	// enter the gain buckets, and the pass-legality bound derives from
-	// Constraint.MaxSideWeight instead of BalanceFraction float math.
-	// The zero value falls back to BalanceFraction via the ε = 2b
-	// mapping, so both knobs round identically at odd total weights.
+	// Constraint.MaxSideWeight. Without an ε, BalanceFraction b applies
+	// as ε = 2b through the same bound, so both round identically at
+	// odd total weights.
 	Constraint partition.Constraint
 	// Checkpoint, when non-nil, journals every completed start into its
 	// sink and resumes from its recovered state — see internal/checkpoint.
@@ -56,10 +54,10 @@ type Options struct {
 	Checkpoint *engine.CheckpointIO
 }
 
+// maxPasses bounds the improvement passes of one run.
+const maxPasses = 12
+
 func (o *Options) defaults() {
-	if o.MaxPasses <= 0 {
-		o.MaxPasses = 12
-	}
 	if o.BalanceFraction <= 0 {
 		o.BalanceFraction = 0.1
 	}
@@ -97,12 +95,7 @@ func BisectCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (*Re
 		Parallelism: opts.Parallelism,
 		Seed:        opts.Seed,
 		Run: func(ctx context.Context, _ int, rng *rand.Rand, scratch *engine.Scratch) (*Result, error) {
-			var p *partition.Bipartition
-			if opts.Constraint.IsZero() {
-				p = kl.RandomBisection(h.NumVertices(), rng)
-			} else {
-				p = kl.RandomBisectionConstrained(h, rng, opts.Constraint)
-			}
+			p := kl.SeedBisection(h, rng, opts.Constraint)
 			return improveLocked(ctx, h, p, nil, opts, scratch)
 		},
 		Better: func(a, b *Result) bool { return betterResult(h, a, b) },
@@ -195,14 +188,14 @@ func improveLocked(ctx context.Context, h *hypergraph.Hypergraph, p *partition.B
 	if err != nil {
 		return nil, fmt.Errorf("fm: %w", err)
 	}
-	// The balance legality bound: both knobs (the ε contract and the
-	// legacy BalanceFraction) route through Constraint.MaxSideWeight so
-	// that odd total weights truncate identically everywhere. Keeping a
-	// side at ≥ minSide automatically caps the other at maxSide since
+	// The balance legality bound: both knobs (the ε contract and
+	// BalanceFraction as ε = 2b) route through Constraint.MaxSideWeight
+	// so that odd total weights truncate identically everywhere. Keeping
+	// a side at ≥ minSide automatically caps the other at maxSide since
 	// the two are complements.
 	bal := c
 	if !bal.HasBalance() {
-		bal = partition.FromBalanceFraction(opts.BalanceFraction)
+		bal = partition.Constraint{Epsilon: 2 * opts.BalanceFraction}
 	}
 	minSide := bal.MinSideWeight(h.TotalVertexWeight())
 	// Side arrays are leased once per improvement run and re-zeroed by
@@ -212,7 +205,7 @@ func improveLocked(ctx context.Context, h *hypergraph.Hypergraph, p *partition.B
 	locked := scratch.Bools(n)
 	gain := scratch.Ints(n)
 	passes := 0
-	for passes < opts.MaxPasses && ctx.Err() == nil {
+	for passes < maxPasses && ctx.Err() == nil {
 		passes++
 		if kept := runPass(s, minSide, fixed, locked, gain); kept <= 0 {
 			break

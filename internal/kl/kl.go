@@ -38,10 +38,6 @@ type Options struct {
 	Starts int
 	// MaxPasses bounds the number of improvement passes (default 10).
 	MaxPasses int
-	// Candidates is the number of top-gain vertices per side scanned
-	// when selecting each swap (default 8). Larger values approach the
-	// textbook full pair scan at quadratic cost.
-	Candidates int
 	// Seed seeds the initial random bisections used by Bisect; each
 	// start draws from its own stream, so results are independent of
 	// Parallelism.
@@ -61,12 +57,14 @@ type Options struct {
 	Checkpoint *engine.CheckpointIO
 }
 
+// candidates is the number of top-gain vertices per side scanned when
+// selecting each swap. Larger values approach the textbook full pair
+// scan at quadratic cost.
+const candidates = 8
+
 func (o *Options) defaults() {
 	if o.MaxPasses <= 0 {
 		o.MaxPasses = 10
-	}
-	if o.Candidates <= 0 {
-		o.Candidates = 8
 	}
 }
 
@@ -104,7 +102,7 @@ func BisectCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (*Re
 		Parallelism: opts.Parallelism,
 		Seed:        opts.Seed,
 		Run: func(ctx context.Context, _ int, rng *rand.Rand, scratch *engine.Scratch) (*Result, error) {
-			p := seedBisection(h, rng, opts.Constraint)
+			p := SeedBisection(h, rng, opts.Constraint)
 			return improve(ctx, h, p, opts, scratch)
 		},
 		Better: func(a, b *Result) bool { return betterResult(h, a, b) },
@@ -153,10 +151,11 @@ func RandomBisection(n int, rng *rand.Rand) *partition.Bipartition {
 	return p
 }
 
-// seedBisection builds the initial bisection for one start: the plain
+// SeedBisection builds the initial bisection for one start: the plain
 // uniform RandomBisection when c is zero (preserving historical RNG
-// consumption exactly), RandomBisectionConstrained otherwise.
-func seedBisection(h *hypergraph.Hypergraph, rng *rand.Rand, c partition.Constraint) *partition.Bipartition {
+// consumption exactly), RandomBisectionConstrained otherwise. Every
+// partitioner that starts from a random bisection seeds through it.
+func SeedBisection(h *hypergraph.Hypergraph, rng *rand.Rand, c partition.Constraint) *partition.Bipartition {
 	if c.IsZero() {
 		return RandomBisection(h.NumVertices(), rng)
 	}
@@ -239,7 +238,7 @@ func improve(ctx context.Context, h *hypergraph.Hypergraph, p *partition.Biparti
 	passes := 0
 	for passes < opts.MaxPasses && ctx.Err() == nil {
 		passes++
-		if gain := runPass(s, opts.Candidates, locked, c, maxSide); gain <= 0 {
+		if gain := runPass(s, candidates, locked, c, maxSide); gain <= 0 {
 			break
 		}
 	}

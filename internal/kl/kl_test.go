@@ -1,10 +1,12 @@
 package kl
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"fasthgp/internal/bruteforce"
+	"fasthgp/internal/cutstate"
 	"fasthgp/internal/hypergraph"
 	"fasthgp/internal/partition"
 )
@@ -144,15 +146,28 @@ func TestMatchesBruteForceOnSmall(t *testing.T) {
 }
 
 func TestCandidatesOptionRespected(t *testing.T) {
-	// Candidates=1 restricts pairing to the single top-gain vertex per
-	// side; the algorithm must still terminate and return a valid
-	// bisection.
+	// One candidate restricts pairing to the single top-gain vertex per
+	// side; passes must still terminate, keep the side counts, and leave
+	// a valid bisection with the cut the state reports.
 	h := mkHG(t, 6, [][]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}})
-	res, err := Bisect(h, Options{Seed: 2, Candidates: 1, MaxPasses: 3})
+	p := RandomBisection(h.NumVertices(), rand.New(rand.NewSource(2)))
+	s, err := cutstate.New(h, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Partition.Validate(h); err != nil {
+	locked := make([]bool, h.NumVertices())
+	for pass := 0; pass < 3; pass++ {
+		if runPass(s, 1, locked, partition.Constraint{}, math.MaxInt64) <= 0 {
+			break
+		}
+	}
+	if err := p.Validate(h); err != nil {
 		t.Fatal(err)
+	}
+	if l, r, _ := p.Counts(); l != 3 || r != 3 {
+		t.Errorf("sides %d|%d, want 3|3", l, r)
+	}
+	if got := partition.CutSize(h, p); got != s.Cut() {
+		t.Errorf("cut %d, state reports %d", got, s.Cut())
 	}
 }

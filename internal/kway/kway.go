@@ -7,8 +7,9 @@
 // Each recursion step splits a vertex subset into two groups whose
 // weights are proportional to the number of final parts each group
 // will contain (so any K ≥ 2 is supported, not just powers of two),
-// using Algorithm I for the initial cut, greedy rebalancing to the
-// proportional target, and Fiduccia–Mattheyses refinement.
+// using Algorithm I for the initial cut, greedy rebalancing into the
+// band where both groups can still be cut into bounded parts, and
+// Fiduccia–Mattheyses refinement.
 package kway
 
 import (
@@ -26,6 +27,10 @@ import (
 	"fasthgp/internal/rebalance"
 )
 
+// defaultEpsilon is the K-way imbalance bound when the constraint
+// carries no ε.
+const defaultEpsilon = 0.1
+
 // Options configures Partition.
 type Options struct {
 	// K is the number of parts (≥ 2).
@@ -33,9 +38,6 @@ type Options struct {
 	// Starts is the Algorithm I multi-start count per split
 	// (default 5).
 	Starts int
-	// BalanceFraction is the tolerance of each split's proportional
-	// weight target (default 0.05 of the subset weight).
-	BalanceFraction float64
 	// Seed makes the run deterministic; results are independent of
 	// Parallelism.
 	Seed int64
@@ -50,22 +52,27 @@ type Options struct {
 	// Constraint is the unified balance contract, interpreted K-way:
 	// FixedSide entries are target part ids in [0, K) (−1 free; K ≤ 127
 	// when fixed vertices are present, the int8 limit), and Epsilon
-	// bounds every part at Constraint.MaxSideWeight(W, K). Recursive
-	// bisection splits the ε budget geometrically across the ⌈log₂K⌉
-	// levels — each level runs at ε′ = (1+ε)^(1/⌈log₂K⌉) − 1 so the
-	// leaf-level product stays within the requested bound — and each
-	// split pins every fixed vertex to the group containing its target
-	// part. When Constraint carries no ε, BalanceFraction is mapped
-	// through the same contract (partition.FromBalanceFraction), so all
-	// tolerance math flows through Constraint.MaxSideWeight.
+	// (0.1 when unset) bounds every part at
+	// Constraint.MaxSideWeight(W, K). Recursive bisection splits the ε
+	// budget geometrically across the ⌈log₂K⌉ levels — each level runs
+	// at ε′ = (1+ε)^(1/⌈log₂K⌉) − 1 so the leaf-level product stays
+	// within the requested bound — and each split pins every fixed
+	// vertex to the group containing its target part.
+	//
+	// Each split of a subset of weight w into groups of kLeft and
+	// kRight parts is repaired, before and after refinement, into the
+	// band where the left group weighs between w − kRight·m and
+	// kLeft·m, with m = MaxSideWeight(w, k) at ε′; along the splits
+	// above a part these bands compound to the K-way bound. The repair
+	// moves whole vertices, so with weighted vertices it can stop short
+	// of a band narrower than the vertices it could move, or one that
+	// fixed vertices block, and a part then ends over the bound;
+	// verify.CheckKWay given the same constraint reports it.
 	Constraint partition.Constraint
 }
 
 func (o *Options) defaults() {
 	o.Starts = engine.NormalizeTo(o.Starts, 5)
-	if o.BalanceFraction <= 0 {
-		o.BalanceFraction = 0.05
-	}
 }
 
 // Result is a K-way partition with its quality metrics.
@@ -167,13 +174,12 @@ func Metrics(h *hypergraph.Hypergraph, part []int, k int) (cutNets int, connecti
 
 // levelEpsilon splits the K-way ε budget across the recursion depth:
 // ⌈log₂K⌉ nested bisections each running at ε′ = (1+ε)^(1/depth) − 1
-// compound to at most the requested (1+ε). When the constraint carries
-// no ε, the legacy BalanceFraction is mapped through the same contract
-// so every tolerance below flows through Constraint.MaxSideWeight.
+// compound to at most the requested (1+ε), with ε = defaultEpsilon when
+// the constraint carries none.
 func levelEpsilon(opts Options) float64 {
 	eps := opts.Constraint.Epsilon
 	if !opts.Constraint.HasBalance() {
-		eps = partition.FromBalanceFraction(opts.BalanceFraction).Epsilon
+		eps = defaultEpsilon
 	}
 	depth := 0
 	for 1<<depth < opts.K {
@@ -223,19 +229,24 @@ func split(ctx context.Context, h *hypergraph.Hypergraph, vertices []int, firstP
 	subC := partition.Constraint{Epsilon: epsLevel, FixedSide: subFixed}
 	p := bipartitionSub(ctx, sub, opts, rng, subC)
 
-	// Rebalance to the proportional target kLeft : kRight. The band is
-	// derived from the unified contract: the left group holds kLeft of
-	// the k parts, each bounded by MaxSideWeight(W, k) at this level's ε.
-	target := sub.TotalVertexWeight() * int64(kLeft) / int64(k)
-	maxLeft := int64(kLeft) * subC.MaxSideWeight(sub.TotalVertexWeight(), k)
-	tol := maxLeft - target
+	// The left group holds kLeft of the k parts and the right group
+	// kRight, each part bounded by m at this level's ε: the split is
+	// feasible while the left weight lies in [w − kRight·m, kLeft·m].
+	// FM refines under the bisection contract, which pulls toward an
+	// even split, so the band is restored after it as well as before.
+	w := sub.TotalVertexWeight()
+	m := subC.MaxSideWeight(w, k)
+	lo, hi := w-int64(kRight)*m, int64(kLeft)*m
 	if err := p.Validate(sub); err == nil {
-		if _, err := rebalance.ToTargetFixed(sub, p, target, tol, subFixed); err != nil {
-			return fmt.Errorf("kway: %w", err)
+		if err := fitSplit(sub, p, lo, hi, subFixed); err != nil {
+			return err
 		}
 		if ctx.Err() == nil {
-			_, ferr := fm.ImproveCtx(ctx, sub, p, fm.Options{BalanceFraction: opts.BalanceFraction, Constraint: subC})
+			_, ferr := fm.ImproveCtx(ctx, sub, p, fm.Options{Constraint: subC})
 			_ = ferr // refinement is best-effort
+			if err := fitSplit(sub, p, lo, hi, subFixed); err != nil {
+				return err
+			}
 		}
 	}
 
@@ -291,6 +302,20 @@ func split(ctx context.Context, h *hypergraph.Hypergraph, vertices []int, firstP
 		return err
 	}
 	return split(ctx, h, right, firstPart+kLeft, kRight, part, opts, rng, epsLevel)
+}
+
+// fitSplit moves the cheapest vertices across until the left weight of
+// p lies in [lo, hi], and moves none when it already does. Fixed
+// vertices stay put, so the band may stay out of reach.
+func fitSplit(sub *hypergraph.Hypergraph, p *partition.Bipartition, lo, hi int64, fixed []int8) error {
+	if lw, _ := partition.SideWeights(sub, p); lw >= lo && lw <= hi {
+		return nil
+	}
+	target := lo + (hi-lo)/2
+	if _, err := rebalance.ToTargetFixed(sub, p, target, target-lo, fixed); err != nil {
+		return fmt.Errorf("kway: %w", err)
+	}
+	return nil
 }
 
 // bipartitionSub cuts an induced sub-hypergraph, falling back to a

@@ -222,3 +222,40 @@ func TestConstraintKWayRejectsWideKWithFixed(t *testing.T) {
 		t.Error("accepted K=128 with fixed vertices (int8 side encoding tops out at 127)")
 	}
 }
+
+// TestPartsWithinBoundForOddSplits covers K that are not powers of two,
+// where a split divides its parts unevenly: on random unit-weight
+// instances (n in [64,128), 2n nets of 2–4 pins) every part must weigh
+// at most MaxSideWeight(W, K), under the default ε and an explicit one.
+// FM's bisection contract used to pull each uneven split back toward
+// half, leaving some parts near twice an even share.
+func TestPartsWithinBoundForOddSplits(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, k := range []int{3, 5, 6, 7} {
+		for trial := 0; trial < 3; trial++ {
+			n := 64 + rng.Intn(64)
+			b := hypergraph.NewBuilder(n)
+			for i := 0; i < 2*n; i++ {
+				b.AddEdge(rng.Perm(n)[:2+rng.Intn(3)]...)
+			}
+			h := b.MustBuild()
+			for _, eps := range []float64{0, 0.2} {
+				res, err := Partition(h, Options{K: k, Seed: int64(trial), Constraint: partition.Constraint{Epsilon: eps}})
+				if err != nil {
+					t.Fatalf("K=%d ε=%g: %v", k, eps, err)
+				}
+				bound := partition.Constraint{Epsilon: eps}
+				if eps == 0 {
+					bound.Epsilon = defaultEpsilon
+				}
+				maxPart := bound.MaxSideWeight(h.TotalVertexWeight(), k)
+				for p, w := range res.PartWeights {
+					if w > maxPart {
+						t.Errorf("K=%d ε=%g n=%d: part %d weighs %d, bound %d (parts %v)",
+							k, eps, h.NumVertices(), p, w, maxPart, res.PartWeights)
+					}
+				}
+			}
+		}
+	}
+}

@@ -2,11 +2,13 @@ package kway
 
 // Oracle wiring: the K-way partitioner is validated with the K-way arm
 // of the shared oracle, which recomputes the cut-net count and the
-// connectivity objective from the labeling alone.
+// connectivity objective from the labeling alone and holds every part
+// to the default ε bound.
 
 import (
 	"testing"
 
+	"fasthgp/internal/partition"
 	"fasthgp/internal/verify"
 )
 
@@ -20,7 +22,7 @@ func TestOracleOnSmallInstances(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", inst.Name, k, err)
 			}
-			rep, err := verify.CheckKWay(inst.H, res.Part, k)
+			rep, err := verify.CheckKWay(inst.H, res.Part, k, partition.Constraint{Epsilon: defaultEpsilon})
 			if err != nil {
 				t.Errorf("%s k=%d: %v", inst.Name, k, err)
 				continue

@@ -27,11 +27,6 @@ type HeavyEdgeOptions struct {
 	// is how coarsening keeps the ε-balance contract satisfiable — a
 	// cluster heavier than the bound could never sit inside a side.
 	MaxPairWeight int64
-	// MaxRatedEdgeSize skips edges with more pins than this during
-	// rating (0 = rate everything). Huge nets contribute ~w/|e| to every
-	// pin pair — negligible signal for quadratic cost — so large-scale
-	// callers cut them off.
-	MaxRatedEdgeSize int
 }
 
 // HeavyEdge computes a greedy heavy-edge matching of h: vertices are
@@ -41,7 +36,7 @@ type HeavyEdgeOptions struct {
 // mate[v] = partner or Unmatched, symmetric.
 //
 // The greedy is deterministic given rng's state and, with a zero
-// options struct, reproduces the historical coarsen.Step matching
+// options struct, reproduces the historical map-based matching
 // decisions exactly.
 func HeavyEdge(h *hypergraph.Hypergraph, rng *rand.Rand, opts HeavyEdgeOptions) []int {
 	n := h.NumVertices()
@@ -67,7 +62,7 @@ func HeavyEdge(h *hypergraph.Hypergraph, rng *rand.Rand, opts HeavyEdgeOptions) 
 		touched = touched[:0]
 		for _, e := range h.VertexEdges(v) {
 			size := h.EdgeSize(e)
-			if size < 2 || (opts.MaxRatedEdgeSize > 0 && size > opts.MaxRatedEdgeSize) {
+			if size < 2 {
 				continue
 			}
 			w := float64(h.EdgeWeight(e)) / float64(size-1)

@@ -48,7 +48,7 @@ func heavyEdgeReference(h *hypergraph.Hypergraph, rng *rand.Rand, opts HeavyEdge
 		clear(score)
 		for _, e := range h.VertexEdges(v) {
 			size := h.EdgeSize(e)
-			if size < 2 || (opts.MaxRatedEdgeSize > 0 && size > opts.MaxRatedEdgeSize) {
+			if size < 2 {
 				continue
 			}
 			w := float64(h.EdgeWeight(e)) / float64(size-1)

@@ -47,28 +47,39 @@ type VCycleStats struct {
 	RefineGain int64
 }
 
-// flowRefine runs up to rounds corridor-flow improvement rounds on p in
-// place. Each round rebuilds the corridor around the current cut with a
-// per-side weight budget of corridorFraction·⌈w(V)/2⌉; a round whose
-// min-cut breaks the balance envelope is rolled back and retried with
-// half the budget, and a round that cannot improve the cut ends the
-// loop. The balance envelope mirrors FM's: the constraint when one is
-// set, else the legacy balanceFraction window.
+// The flow refinement settings.
+const (
+	// flowRounds is the number of corridor solves at the finest level.
+	// Rounds stop early once a solve cannot improve.
+	flowRounds = 4
+	// corridorFraction is the per-side corridor weight budget of one
+	// flow round, as a fraction of ⌈w(V)/2⌉.
+	corridorFraction = 0.1
+	// flowEpsilon is the balance envelope without a caller ε: FM's
+	// default window, so flow never admits what FM would undo.
+	flowEpsilon = 0.2
+)
+
+// flowRefine runs up to flowRounds corridor-flow improvement rounds on
+// p in place. Each round rebuilds the corridor around the current cut
+// with a per-side weight budget of corridorFraction·⌈w(V)/2⌉; a round
+// whose min-cut breaks the balance envelope is rolled back and retried
+// with half the budget, and a round that cannot improve the cut ends
+// the loop. The balance envelope mirrors FM's: the constraint when one
+// is set, else ε = flowEpsilon.
 func flowRefine(ctx context.Context, h *hypergraph.Hypergraph, p *partition.Bipartition,
-	c partition.Constraint, balanceFraction, corridorFraction float64, rounds int,
-	scratch *engine.Scratch, stats *VCycleStats) {
+	c partition.Constraint, scratch *engine.Scratch, stats *VCycleStats) {
 	if h.NumVertices() < 4 || h.NumEdges() == 0 {
 		return
 	}
 	bal := c
 	if !bal.HasBalance() {
-		bal = partition.FromBalanceFraction(balanceFraction)
-		bal.FixedSide = c.FixedSide
+		bal.Epsilon = flowEpsilon
 	}
 	total := h.TotalVertexWeight()
 	maxSide := bal.MaxSideWeight(total, 2)
 	budget := corridorFraction
-	for round := 0; round < rounds; round++ {
+	for round := 0; round < flowRounds; round++ {
 		if ctx.Err() != nil {
 			return
 		}

@@ -2,8 +2,8 @@
 // — a real V-cycle on top of the library's pieces: a heavy-edge
 // coarsening hierarchy (internal/matching + internal/coarsen), an
 // initial cut of the coarsest hypergraph by multi-start Algorithm I,
-// and Fiduccia–Mattheyses plus corridor max-flow refinement at every
-// uncoarsening level (see flow.go).
+// Fiduccia–Mattheyses refinement at every uncoarsening level, and
+// corridor max-flow refinement at the finest level (see flow.go).
 //
 // This is the scheme that superseded flat partitioners in the decade
 // after the paper; it is both the natural "future work" extension and
@@ -40,9 +40,6 @@ type Options struct {
 	// InitialStarts is the Algorithm I multi-start count at the
 	// coarsest level (default 10).
 	InitialStarts int
-	// BalanceFraction is the FM refinement balance window
-	// (default 0.1).
-	BalanceFraction float64
 	// Seed makes the run deterministic; each V-cycle draws from its
 	// own stream, so results are independent of Parallelism.
 	Seed int64
@@ -68,16 +65,6 @@ type Options struct {
 	// on) is the production default; the flag exists for ablation and
 	// for the differential suite proving flow's cut advantage.
 	DisableFlow bool
-	// CorridorFraction is the per-side corridor weight budget of one
-	// flow round, as a fraction of ⌈w(V)/2⌉ (default 0.1).
-	CorridorFraction float64
-	// FlowRounds is the number of corridor solves at the finest level
-	// (default 4). Rounds stop early once a solve cannot improve.
-	FlowRounds int
-	// MaxClusterWeight caps contracted cluster weights during
-	// coarsening (0 = derived: total/MinCoarseVertices, tightened to
-	// half the ε side bound when a balance constraint is set).
-	MaxClusterWeight int64
 	// Checkpoint, when non-nil, journals every completed V-cycle into
 	// its sink and resumes from its recovered state — see
 	// internal/checkpoint. A resumed run returns the same Result an
@@ -90,15 +77,6 @@ func (o *Options) defaults() {
 		o.MinCoarseVertices = 64
 	}
 	o.InitialStarts = engine.NormalizeTo(o.InitialStarts, 10)
-	if o.BalanceFraction <= 0 {
-		o.BalanceFraction = 0.1
-	}
-	if o.CorridorFraction <= 0 {
-		o.CorridorFraction = 0.1
-	}
-	if o.FlowRounds <= 0 {
-		o.FlowRounds = 4
-	}
 }
 
 // clusterWeightCap derives the coarsening weight cap: clusters no
@@ -106,9 +84,6 @@ func (o *Options) defaults() {
 // than half an ε-bounded side, so contraction cannot silently make
 // the balance contract unsatisfiable.
 func (o *Options) clusterWeightCap(total int64) int64 {
-	if o.MaxClusterWeight > 0 {
-		return o.MaxClusterWeight
-	}
 	w := (total + int64(o.MinCoarseVertices) - 1) / int64(o.MinCoarseVertices)
 	if o.Constraint.HasBalance() {
 		if b := o.Constraint.MaxSideWeight(total, 2) / 2; b > 0 && b < w {
@@ -245,10 +220,8 @@ func vcycle(ctx context.Context, h *hypergraph.Hypergraph, opts Options, rng *ra
 	})
 	if err == nil {
 		p = res.Partition
-	} else if coarseC.IsZero() {
-		p = kl.RandomBisection(coarsest.NumVertices(), rng)
 	} else {
-		p = kl.RandomBisectionConstrained(coarsest, rng, coarseC)
+		p = kl.SeedBisection(coarsest, rng, coarseC)
 	}
 	refine(ctx, coarsest, p, opts, coarseC, scratch, stats, len(levels) == 0)
 
@@ -332,13 +305,12 @@ func refine(ctx context.Context, h *hypergraph.Hypergraph, p *partition.Bipartit
 		return
 	}
 	before := partition.CutSize(h, p)
-	fmOpts := fm.Options{BalanceFraction: opts.BalanceFraction, Constraint: c}
+	fmOpts := fm.Options{Constraint: c}
 	_, err := fm.ImproveCtx(ctx, h, p, fmOpts)
 	_ = err // FM validates the same preconditions; nothing to do on failure
 	if finest && !opts.DisableFlow && ctx.Err() == nil {
 		accepted := stats.FlowAccepted
-		flowRefine(ctx, h, p, c, opts.BalanceFraction, opts.CorridorFraction,
-			opts.FlowRounds, scratch, stats)
+		flowRefine(ctx, h, p, c, scratch, stats)
 		if stats.FlowAccepted > accepted && ctx.Err() == nil {
 			_, err := fm.ImproveCtx(ctx, h, p, fmOpts)
 			_ = err

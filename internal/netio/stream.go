@@ -1,9 +1,10 @@
 package netio
 
-// Zero-copy hMETIS parsing. ReadHMetis is correct but tokenizes every
-// line through strings.TrimSpace + strings.Fields — on a gigabyte .hgr
-// that materializes a []string (and one string header per token) for
-// every edge line. The streaming parser below walks byte views instead:
+// Zero-copy hMETIS parsing. The reference parser ReadHMetis, kept in
+// the tests as the differential oracle, tokenizes every line through
+// strings.TrimSpace + strings.Fields — on a gigabyte .hgr that
+// materializes a []string (and one string header per token) for every
+// edge line. The streaming parser below walks byte views instead:
 // ParseHMetisBytes parses an in-memory image (the mmap fast path in
 // ReadHMetisFile) without copying a single token, and ParseHMetisStream
 // parses any io.Reader through one reusable chunk buffer. Both must

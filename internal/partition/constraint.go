@@ -2,10 +2,9 @@
 // partitioner in the library: an explicit imbalance parameter ε under
 // the KaHyPar-style bound max part weight ≤ (1+ε)·⌈w(V)/k⌉, plus an
 // optional set of fixed (pre-assigned) vertices that no algorithm may
-// move. The per-package ad-hoc balance knobs (BalanceFraction floats,
-// absolute int64 tolerances, soft penalties) all derive their numbers
-// from this one type so that odd total weights round identically
-// everywhere.
+// move. Every partitioner takes its balance setting from it; what an
+// algorithm does without an ε is an unexported constant of its package
+// (fm alone still reads an older balance fraction b, as ε = 2b).
 package partition
 
 import (
@@ -32,17 +31,6 @@ type Constraint struct {
 	// K-way), or FreeVertex (−1) for an unconstrained vertex. A nil or
 	// short slice leaves the remaining vertices free.
 	FixedSide []int8
-}
-
-// FromBalanceFraction maps the historical BalanceFraction knob b (the
-// old contract: the smaller side holds at least (0.5−b) of the total
-// weight) onto the ε contract. maxSide = (0.5+b)·total = (1+2b)·total/2,
-// so ε = 2b reproduces the old bound up to the contract's rounding.
-func FromBalanceFraction(b float64) Constraint {
-	if b <= 0 {
-		return Constraint{}
-	}
-	return Constraint{Epsilon: 2 * b}
 }
 
 // HasBalance reports whether c carries an explicit ε bound.

@@ -86,16 +86,6 @@ func TestMaxSideWeightAdmitsCeil(t *testing.T) {
 	}
 }
 
-func TestFromBalanceFraction(t *testing.T) {
-	if !FromBalanceFraction(0).IsZero() {
-		t.Error("FromBalanceFraction(0) should be the zero constraint")
-	}
-	c := FromBalanceFraction(0.1)
-	if c.Epsilon != 0.2 {
-		t.Errorf("FromBalanceFraction(0.1).Epsilon = %g, want 0.2", c.Epsilon)
-	}
-}
-
 func TestConstraintValidate(t *testing.T) {
 	if err := (Constraint{Epsilon: -0.1}).Validate(4, 2); err == nil {
 		t.Error("negative epsilon accepted")

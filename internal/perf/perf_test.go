@@ -34,6 +34,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -156,9 +157,25 @@ type measurement struct {
 	allocs float64
 }
 
+// measureHeadroom is how far the heap may grow while the collector is
+// held off for an allocation count before the memory limit lets it run.
+// The pooled builders stay well below it; only the pool-free reference
+// builder, whose count no collection can change, reaches it.
+const measureHeadroom = 256 << 20
+
 func measure(fn func()) measurement {
+	// The kernels lease their buffers from sync.Pools, and collections
+	// inside the counting window empty them, so the count would read GC
+	// timing instead of the code. Hold the collector off for the
+	// window, under a memory limit that caps what that can cost.
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	limit := debug.SetMemoryLimit(int64(ms.HeapAlloc) + measureHeadroom)
+	percent := debug.SetGCPercent(-1)
 	fn() // warm pools
 	allocs := testing.AllocsPerRun(5, fn)
+	debug.SetGCPercent(percent)
+	debug.SetMemoryLimit(limit)
 	best := time.Duration(-1)
 	var total time.Duration
 	for i := 0; i < 3 || (total < 150*time.Millisecond && i < 200); i++ {

@@ -33,6 +33,9 @@ type Placement struct {
 	X, Y []int
 }
 
+// starts is the Algorithm I multi-start count per cut.
+const starts = 5
+
 // Options configures MinCutPlace.
 type Options struct {
 	// Rows and Cols set the slot grid (defaults 4×4). Powers of two
@@ -40,8 +43,6 @@ type Options struct {
 	Rows, Cols int
 	// TerminalPropagation enables Dunlop–Kernighan anchors.
 	TerminalPropagation bool
-	// Starts is the Algorithm I multi-start count per cut (default 5).
-	Starts int
 	// Seed makes the placement deterministic.
 	Seed int64
 }
@@ -52,9 +53,6 @@ func (o *Options) defaults() {
 	}
 	if o.Cols <= 0 {
 		o.Cols = 4
-	}
-	if o.Starts <= 0 {
-		o.Starts = 5
 	}
 }
 
@@ -145,7 +143,7 @@ func (p *placer) split(modules []int, vertical bool, x0, x1, y0, y1 int) (lo, hi
 
 	var sides *partition.Bipartition
 	res, err := core.Bipartition(sub, core.Options{
-		Starts:     p.opts.Starts,
+		Starts:     starts,
 		Seed:       p.rng.Int63(),
 		Completion: core.CompletionWeighted,
 	})
@@ -170,7 +168,7 @@ func (p *placer) split(modules []int, vertical bool, x0, x1, y0, y1 int) (lo, hi
 	}
 	if sub.NumVertices() >= 2 {
 		if l, r, _ := sides.Counts(); l > 0 && r > 0 {
-			if _, err := fm.ImproveLocked(sub, sides, fixed, fm.Options{BalanceFraction: 0.1}); err != nil {
+			if _, err := fm.ImproveLocked(sub, sides, fixed, fm.Options{}); err != nil {
 				// Refinement is best-effort; the initial split stands.
 				_ = err
 			}

@@ -2,10 +2,10 @@
 // greedily moving the cheapest vertices — those whose move hurts the
 // cut least — from the heavy side until a target split is met. It is
 // the glue that lets the unconstrained partitioners (notably
-// Algorithm I, whose balance is only probabilistic) satisfy a hard
-// r-bipartition constraint or the proportional targets of K-way
-// recursive bisection, and the single enforcement point for the
-// unified partition.Constraint contract (ε bound + fixed vertices).
+// Algorithm I, whose balance is only probabilistic) satisfy the
+// proportional targets of K-way recursive bisection, and the single
+// enforcement point for the unified partition.Constraint contract
+// (ε bound + fixed vertices).
 package rebalance
 
 import (
@@ -17,9 +17,8 @@ import (
 	"fasthgp/internal/partition"
 )
 
-// ErrNegativeTolerance reports a caller-supplied tolerance below zero.
-// Historically ToTarget silently clamped these to 0; a negative
-// tolerance is always a bug at the call site, so it is now rejected.
+// ErrNegativeTolerance reports a caller-supplied tolerance below zero,
+// which is always a bug at the call site.
 var ErrNegativeTolerance = errors.New("rebalance: negative tolerance")
 
 // ErrInfeasible reports that no sequence of legal moves can satisfy the
@@ -28,22 +27,17 @@ var ErrNegativeTolerance = errors.New("rebalance: negative tolerance")
 // split.
 var ErrInfeasible = errors.New("rebalance: constraint infeasible")
 
-// ToTarget moves vertices between the sides of p (in place) until the
-// left-side weight lies within tolerance of targetLeft, always moving
-// a vertex with the maximum cut gain (least cut damage) from the heavy
-// side; vertex-count non-emptiness is preserved. It returns the number
-// of vertices moved.
+// ToTargetFixed moves vertices between the sides of p (in place) until
+// the left-side weight lies within tolerance of targetLeft, always
+// moving a vertex with the maximum cut gain (least cut damage) from the
+// heavy side; vertex-count non-emptiness is preserved. Vertices whose
+// fixed entry is ≥ 0 are never moved; a nil or short fixed slice leaves
+// the remaining vertices movable. It returns the number of vertices
+// moved.
 //
 // The loop always terminates: each move strictly reduces the distance
 // to the target or stops when no legal mover exists (e.g. a single
 // giant module heavier than the tolerance straddles the target).
-func ToTarget(h *hypergraph.Hypergraph, p *partition.Bipartition, targetLeft, tolerance int64) (int, error) {
-	return ToTargetFixed(h, p, targetLeft, tolerance, nil)
-}
-
-// ToTargetFixed is ToTarget with a lock vector: vertices whose fixed
-// entry is ≥ 0 are never moved. A nil or short fixed slice leaves the
-// remaining vertices movable.
 func ToTargetFixed(h *hypergraph.Hypergraph, p *partition.Bipartition, targetLeft, tolerance int64, fixed []int8) (int, error) {
 	return toTarget(h, p, targetLeft, tolerance, fixed, nil)
 }
@@ -83,12 +77,6 @@ func toTarget(h *hypergraph.Hypergraph, p *partition.Bipartition, targetLeft, to
 		m.move(v)
 		moved++
 	}
-}
-
-// Bisect moves vertices until the weight split is as close to even as
-// the tolerance allows.
-func Bisect(h *hypergraph.Hypergraph, p *partition.Bipartition, tolerance int64) (int, error) {
-	return ToTarget(h, p, h.TotalVertexWeight()/2, tolerance)
 }
 
 // Enforce makes p satisfy the constraint c in place: fixed vertices are
@@ -151,8 +139,8 @@ func enforce(h *hypergraph.Hypergraph, p *partition.Bipartition, c partition.Con
 			return m.work, nil
 		}
 		// A mover may weigh anything up to fromWeight − minSide: landing
-		// anywhere inside the admissible band is fine, unlike ToTarget's
-		// point target, but overshooting past the band would just push
+		// anywhere inside the admissible band is fine, unlike
+		// ToTargetFixed's point target, but overshooting past the band would just push
 		// the violation to the other side and oscillate. Since maxSide ≥
 		// ⌈total/2⌉, the other side never becomes the heavy one, so from
 		// stays fixed and this ceiling falls with every move.

@@ -27,7 +27,7 @@ func lopsided(t *testing.T, n int) (*hypergraph.Hypergraph, *partition.Bipartiti
 
 func TestBisectRepairsLopsided(t *testing.T) {
 	h, p := lopsided(t, 20)
-	moved, err := Bisect(h, p, 0)
+	moved, err := ToTargetFixed(h, p, h.TotalVertexWeight()/2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestBisectRepairsLopsided(t *testing.T) {
 		t.Fatal("nothing moved")
 	}
 	if imb := partition.Imbalance(h, p); imb != 0 {
-		t.Errorf("imbalance %d after Bisect, want 0", imb)
+		t.Errorf("imbalance %d after an even-split repair, want 0", imb)
 	}
 	if err := p.Validate(h); err != nil {
 		t.Fatal(err)
@@ -45,7 +45,7 @@ func TestBisectRepairsLopsided(t *testing.T) {
 func TestBisectMovesCheapVerticesOnAPath(t *testing.T) {
 	// On a path, peeling from the light end keeps the cut at 1.
 	h, p := lopsided(t, 16)
-	if _, err := Bisect(h, p, 1); err != nil {
+	if _, err := ToTargetFixed(h, p, h.TotalVertexWeight()/2, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if cut := partition.CutSize(h, p); cut != 1 {
@@ -56,7 +56,7 @@ func TestBisectMovesCheapVerticesOnAPath(t *testing.T) {
 func TestToTargetDirections(t *testing.T) {
 	h, p := lopsided(t, 12)
 	// Target almost everything on the right.
-	if _, err := ToTarget(h, p, 2, 0); err != nil {
+	if _, err := ToTargetFixed(h, p, 2, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	lw, _ := partition.SideWeights(h, p)
@@ -64,7 +64,7 @@ func TestToTargetDirections(t *testing.T) {
 		t.Errorf("left weight = %d, want 2", lw)
 	}
 	// Back to heavy left.
-	if _, err := ToTarget(h, p, 10, 0); err != nil {
+	if _, err := ToTargetFixed(h, p, 10, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	lw, _ = partition.SideWeights(h, p)
@@ -79,7 +79,7 @@ func TestAlreadyBalancedNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := partition.FromSides([]partition.Side{partition.Left, partition.Left, partition.Right, partition.Right})
-	moved, err := Bisect(h, p, 0)
+	moved, err := ToTargetFixed(h, p, h.TotalVertexWeight()/2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestGiantModuleStops(t *testing.T) {
 	p := partition.FromSides([]partition.Side{partition.Left, partition.Left, partition.Right})
 	// Target 51 with tolerance 0: the giant cannot move without
 	// overshooting; the small vertex moves, then progress stops.
-	moved, err := ToTarget(h, p, 51, 0)
+	moved, err := ToTargetFixed(h, p, 51, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestRejectsInvalid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Bisect(h, partition.New(2), 0); err == nil {
+	if _, err := ToTargetFixed(h, partition.New(2), h.TotalVertexWeight()/2, 0, nil); err == nil {
 		t.Error("accepted incomplete partition")
 	}
 }
@@ -137,7 +137,7 @@ func TestRandomInstancesConverge(t *testing.T) {
 			p.Assign(v, partition.Left)
 		}
 		tol := h.TotalVertexWeight() / 10
-		if _, err := Bisect(h, p, tol); err != nil {
+		if _, err := ToTargetFixed(h, p, h.TotalVertexWeight()/2, tol, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := p.Validate(h); err != nil {
@@ -160,7 +160,7 @@ func TestRandomInstancesConverge(t *testing.T) {
 	}
 }
 
-// TestBalanceBoundsTable drives ToTarget over a table of weighted
+// TestBalanceBoundsTable drives ToTargetFixed over a table of weighted
 // instances and checks the contract from the doc comment: the final
 // left weight lands within tolerance whenever a legal mover sequence
 // exists, sides stay nonempty, and every output still passes the
@@ -233,7 +233,7 @@ func TestBalanceBoundsTable(t *testing.T) {
 					p.Assign(v, partition.Right)
 				}
 			}
-			moved, err := ToTarget(h, p, c.targetLeft, c.tol)
+			moved, err := ToTargetFixed(h, p, c.targetLeft, c.tol, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -260,8 +260,8 @@ func TestBalanceBoundsTable(t *testing.T) {
 
 func TestToTargetNegativeTolerance(t *testing.T) {
 	h, p := lopsided(t, 10)
-	if _, err := ToTarget(h, p, 5, -1); !errors.Is(err, ErrNegativeTolerance) {
-		t.Fatalf("ToTarget(-1) error = %v, want ErrNegativeTolerance", err)
+	if _, err := ToTargetFixed(h, p, 5, -1, nil); !errors.Is(err, ErrNegativeTolerance) {
+		t.Fatalf("ToTargetFixed(-1) error = %v, want ErrNegativeTolerance", err)
 	}
 }
 

@@ -27,6 +27,21 @@ import (
 	"fasthgp/internal/rebalance"
 )
 
+// The power iteration and sweep settings.
+const (
+	// iterations bounds the power iterations.
+	iterations = 300
+	// tolerance stops iteration when the vector movement drops below it.
+	tolerance = 1e-7
+	// maxCliqueSize skips clique expansion of nets above this size; such
+	// nets still count in the final cut evaluation.
+	maxCliqueSize = 50
+	// sweepMinFraction restricts the sweep without a constraint to
+	// prefixes whose smaller side holds at least this fraction of the
+	// total weight.
+	sweepMinFraction = 0.25
+)
+
 // Options configures Bisect.
 type Options struct {
 	// Starts is the number of independent random starting vectors for
@@ -34,18 +49,6 @@ type Options struct {
 	// starts guard against unlucky initial vectors that are nearly
 	// orthogonal to the Fiedler direction.
 	Starts int
-	// Iterations bounds the power iterations (default 300).
-	Iterations int
-	// Tolerance stops iteration when the vector movement drops below
-	// it (default 1e-7).
-	Tolerance float64
-	// BalanceFraction restricts the sweep to prefixes whose smaller
-	// side holds at least (0.5 − BalanceFraction) of the total weight
-	// (default 0.25; use 0.5 for unconstrained sweeps).
-	BalanceFraction float64
-	// MaxCliqueSize skips clique expansion of nets above this size
-	// (default 50); such nets still count in the final cut evaluation.
-	MaxCliqueSize int
 	// Seed makes the initial vectors deterministic; each start draws
 	// from its own stream, so results are independent of Parallelism.
 	Seed int64
@@ -64,21 +67,6 @@ type Options struct {
 	// run's; the Fiedler vector is not journaled, so Result.Fiedler is
 	// nil when the winning start was resumed rather than re-executed.
 	Checkpoint *engine.CheckpointIO
-}
-
-func (o *Options) defaults() {
-	if o.Iterations <= 0 {
-		o.Iterations = 300
-	}
-	if o.Tolerance <= 0 {
-		o.Tolerance = 1e-7
-	}
-	if o.BalanceFraction <= 0 {
-		o.BalanceFraction = 0.25
-	}
-	if o.MaxCliqueSize <= 0 {
-		o.MaxCliqueSize = 50
-	}
 }
 
 // Result is the spectral outcome.
@@ -118,9 +106,7 @@ func BisectCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (*Re
 	if n < 2 {
 		return nil, fmt.Errorf("spectral: hypergraph has %d vertices; need at least 2", n)
 	}
-	opts.defaults()
-
-	adj, deg := cliqueExpand(h, opts.MaxCliqueSize)
+	adj, deg := cliqueExpand(h, maxCliqueSize)
 	best, es, err := engine.Run(ctx, engine.Spec[*Result]{
 		Name:        "spectral",
 		Starts:      opts.Starts,
@@ -201,7 +187,7 @@ func bisectOnce(ctx context.Context, h *hypergraph.Hypergraph, adj [][]arc, deg 
 	y := make([]float64, n)
 	ones := 1 / math.Sqrt(float64(n))
 	iters := 0
-	for ; iters < opts.Iterations && ctx.Err() == nil; iters++ {
+	for ; iters < iterations && ctx.Err() == nil; iters++ {
 		// y = (cI − L)x = (c − deg)·x + A·x
 		for i := 0; i < n; i++ {
 			y[i] = (c - deg[i]) * x[i]
@@ -238,7 +224,7 @@ func bisectOnce(ctx context.Context, h *hypergraph.Hypergraph, adj [][]arc, deg 
 			}
 		}
 		x, y = y, x
-		if moved < opts.Tolerance {
+		if moved < tolerance {
 			iters++
 			break
 		}
@@ -247,7 +233,7 @@ func bisectOnce(ctx context.Context, h *hypergraph.Hypergraph, adj [][]arc, deg 
 	var p *partition.Bipartition
 	var cut int
 	if opts.Constraint.IsZero() {
-		p, cut = sweepCut(h, x, opts.BalanceFraction)
+		p, cut = sweepCut(h, x)
 	} else {
 		p, cut = sweepCutConstrained(h, x, opts.Constraint)
 	}
@@ -334,8 +320,9 @@ func sweepCutConstrained(h *hypergraph.Hypergraph, fiedler []float64, c partitio
 }
 
 // sweepCut orders vertices by Fiedler coordinate and picks the best
-// balanced prefix by true hypergraph cutsize.
-func sweepCut(h *hypergraph.Hypergraph, fiedler []float64, balance float64) (*partition.Bipartition, int) {
+// prefix by true hypergraph cutsize among those leaving each side at
+// least sweepMinFraction of the total weight.
+func sweepCut(h *hypergraph.Hypergraph, fiedler []float64) (*partition.Bipartition, int) {
 	n := h.NumVertices()
 	order := make([]int, n)
 	for i := range order {
@@ -358,10 +345,7 @@ func sweepCut(h *hypergraph.Hypergraph, fiedler []float64, balance float64) (*pa
 		panic("spectral: " + err.Error())
 	}
 	total := h.TotalVertexWeight()
-	minSide := int64((0.5 - balance) * float64(total))
-	if minSide < 0 {
-		minSide = 0
-	}
+	minSide := int64(sweepMinFraction * float64(total))
 	bestCut, bestPrefix := -1, -1
 	var lw int64
 	for i := 0; i < n-1; i++ {

@@ -104,7 +104,7 @@ func TestMatchesBruteForceOnSmall(t *testing.T) {
 			b.AddEdge(rng.Intn(n), rng.Intn(n), rng.Intn(n))
 		}
 		h := b.MustBuild()
-		res, err := Bisect(h, Options{Seed: int64(trial), BalanceFraction: 0.5})
+		res, err := Bisect(h, Options{Seed: int64(trial)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,39 +124,48 @@ func TestBalanceWindowRespected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Bisect(h, Options{Seed: 1, BalanceFraction: 0.1})
+	res, err := Bisect(h, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	lw, rw := partition.SideWeights(h, res.Partition)
-	minSide := int64(0.4 * float64(h.TotalVertexWeight()))
+	minSide := int64(sweepMinFraction * float64(h.TotalVertexWeight()))
 	if lw < minSide || rw < minSide {
 		t.Errorf("balance window violated: %d | %d (min %d)", lw, rw, minSide)
 	}
 }
 
 func TestLargeNetsSkippedButCounted(t *testing.T) {
-	// One giant net over everything plus a bridge structure: the giant
-	// is excluded from the clique expansion (MaxCliqueSize) but still
-	// appears in the final cutsize.
-	b := hypergraph.NewBuilder(10)
-	for i := 0; i+1 < 5; i++ {
-		b.AddEdge(i, i+1)
-		b.AddEdge(5+i, 5+i+1)
-	}
-	b.AddEdge(0, 5)
-	all := make([]int, 10)
+	// A giant net one pin over maxCliqueSize next to a 2-pin net: the
+	// giant adds nothing to the clique expansion, yet every bipartition
+	// cuts it and the reported cutsize counts it.
+	n := maxCliqueSize + 1
+	b := hypergraph.NewBuilder(n)
+	b.AddEdge(0, 1)
+	all := make([]int, n)
 	for i := range all {
 		all[i] = i
 	}
-	b.AddEdge(all...)
+	giant := b.AddEdge(all...)
 	h := b.MustBuild()
-	res, err := Bisect(h, Options{Seed: 1, MaxCliqueSize: 8})
+	adj, deg := cliqueExpand(h, maxCliqueSize)
+	if len(adj[0]) != 1 || len(adj[1]) != 1 {
+		t.Errorf("2-pin net expanded to %d|%d arcs, want 1|1", len(adj[0]), len(adj[1]))
+	}
+	for v := 2; v < n; v++ {
+		if len(adj[v]) != 0 || deg[v] != 0 {
+			t.Fatalf("vertex %d got %d arcs (degree %g) from the giant net", v, len(adj[v]), deg[v])
+		}
+	}
+	res, err := Bisect(h, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CutSize != 2 {
-		t.Errorf("cut = %d, want 2 (bridge + giant)", res.CutSize)
+	if !partition.Crosses(h, res.Partition, giant) {
+		t.Error("a bipartition of every pin left the giant net uncut")
+	}
+	if got := partition.CutSize(h, res.Partition); res.CutSize != got {
+		t.Errorf("reported cut %d, recomputed %d", res.CutSize, got)
 	}
 }
 

@@ -33,22 +33,6 @@ type Report struct {
 	LeftWeight, RightWeight int64
 }
 
-// Imbalance returns |LeftWeight − RightWeight|.
-func (r *Report) Imbalance() int64 {
-	if r.LeftWeight > r.RightWeight {
-		return r.LeftWeight - r.RightWeight
-	}
-	return r.RightWeight - r.LeftWeight
-}
-
-// CountImbalance returns | |V_L| − |V_R| |.
-func (r *Report) CountImbalance() int {
-	if r.Left > r.Right {
-		return r.Left - r.Right
-	}
-	return r.Right - r.Left
-}
-
 // Check validates the fundamental invariants of a complete bipartition
 // of h and returns the recomputed Report. It fails when:
 //
@@ -96,32 +80,6 @@ func CheckCut(h *hypergraph.Hypergraph, p *partition.Bipartition, claimed int) (
 	}
 	if rep.CutSize != claimed {
 		return nil, fmt.Errorf("verify: claimed cutsize %d, recomputed %d", claimed, rep.CutSize)
-	}
-	return rep, nil
-}
-
-// CheckBalance is Check plus the Fiduccia–Mattheyses r-bipartition
-// bound on vertex counts: | |V_L| − |V_R| | ≤ r.
-func CheckBalance(h *hypergraph.Hypergraph, p *partition.Bipartition, r int) (*Report, error) {
-	rep, err := Check(h, p)
-	if err != nil {
-		return nil, err
-	}
-	if d := rep.CountImbalance(); d > r {
-		return nil, fmt.Errorf("verify: count imbalance %d exceeds r=%d (sides %d|%d)", d, r, rep.Left, rep.Right)
-	}
-	return rep, nil
-}
-
-// CheckTolerance is Check plus a weight-imbalance bound:
-// |weight(L) − weight(R)| ≤ tol.
-func CheckTolerance(h *hypergraph.Hypergraph, p *partition.Bipartition, tol int64) (*Report, error) {
-	rep, err := Check(h, p)
-	if err != nil {
-		return nil, err
-	}
-	if d := rep.Imbalance(); d > tol {
-		return nil, fmt.Errorf("verify: weight imbalance %d exceeds tolerance %d", d, tol)
 	}
 	return rep, nil
 }
@@ -291,18 +249,23 @@ type KWayReport struct {
 	PartSizes []int
 }
 
-// CheckKWay validates a K-way labeling: part covers h's vertex set,
-// every id lies in [0, k), every part is nonempty, and the K-way
-// metrics (cut nets, connectivity Σ(λ−1)) recomputed from scratch are
-// internally consistent. For k = 2 the labeling is also converted to a
-// Bipartition and run through Check, tying the K-way and two-way
-// oracles together.
-func CheckKWay(h *hypergraph.Hypergraph, part []int, k int) (*KWayReport, error) {
+// CheckKWay validates a K-way labeling against the contract c read
+// K-way (FixedSide entries are part ids): part covers h's vertex set,
+// every id lies in [0, k), every part is nonempty, every fixed vertex
+// sits on its part, no part outweighs c.MaxSideWeight(w(V), k) when c
+// carries an ε, and the K-way metrics (cut nets, connectivity Σ(λ−1))
+// recomputed from scratch are internally consistent. For k = 2 the
+// labeling is also converted to a Bipartition and run through Check,
+// tying the K-way and two-way oracles together.
+func CheckKWay(h *hypergraph.Hypergraph, part []int, k int, c partition.Constraint) (*KWayReport, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("verify: kway needs k >= 2, got %d", k)
 	}
 	if len(part) != h.NumVertices() {
 		return nil, fmt.Errorf("verify: kway labeling covers %d vertices, hypergraph has %d", len(part), h.NumVertices())
+	}
+	if err := c.Validate(h.NumVertices(), k); err != nil {
+		return nil, fmt.Errorf("verify: %w", err)
 	}
 	rep := &KWayReport{
 		PartWeights: make([]int64, k),
@@ -318,6 +281,19 @@ func CheckKWay(h *hypergraph.Hypergraph, part []int, k int) (*KWayReport, error)
 	for id, sz := range rep.PartSizes {
 		if sz == 0 {
 			return nil, fmt.Errorf("verify: kway part %d empty", id)
+		}
+	}
+	for v, f := range c.FixedSide {
+		if f >= 0 && part[v] != int(f) {
+			return nil, fmt.Errorf("verify: kway fixed vertex %d on part %d, pinned to %d", v, part[v], f)
+		}
+	}
+	if c.HasBalance() {
+		maxPart := c.MaxSideWeight(h.TotalVertexWeight(), k)
+		for id, w := range rep.PartWeights {
+			if w > maxPart {
+				return nil, fmt.Errorf("verify: kway part %d weighs %d, over max part weight %d (epsilon %g)", id, w, maxPart, c.Epsilon)
+			}
 		}
 	}
 	seen := make([]bool, k)

@@ -37,8 +37,8 @@ func TestCheckAcceptsAndRecomputes(t *testing.T) {
 	if rep.CutSize != 2 || rep.WeightedCut != 2 {
 		t.Errorf("cut = %d (weighted %d), want 2", rep.CutSize, rep.WeightedCut)
 	}
-	if rep.Left != 2 || rep.Right != 2 || rep.Imbalance() != 0 || rep.CountImbalance() != 0 {
-		t.Errorf("sides %d|%d imbalance %d", rep.Left, rep.Right, rep.Imbalance())
+	if rep.Left != 2 || rep.Right != 2 || rep.LeftWeight != 2 || rep.RightWeight != 2 {
+		t.Errorf("sides %d|%d weights %d|%d", rep.Left, rep.Right, rep.LeftWeight, rep.RightWeight)
 	}
 }
 
@@ -70,11 +70,11 @@ func TestCheckCutAndBounds(t *testing.T) {
 	if _, err := CheckCut(h, p, 2); err == nil {
 		t.Error("wrong claimed cutsize accepted")
 	}
-	if _, err := CheckBalance(h, p, 0); err != nil {
+	if _, err := CheckEpsilon(h, p, 0); err != nil {
 		t.Errorf("balanced partition rejected: %v", err)
 	}
-	if _, err := CheckBalance(h, mkPart(L, R, R, R), 1); err == nil {
-		t.Error("3|1 split accepted at r=1")
+	if _, err := CheckEpsilon(h, mkPart(L, R, R, R), 0.4); err == nil {
+		t.Error("3|1 split accepted at epsilon 0.4 (max side 2)")
 	}
 	hw := func() *hypergraph.Hypergraph {
 		b := hypergraph.NewBuilder(4)
@@ -83,17 +83,18 @@ func TestCheckCutAndBounds(t *testing.T) {
 		b.SetVertexWeight(0, 10)
 		return b.MustBuild()
 	}()
-	if _, err := CheckTolerance(hw, mkPart(L, L, R, R), 9); err != nil {
-		t.Errorf("imbalance 9 rejected at tol 9: %v", err)
+	// Total 13, ceil 7: the 11|2 split needs a max side of 11.
+	if _, err := CheckConstraint(hw, mkPart(L, L, R, R), partition.Constraint{Epsilon: 0.58}); err != nil {
+		t.Errorf("11|2 split rejected at epsilon 0.58 (max side 11): %v", err)
 	}
-	if _, err := CheckTolerance(hw, mkPart(L, L, R, R), 8); err == nil {
-		t.Error("imbalance 9 accepted at tol 8")
+	if _, err := CheckConstraint(hw, mkPart(L, L, R, R), partition.Constraint{Epsilon: 0.5}); err == nil {
+		t.Error("11|2 split accepted at epsilon 0.5 (max side 10)")
 	}
 }
 
 func TestCheckKWay(t *testing.T) {
 	h := mkHG(t, 6, [][]int{{0, 1}, {2, 3}, {4, 5}, {0, 2, 4}, {1, 3, 5}})
-	rep, err := CheckKWay(h, []int{0, 0, 1, 1, 2, 2}, 3)
+	rep, err := CheckKWay(h, []int{0, 0, 1, 1, 2, 2}, 3, partition.Constraint{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,18 +106,18 @@ func TestCheckKWay(t *testing.T) {
 		t.Errorf("part accounting wrong: %v %v", rep.PartSizes, rep.PartWeights)
 	}
 
-	if _, err := CheckKWay(h, []int{0, 0, 1, 1, 2, 3}, 3); err == nil {
+	if _, err := CheckKWay(h, []int{0, 0, 1, 1, 2, 3}, 3, partition.Constraint{}); err == nil {
 		t.Error("out-of-range label accepted")
 	}
-	if _, err := CheckKWay(h, []int{0, 0, 1, 1, 1, 1}, 3); err == nil {
+	if _, err := CheckKWay(h, []int{0, 0, 1, 1, 1, 1}, 3, partition.Constraint{}); err == nil {
 		t.Error("empty part accepted")
 	}
-	if _, err := CheckKWay(h, []int{0, 0, 1}, 3); err == nil {
+	if _, err := CheckKWay(h, []int{0, 0, 1}, 3, partition.Constraint{}); err == nil {
 		t.Error("short labeling accepted")
 	}
 
 	// k = 2 ties into the bipartition oracle: cut nets == cutsize.
-	rep2, err := CheckKWay(h, []int{0, 0, 0, 1, 1, 1}, 2)
+	rep2, err := CheckKWay(h, []int{0, 0, 0, 1, 1, 1}, 2, partition.Constraint{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,33 +270,28 @@ func TestCheckConstraint(t *testing.T) {
 }
 
 func TestCheckBalanceZeroWeightVertices(t *testing.T) {
-	// Zero-weight vertices count toward the FM r-bound (it is a COUNT
-	// bound) even though they carry no weight.
+	// The ε contract bounds weight, not vertex counts: zero-weight
+	// vertices do not balance a side however many there are. One vertex
+	// of weight 2 against four of weight 0 is a 2|0 split of total 2.
 	b := hypergraph.NewBuilder(5)
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2)
 	b.AddEdge(3, 4)
+	b.SetVertexWeight(0, 2)
 	for v := 1; v < 5; v++ {
 		b.SetVertexWeight(v, 0)
 	}
 	h := b.MustBuild()
 	p := mkPart(L, R, R, R, R)
-	rep, err := CheckBalance(h, p, 3)
+	rep, err := CheckEpsilon(h, p, 1)
 	if err != nil {
-		t.Fatalf("CheckBalance(r=3) on a 1|4 count split: %v", err)
+		t.Fatalf("CheckEpsilon(1) on a 2|0 weight split (max side 2): %v", err)
 	}
-	if rep.LeftWeight != 1 || rep.RightWeight != 0 {
-		t.Errorf("weights %d|%d, want 1|0", rep.LeftWeight, rep.RightWeight)
+	if rep.Left != 1 || rep.Right != 4 || rep.LeftWeight != 2 || rep.RightWeight != 0 {
+		t.Errorf("sides %d|%d weights %d|%d, want 1|4 and 2|0", rep.Left, rep.Right, rep.LeftWeight, rep.RightWeight)
 	}
-	if _, err := CheckBalance(h, p, 2); err == nil {
-		t.Error("CheckBalance(r=2) accepted count imbalance 3")
-	}
-	// All weights zero: the weight-based tolerance check still passes at 0.
-	if _, err := CheckTolerance(h, mkPart(L, R, L, R, L), 0); err != nil {
-		// Left weight 1 vs right 0 — tolerance 0 must reject.
-		_ = err
-	} else {
-		t.Error("CheckTolerance(0) accepted imbalance 1")
+	if _, err := CheckEpsilon(h, p, 0.5); err == nil {
+		t.Error("CheckEpsilon(0.5) accepted a 2|0 weight split (max side 1)")
 	}
 }
 
@@ -307,12 +303,50 @@ func TestCheckBalanceSingleVertex(t *testing.T) {
 	h := b.MustBuild()
 	p := partition.New(1)
 	p.Assign(0, partition.Left)
-	if _, err := CheckBalance(h, p, 1); err == nil {
-		t.Fatal("CheckBalance accepted a single-vertex 'bipartition'")
+	if _, err := CheckConstraint(h, p, partition.Constraint{Epsilon: 1, FixedSide: []int8{0}}); err == nil {
+		t.Fatal("CheckConstraint accepted a single-vertex 'bipartition'")
 	} else if !strings.Contains(err.Error(), "side empty") {
 		t.Fatalf("unexpected failure mode: %v", err)
 	}
 	if _, err := CheckEpsilon(h, p, 1); err == nil {
 		t.Fatal("CheckEpsilon accepted a single-vertex 'bipartition'")
+	}
+}
+
+// TestCheckKWayConstraint: the K-way oracle holds a labeling to the
+// contract. Three modules weighing 707, 698 and 1528 in their own parts
+// exceed the 3-way bound ⌊1.1·⌈2933/3⌉⌋ = 1075 at ε = 0.1; 978, 978 and
+// 977 meet it; and a fixed module off its part is rejected.
+func TestCheckKWayConstraint(t *testing.T) {
+	weighted := func(ws ...int64) *hypergraph.Hypergraph {
+		b := hypergraph.NewBuilder(len(ws))
+		b.AddEdge(0, 1)
+		b.AddEdge(1, 2)
+		for v, w := range ws {
+			b.SetVertexWeight(v, w)
+		}
+		return b.MustBuild()
+	}
+	part := []int{0, 1, 2}
+	eps := partition.Constraint{Epsilon: 0.1}
+	lopsided := weighted(707, 698, 1528)
+	if _, err := CheckKWay(lopsided, part, 3, partition.Constraint{}); err != nil {
+		t.Errorf("no ε: %v", err)
+	}
+	if _, err := CheckKWay(lopsided, part, 3, eps); err == nil || !strings.Contains(err.Error(), "max part weight 1075") {
+		t.Errorf("parts 707|698|1528 at ε=0.1: error %v, want the 1075 bound", err)
+	}
+	even := weighted(978, 978, 977)
+	if _, err := CheckKWay(even, part, 3, eps); err != nil {
+		t.Errorf("parts 978|978|977 at ε=0.1: %v", err)
+	}
+	if _, err := CheckKWay(even, part, 3, partition.Constraint{FixedSide: []int8{0, 2, -1}}); err == nil {
+		t.Error("fixed vertex 1 pinned to part 2 accepted on part 1")
+	}
+	if _, err := CheckKWay(even, part, 3, partition.Constraint{FixedSide: []int8{0, 1}}); err != nil {
+		t.Errorf("respected fixed prefix: %v", err)
+	}
+	if _, err := CheckKWay(even, part, 3, partition.Constraint{FixedSide: []int8{3}}); err == nil {
+		t.Error("fixed part id 3 accepted at k=3")
 	}
 }
