@@ -320,8 +320,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		p, es = res.Partition, res.Stats.Engine
-		fmt.Fprintf(stdout, "algorithm I: G = (%d vertices, %d edges), boundary %d, BFS depth %d",
-			res.Stats.GVertices, res.Stats.GEdges, res.Stats.BoundarySize, res.Stats.BFSDepth)
+		fmt.Fprintf(stdout, "algorithm I: G = (%d vertices, %d edges), boundary %d, BFS depth %d, %d distinct endpoint pairs",
+			res.Stats.GVertices, res.Stats.GEdges, res.Stats.BoundarySize, res.Stats.BFSDepth, res.Stats.DistinctPairs)
 		if res.Stats.Disconnected {
 			fmt.Fprint(stdout, " [disconnected: zero-cut packing]")
 		}

@@ -29,13 +29,18 @@
 //
 // Multi-start (Options.Starts) repeats steps 2–5 over several random
 // longest paths and keeps the best result, as in the paper's test runs
-// (which examined 50 random longest paths).
+// (which examined 50 random longest paths). Steps 3–5 are a pure
+// function of the endpoint pair, so each distinct pair is solved once
+// per call and later starts drawing it share that start's Result.
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"fasthgp/internal/checkpoint"
 	"fasthgp/internal/engine"
@@ -173,6 +178,11 @@ type Stats struct {
 	BoundarySize int
 	// StartsRun is the number of starts actually executed.
 	StartsRun int
+	// DistinctPairs is the number of distinct double-BFS endpoint pairs
+	// the executed starts drew; each was solved once (see
+	// BipartitionCtx). Zero when the intersection graph is disconnected
+	// and no BFS runs.
+	DistinctPairs int
 	// Repaired reports that the best start needed the degenerate-side
 	// repair: the completion placed every module on one side (possible
 	// when the G-cut leaves no non-boundary nets on a side — the
@@ -220,6 +230,13 @@ func Bipartition(h *hypergraph.Hypergraph, opts Options) (*Result, error) {
 // opts.Parallelism workers, and when ctx expires the best result among
 // the starts that completed is returned (start 0 always runs), with
 // Stats.Engine.Cancelled set, rather than an error.
+//
+// Random longest BFS paths keep landing on the same few endpoint pairs,
+// and everything a start does after drawing its pair is deterministic,
+// so the call remembers each pair's Result and a later start drawing
+// the same pair returns it instead of solving again. The engine only
+// scores and compares results, so sharing one changes no output at any
+// Parallelism.
 func BipartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (*Result, error) {
 	if h.NumVertices() < 2 {
 		return nil, fmt.Errorf("core: hypergraph has %d vertices; need at least 2 to bipartition", h.NumVertices())
@@ -260,13 +277,36 @@ func BipartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options)
 		return res, nil
 	}
 
+	var memoMu sync.Mutex
+	memo := make(map[[2]int]*Result)
 	best, es, err := engine.Run(ctx, engine.Spec[*Result]{
 		Name:        "algo1",
 		Starts:      opts.Starts,
 		Parallelism: opts.Parallelism,
 		Seed:        opts.Seed,
 		Run: func(_ context.Context, _ int, rng *rand.Rand, scratch *engine.Scratch) (*Result, error) {
-			return runOnce(h, ig, rng, opts, scratch)
+			u, v, depth := seedPath(h, ig, rng, opts.Constraint)
+			pair := [2]int{u, v}
+			memoMu.Lock()
+			res, ok := memo[pair]
+			memoMu.Unlock()
+			if ok {
+				return res, nil
+			}
+			res, err := solvePair(h, ig, u, v, depth, opts, scratch)
+			if err != nil {
+				return nil, err
+			}
+			memoMu.Lock()
+			// Two workers may race on one pair; their results are equal,
+			// and the first stored is the one every later start shares.
+			if prev, ok := memo[pair]; ok {
+				res = prev
+			} else {
+				memo[pair] = res
+			}
+			memoMu.Unlock()
+			return res, nil
 		},
 		Better: func(a, b *Result) bool { return better(h, a, b, opts.Objective) },
 		Cut:    func(r *Result) int { return r.CutSize },
@@ -289,6 +329,7 @@ func BipartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options)
 	best.Stats.GEdges = baseStats.GEdges
 	best.Stats.ExcludedNets = baseStats.ExcludedNets
 	best.Stats.StartsRun = es.StartsRun
+	best.Stats.DistinctPairs = len(memo)
 	best.Stats.Engine = es
 	return best, nil
 }
@@ -310,11 +351,11 @@ func better(h *hypergraph.Hypergraph, a, b *Result, obj Objective) bool {
 	return partition.Imbalance(h, a.Partition) < partition.Imbalance(h, b.Partition)
 }
 
-// runOnce executes one start: longest BFS path, double-BFS cut,
-// boundary completion, module assignment, repair, scoring. The scratch
+// solvePair executes one start from its endpoint pair (u, v) at BFS
+// distance depth: double-BFS cut, boundary completion, module
+// assignment, repair, scoring. It draws no randomness. The scratch
 // arena (may be nil) backs buffers that die with the start.
-func runOnce(h *hypergraph.Hypergraph, ig *intersect.Result, rng *rand.Rand, opts Options, scratch *engine.Scratch) (*Result, error) {
-	u, v, depth := seedPath(h, ig, rng, opts.Constraint)
+func solvePair(h *hypergraph.Hypergraph, ig *intersect.Result, u, v, depth int, opts Options, scratch *engine.Scratch) (*Result, error) {
 	pb := partialFromCutWorkers(h, ig, u, v, opts.BalancedBFS,
 		engine.NormalizeKernelWorkers(opts.KernelWorkers), scratch)
 
@@ -496,8 +537,12 @@ func assignLeftovers(h *hypergraph.Hypergraph, p *partition.Bipartition, scratch
 }
 
 // repairNonempty guarantees both sides are nonempty by moving the
-// single module whose move increases the cut the least. Only degenerate
-// inputs (e.g. a single net spanning everything) reach this path.
+// single module whose move increases the cut the least (the first such
+// module on ties). Only degenerate inputs (e.g. a single net spanning
+// everything) reach this path. The destination side is empty, so no
+// net crosses before the move, and after it a net of the moved module
+// crosses iff it has another pin on the source side: each candidate's
+// cut comes from its own nets' pin counts, O(pins) in all.
 func repairNonempty(h *hypergraph.Hypergraph, p *partition.Bipartition) {
 	l, r, _ := p.Counts()
 	if l > 0 && r > 0 {
@@ -509,14 +554,25 @@ func repairNonempty(h *hypergraph.Hypergraph, p *partition.Bipartition) {
 	} else {
 		from, to = partition.Left, partition.Right
 	}
+	onFrom := make([]int, h.NumEdges())
+	for e := range onFrom {
+		for _, m := range h.EdgePins(e) {
+			if p.Side(m) == from {
+				onFrom[e]++
+			}
+		}
+	}
 	bestM, bestCut := -1, 0
 	for m := 0; m < h.NumVertices(); m++ {
 		if p.Side(m) != from {
 			continue
 		}
-		p.Assign(m, to)
-		cut := partition.CutSize(h, p)
-		p.Assign(m, from)
+		cut := 0
+		for _, e := range h.VertexEdges(m) {
+			if onFrom[e] > 1 {
+				cut++
+			}
+		}
 		if bestM == -1 || cut < bestCut {
 			bestM, bestCut = m, cut
 		}
@@ -526,26 +582,13 @@ func repairNonempty(h *hypergraph.Hypergraph, p *partition.Bipartition) {
 	}
 }
 
-// sortByWeightDesc sorts module ids by descending weight, stable on id
-// for determinism.
+// sortByWeightDesc sorts module ids by descending weight, ascending id
+// among equal weights — a total order, so the result is deterministic.
 func sortByWeightDesc(h *hypergraph.Hypergraph, ms []int) {
-	// Insertion sort: leftover lists are tiny (the boundary is a
-	// constant fraction and most of its modules are claimed by winners).
-	for i := 1; i < len(ms); i++ {
-		x := ms[i]
-		j := i - 1
-		for j >= 0 && less(h, x, ms[j]) {
-			ms[j+1] = ms[j]
-			j--
+	slices.SortFunc(ms, func(a, b int) int {
+		if c := cmp.Compare(h.VertexWeight(b), h.VertexWeight(a)); c != 0 {
+			return c
 		}
-		ms[j+1] = x
-	}
-}
-
-func less(h *hypergraph.Hypergraph, a, b int) bool {
-	wa, wb := h.VertexWeight(a), h.VertexWeight(b)
-	if wa != wb {
-		return wa > wb
-	}
-	return a < b
+		return cmp.Compare(a, b)
+	})
 }

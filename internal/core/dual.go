@@ -88,7 +88,7 @@ func PartialFromCutPolicy(h *hypergraph.Hypergraph, ig *intersect.Result, u, v i
 // flags, and the boundary graph's CSR itself — from the multi-start
 // scratch arena when one is available. A Partial built with a non-nil
 // scratch must not outlive the start that leased it (the engine zeroes
-// and reuses the buffers on Release); runOnce copies what it keeps.
+// and reuses the buffers on Release); solvePair copies what it keeps.
 func partialFromCut(h *hypergraph.Hypergraph, ig *intersect.Result, u, v int, balanced bool, s *engine.Scratch) *Partial {
 	return partialFromCutWorkers(h, ig, u, v, balanced, 1, s)
 }
@@ -133,78 +133,66 @@ func partialFromCutWorkers(h *hypergraph.Hypergraph, ig *intersect.Result, u, v 
 			pb.NetSide[i] = partition.Left
 		}
 	}
-	for i := 0; i < n; i++ {
-		for _, j := range g.Neighbors(i) {
-			if pb.NetSide[j] != pb.NetSide[i] {
-				pb.IsBoundary[i] = true
-				break
-			}
-		}
-	}
 	pb.Boundary = buildBoundaryGraph(ig, pb.NetSide, pb.IsBoundary, s)
 	return pb
 }
 
-// buildBoundaryGraph extracts G′ from the cut labeling by direct CSR
-// construction: one counting pass over the boundary rows, a prefix sum,
-// and one emission pass. Only cross edges are kept — same-side edges
-// are deleted, which is what makes G′ bipartite. Because boundary-graph
-// indices are assigned in ascending G order and Neighbors lists are
-// sorted, every emitted row is already sorted, so the CSR needs no
-// sort or dedup pass (G is simple, so no duplicates can arise).
+// buildBoundaryGraph flags the boundary G-vertices into isBoundary and
+// extracts G′ from the cut labeling by direct CSR construction in two
+// passes over G. The first sums each row's neighbour sides (Left = 0,
+// Right = 1): the sum is a Left vertex's cross degree, the row length
+// minus it a Right vertex's; a vertex is on the boundary iff that is
+// positive, and a running total of the degrees gives the CSR offsets.
+// The second emits the boundary rows without a flag test (a cross
+// neighbour of a boundary vertex is itself on the boundary) and without
+// branches: every neighbour's G′ index is stored at the cursor, which
+// advances only across the cut, so a same-side store is overwritten by
+// the next one (one spare slot absorbs the last row's). Only cross
+// edges are kept, which is what makes G′ bipartite. G′ indices follow
+// ascending G order and Neighbors lists are sorted, so every emitted
+// row is already sorted, and G is simple, so no duplicates arise.
 func buildBoundaryGraph(ig *intersect.Result, side []partition.Side, isBoundary []bool, s *engine.Scratch) *BoundaryGraph {
 	g := ig.G
 	n := g.NumVertices()
 	bgIndex := leaseInts(s, n)
-	bg := &BoundaryGraph{}
+	start := leaseInts(s, n+1)
 	nb := 0
 	for i := 0; i < n; i++ {
-		if isBoundary[i] {
+		row := g.Neighbors(i)
+		right := 0
+		for _, j := range row {
+			right += int(side[j])
+		}
+		cross := right + int(side[i])*(len(row)-2*right)
+		if cross > 0 {
+			isBoundary[i] = true
 			bgIndex[i] = nb
+			start[nb+1] = start[nb] + cross
 			nb++
-		} else {
-			bgIndex[i] = -1
 		}
 	}
+	start = start[:nb+1]
+	bg := &BoundaryGraph{}
 	if nb > 0 {
 		bg.Nets = leaseInts(s, nb)
 		bg.SideOf = leaseSides(s, nb)
 	}
-	start := leaseInts(s, nb+1)
+	adj := leaseInts(s, start[nb]+1)
+	c, bi := 0, 0
 	for i := 0; i < n; i++ {
-		bi := bgIndex[i]
-		if bi < 0 {
+		if !isBoundary[i] {
 			continue
 		}
 		bg.Nets[bi] = ig.NetOf[i]
 		bg.SideOf[bi] = side[i]
-		deg := 0
+		bi++
+		si := side[i]
 		for _, j := range g.Neighbors(i) {
-			if isBoundary[j] && side[j] != side[i] {
-				deg++
-			}
-		}
-		start[bi+1] = deg
-	}
-	for k := 0; k < nb; k++ {
-		start[k+1] += start[k]
-	}
-	adj := leaseInts(s, start[nb])
-	cursor := leaseInts(s, nb)
-	copy(cursor, start[:nb])
-	for i := 0; i < n; i++ {
-		bi := bgIndex[i]
-		if bi < 0 {
-			continue
-		}
-		for _, j := range g.Neighbors(i) {
-			if isBoundary[j] && side[j] != side[i] {
-				adj[cursor[bi]] = bgIndex[j]
-				cursor[bi]++
-			}
+			adj[c] = bgIndex[j]
+			c += int(side[j] ^ si)
 		}
 	}
-	bg.G = graph.UncheckedCSR(start, adj)
+	bg.G = graph.UncheckedCSR(start, adj[:start[nb]])
 	return bg
 }
 

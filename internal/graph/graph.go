@@ -278,7 +278,9 @@ func (g *Graph) Eccentricity(src int) (far int, dist int) {
 	}
 	d[src] = 0
 	queue := append(buf.queue[:0], src)
-	for head := 0; head < len(queue); head++ {
+	// Once the queue holds all n vertices every distance is final, so
+	// the sweep stops there instead of rescanning the remaining rows.
+	for head := 0; head < len(queue) && len(queue) < n; head++ {
 		v := queue[head]
 		for _, u := range g.Neighbors(v) {
 			if d[u] == Unreached {
@@ -432,8 +434,10 @@ func (g *Graph) DoubleBFSSidesInto(u, v int, side, f0, f1, next []int) []int {
 	}
 	frontiers := [2][]int{append(f0[:0], u), append(f1[:0], v)}
 	side[u] = 0
+	labeled := 1
 	if v != u {
 		side[v] = 1
+		labeled = 2
 	}
 	next = next[:0]
 	for len(frontiers[0]) > 0 || len(frontiers[1]) > 0 {
@@ -449,8 +453,13 @@ func (g *Graph) DoubleBFSSidesInto(u, v int, side, f0, f1, next []int) []int {
 				for _, w := range g.Neighbors(x) {
 					if side[w] == Unreached {
 						side[w] = s
+						labeled++
 						next = append(next, w)
 					}
+				}
+				if labeled == n {
+					// Every label is final; further rows only rescan.
+					return side
 				}
 			}
 			frontiers[s] = append(frontiers[s][:0], next...)
@@ -510,6 +519,10 @@ func (g *Graph) DoubleBFSSidesBalancedInto(u, v int, side, f0, f1, next []int) [
 					claimed[s]++
 					next = append(next, w)
 				}
+			}
+			if claimed[0]+claimed[1] == n {
+				// Every label is final; further rows only rescan.
+				return side
 			}
 		}
 		frontiers[s] = append(frontiers[s][:0], next...)

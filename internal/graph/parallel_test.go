@@ -161,8 +161,10 @@ func TestDoubleBFSParallelOversubscribed(t *testing.T) {
 }
 
 // FuzzParallelDoubleBFS decodes arbitrary bytes into a graph and source
-// pair and checks the parallel kernel against DoubleBFSSidesInto. The
-// encoding is deliberately permissive (any bytes make some graph) so
+// pair and checks the parallel kernel against DoubleBFSSidesInto, and
+// the early-stopping sweeps (both double-BFS policies and Eccentricity
+// from every vertex) against their full-scan references. The encoding
+// is deliberately permissive (any bytes make some graph) so
 // coverage-guided exploration can reach unusual shapes: multi-component
 // graphs, stars, paths, self-pair sources.
 func FuzzParallelDoubleBFS(f *testing.F) {
@@ -190,5 +192,6 @@ func FuzzParallelDoubleBFS(f *testing.F) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("n=%d u=%d v=%d workers=%d: parallel %v, serial %v", n, u, v, w, got, want)
 		}
+		checkAgainstReference(t, "fuzz", g, [][2]int{{u, v}})
 	})
 }
