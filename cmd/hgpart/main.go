@@ -322,6 +322,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		p, es = res.Partition, res.Stats.Engine
 		fmt.Fprintf(stdout, "algorithm I: G = (%d vertices, %d edges), boundary %d, BFS depth %d, %d distinct endpoint pairs",
 			res.Stats.GVertices, res.Stats.GEdges, res.Stats.BoundarySize, res.Stats.BFSDepth, res.Stats.DistinctPairs)
+		if res.Stats.BitsetDual {
+			fmt.Fprint(stdout, " [dual as bitset rows]")
+		}
 		if res.Stats.Disconnected {
 			fmt.Fprint(stdout, " [disconnected: zero-cut packing]")
 		}

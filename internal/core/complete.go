@@ -137,16 +137,18 @@ func CompleteCutExact(bg *BoundaryGraph) []bool {
 // non-boundary nets and by winners chosen so far. The returned winner
 // set is independent in G′, like the greedy rule's, but the balance of
 // the final partition is much tighter at a small cutsize premium — the
-// trade the paper reports.
-func completeCutWeighted(h *hypergraph.Hypergraph, pb *Partial) []bool {
+// trade the paper reports. The winner, alive and degree arrays lease
+// from the scratch arena when one is available, as in
+// completeCutGreedy.
+func completeCutWeighted(h *hypergraph.Hypergraph, pb *Partial, scratch *engine.Scratch) []bool {
 	bg := pb.Boundary
 	g := bg.G
 	n := g.NumVertices()
 	p, leftW, rightW := pb.BaseAssignment(h)
 
-	winner := make([]bool, n)
-	alive := make([]bool, n)
-	deg := make([]int, n)
+	winner := leaseBools(scratch, n)
+	alive := leaseBools(scratch, n)
+	deg := leaseInts(scratch, n)
 	aliveCount := n
 	maxd := 0
 	for v := 0; v < n; v++ {
@@ -157,6 +159,8 @@ func completeCutWeighted(h *hypergraph.Hypergraph, pb *Partial) []bool {
 		}
 	}
 	// Per-side lazy bucket queues, same discipline as CompleteCutGreedy.
+	// They stay slices of slices: flat linked-list FIFO buckets with the
+	// same pop order measured 8–18% slower per coarsest-level solve.
 	var buckets [2][][]int
 	var dptr [2]int
 	sideIdx := func(v int) int {

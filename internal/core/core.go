@@ -165,6 +165,10 @@ type Options struct {
 type Stats struct {
 	// GVertices and GEdges describe the (filtered) intersection graph.
 	GVertices, GEdges int
+	// BitsetDual reports that the intersection graph was dense enough to
+	// be held as bitset rows rather than CSR lists (see
+	// intersect.BuildCounted). The partition does not depend on it.
+	BitsetDual bool
 	// ExcludedNets is the number of nets dropped by the size threshold.
 	ExcludedNets int
 	// Disconnected reports that the intersection graph was disconnected,
@@ -246,9 +250,16 @@ func BipartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options)
 		Threshold:   opts.Threshold,
 		Parallelism: engine.NormalizeKernelWorkers(opts.KernelWorkers),
 	})
+	return bipartitionDual(ctx, h, ig, opts)
+}
+
+// bipartitionDual is BipartitionCtx on an intersection graph already
+// built from h under opts.Threshold.
+func bipartitionDual(ctx context.Context, h *hypergraph.Hypergraph, ig *intersect.Result, opts Options) (*Result, error) {
 	baseStats := Stats{
 		GVertices:    ig.G.NumVertices(),
 		GEdges:       ig.G.NumEdges(),
+		BitsetDual:   ig.G.Bitset(),
 		ExcludedNets: len(ig.Excluded),
 	}
 
@@ -327,6 +338,7 @@ func BipartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options)
 	}
 	best.Stats.GVertices = baseStats.GVertices
 	best.Stats.GEdges = baseStats.GEdges
+	best.Stats.BitsetDual = baseStats.BitsetDual
 	best.Stats.ExcludedNets = baseStats.ExcludedNets
 	best.Stats.StartsRun = es.StartsRun
 	best.Stats.DistinctPairs = len(memo)
@@ -364,7 +376,7 @@ func solvePair(h *hypergraph.Hypergraph, ig *intersect.Result, u, v, depth int, 
 	case CompletionExact:
 		winner = CompleteCutExact(pb.Boundary)
 	case CompletionWeighted:
-		winner = completeCutWeighted(h, pb)
+		winner = completeCutWeighted(h, pb, scratch)
 	default:
 		winner = completeCutGreedy(pb.Boundary, scratch)
 	}

@@ -475,7 +475,7 @@ func TestWinnersNeverCross(t *testing.T) {
 		for name, winner := range map[string][]bool{
 			"greedy":   CompleteCutGreedy(pb.Boundary),
 			"exact":    CompleteCutExact(pb.Boundary),
-			"weighted": completeCutWeighted(h, pb),
+			"weighted": completeCutWeighted(h, pb, nil),
 		} {
 			if !WinnersIndependent(pb.Boundary, winner) {
 				t.Fatalf("trial %d: %s winners not independent", trial, name)

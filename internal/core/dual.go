@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sort"
 
 	"fasthgp/internal/engine"
@@ -34,6 +35,13 @@ func leaseSides(s *engine.Scratch, n int) []partition.Side {
 		return s.Sides(n)
 	}
 	return make([]partition.Side, n)
+}
+
+func leaseUint64s(s *engine.Scratch, n int) []uint64 {
+	if s != nil {
+		return s.Uint64s(n)
+	}
+	return make([]uint64, n)
 }
 
 // BoundaryGraph is the bipartite graph G′ on the boundary set of a cut
@@ -153,6 +161,9 @@ func partialFromCutWorkers(h *hypergraph.Hypergraph, ig *intersect.Result, u, v 
 // row is already sorted, and G is simple, so no duplicates arise.
 func buildBoundaryGraph(ig *intersect.Result, side []partition.Side, isBoundary []bool, s *engine.Scratch) *BoundaryGraph {
 	g := ig.G
+	if g.Bitset() {
+		return buildBoundaryGraphBitset(ig, side, isBoundary, s)
+	}
 	n := g.NumVertices()
 	bgIndex := leaseInts(s, n)
 	start := leaseInts(s, n+1)
@@ -193,6 +204,63 @@ func buildBoundaryGraph(ig *intersect.Result, side []partition.Side, isBoundary 
 		}
 	}
 	bg.G = graph.UncheckedCSR(start, adj[:start[nb]])
+	return bg
+}
+
+// buildBoundaryGraphBitset is buildBoundaryGraph over bitset rows. With
+// right the bitset of Right vertices, a Left vertex's cross neighbours
+// are row & right and a Right vertex's row &^ right, so a cross degree
+// is a popcount, and a G′ row is read off those words lowest bit first
+// — the ascending order of the CSR row, so G′ comes out identical.
+func buildBoundaryGraphBitset(ig *intersect.Result, side []partition.Side, isBoundary []bool, s *engine.Scratch) *BoundaryGraph {
+	g := ig.G
+	n := g.NumVertices()
+	right := leaseUint64s(s, graph.RowWords(n))
+	for i, si := range side {
+		right[i>>6] |= uint64(si) << (i & 63)
+	}
+	// flip(i) is all ones for a Right vertex, so right ^ flip(i) is the
+	// other side's mask.
+	flip := func(i int) uint64 { return -uint64(side[i]) }
+	bgIndex := leaseInts(s, n)
+	start := leaseInts(s, n+1)
+	nb := 0
+	for i := 0; i < n; i++ {
+		f, cross := flip(i), 0
+		for k, x := range g.Row(i) {
+			cross += bits.OnesCount64(x & (right[k] ^ f))
+		}
+		if cross > 0 {
+			isBoundary[i] = true
+			bgIndex[i] = nb
+			start[nb+1] = start[nb] + cross
+			nb++
+		}
+	}
+	start = start[:nb+1]
+	bg := &BoundaryGraph{}
+	if nb > 0 {
+		bg.Nets = leaseInts(s, nb)
+		bg.SideOf = leaseSides(s, nb)
+	}
+	adj := leaseInts(s, start[nb])
+	c, bi := 0, 0
+	for i := 0; i < n; i++ {
+		if !isBoundary[i] {
+			continue
+		}
+		bg.Nets[bi] = ig.NetOf[i]
+		bg.SideOf[bi] = side[i]
+		bi++
+		f := flip(i)
+		for k, x := range g.Row(i) {
+			for m := x & (right[k] ^ f); m != 0; m &= m - 1 {
+				adj[c] = bgIndex[k<<6+bits.TrailingZeros64(m)]
+				c++
+			}
+		}
+	}
+	bg.G = graph.UncheckedCSR(start, adj)
 	return bg
 }
 

@@ -18,118 +18,79 @@ import (
 // hygiene. Callers must not retain a buffer past the end of their
 // start (in particular, never store one in a Result).
 type Scratch struct {
-	freeInts, usedInts     [][]int
-	freeBools, usedBools   [][]bool
-	freeInt64s, usedInt64s [][]int64
-	freeSides, usedSides   [][]partition.Side
-	freeInt8s, usedInt8s   [][]int8
+	ints    freeList[int]
+	bools   freeList[bool]
+	int64s  freeList[int64]
+	sides   freeList[partition.Side]
+	int8s   freeList[int8]
+	uint64s freeList[uint64]
+}
+
+// freeList is the arena's store for one element type: buffers free for
+// lease and buffers leased since the last Release.
+type freeList[T any] struct {
+	free, used [][]T
+}
+
+// lease hands out a zeroed []T of length n, reusing the most recently
+// freed buffer with enough capacity.
+func (l *freeList[T]) lease(n int) []T {
+	for k := len(l.free) - 1; k >= 0; k-- {
+		if cap(l.free[k]) >= n {
+			buf := l.free[k][:n]
+			l.free[k] = l.free[len(l.free)-1]
+			l.free = l.free[:len(l.free)-1]
+			clear(buf)
+			l.used = append(l.used, buf)
+			return buf
+		}
+	}
+	buf := make([]T, n)
+	l.used = append(l.used, buf)
+	return buf
+}
+
+// release moves every leased buffer back to the free list.
+func (l *freeList[T]) release() {
+	l.free = append(l.free, l.used...)
+	l.used = l.used[:0]
 }
 
 // Int8s leases a zeroed []int8 of length n from the arena. Fixed-side
 // assignments and per-vertex flow-corridor states are int8-valued, so
 // they get their own free list.
-func (s *Scratch) Int8s(n int) []int8 {
-	for k := len(s.freeInt8s) - 1; k >= 0; k-- {
-		if cap(s.freeInt8s[k]) >= n {
-			buf := s.freeInt8s[k][:n]
-			s.freeInt8s[k] = s.freeInt8s[len(s.freeInt8s)-1]
-			s.freeInt8s = s.freeInt8s[:len(s.freeInt8s)-1]
-			clear(buf)
-			s.usedInt8s = append(s.usedInt8s, buf)
-			return buf
-		}
-	}
-	buf := make([]int8, n)
-	s.usedInt8s = append(s.usedInt8s, buf)
-	return buf
-}
+func (s *Scratch) Int8s(n int) []int8 { return s.int8s.lease(n) }
 
 // Ints leases a zeroed []int of length n from the arena.
-func (s *Scratch) Ints(n int) []int {
-	for k := len(s.freeInts) - 1; k >= 0; k-- {
-		if cap(s.freeInts[k]) >= n {
-			buf := s.freeInts[k][:n]
-			s.freeInts[k] = s.freeInts[len(s.freeInts)-1]
-			s.freeInts = s.freeInts[:len(s.freeInts)-1]
-			clear(buf)
-			s.usedInts = append(s.usedInts, buf)
-			return buf
-		}
-	}
-	buf := make([]int, n)
-	s.usedInts = append(s.usedInts, buf)
-	return buf
-}
+func (s *Scratch) Ints(n int) []int { return s.ints.lease(n) }
 
 // Bools leases a zeroed []bool of length n from the arena.
-func (s *Scratch) Bools(n int) []bool {
-	for k := len(s.freeBools) - 1; k >= 0; k-- {
-		if cap(s.freeBools[k]) >= n {
-			buf := s.freeBools[k][:n]
-			s.freeBools[k] = s.freeBools[len(s.freeBools)-1]
-			s.freeBools = s.freeBools[:len(s.freeBools)-1]
-			clear(buf)
-			s.usedBools = append(s.usedBools, buf)
-			return buf
-		}
-	}
-	buf := make([]bool, n)
-	s.usedBools = append(s.usedBools, buf)
-	return buf
-}
+func (s *Scratch) Bools(n int) []bool { return s.bools.lease(n) }
 
 // Int64s leases a zeroed []int64 of length n from the arena.
-func (s *Scratch) Int64s(n int) []int64 {
-	for k := len(s.freeInt64s) - 1; k >= 0; k-- {
-		if cap(s.freeInt64s[k]) >= n {
-			buf := s.freeInt64s[k][:n]
-			s.freeInt64s[k] = s.freeInt64s[len(s.freeInt64s)-1]
-			s.freeInt64s = s.freeInt64s[:len(s.freeInt64s)-1]
-			clear(buf)
-			s.usedInt64s = append(s.usedInt64s, buf)
-			return buf
-		}
-	}
-	buf := make([]int64, n)
-	s.usedInt64s = append(s.usedInt64s, buf)
-	return buf
-}
+func (s *Scratch) Int64s(n int) []int64 { return s.int64s.lease(n) }
+
+// Uint64s leases a zeroed []uint64 of length n from the arena — the
+// word currency of bitset rows and masks.
+func (s *Scratch) Uint64s(n int) []uint64 { return s.uint64s.lease(n) }
 
 // Sides leases a zeroed []partition.Side of length n from the arena.
 // Note the zero Side is Left, not Unassigned — callers that need the
 // "nothing placed yet" state must fill with partition.Unassigned
 // themselves. Side arrays are the working currency of every
 // partitioner's per-start state, so they get their own free list.
-func (s *Scratch) Sides(n int) []partition.Side {
-	for k := len(s.freeSides) - 1; k >= 0; k-- {
-		if cap(s.freeSides[k]) >= n {
-			buf := s.freeSides[k][:n]
-			s.freeSides[k] = s.freeSides[len(s.freeSides)-1]
-			s.freeSides = s.freeSides[:len(s.freeSides)-1]
-			clear(buf)
-			s.usedSides = append(s.usedSides, buf)
-			return buf
-		}
-	}
-	buf := make([]partition.Side, n)
-	s.usedSides = append(s.usedSides, buf)
-	return buf
-}
+func (s *Scratch) Sides(n int) []partition.Side { return s.sides.lease(n) }
 
 // Release reclaims every leased buffer back into the free lists. The
 // engine calls it after each start; algorithms running several
 // independent phases within one start may also call it themselves.
 func (s *Scratch) Release() {
-	s.freeInts = append(s.freeInts, s.usedInts...)
-	s.usedInts = s.usedInts[:0]
-	s.freeBools = append(s.freeBools, s.usedBools...)
-	s.usedBools = s.usedBools[:0]
-	s.freeInt64s = append(s.freeInt64s, s.usedInt64s...)
-	s.usedInt64s = s.usedInt64s[:0]
-	s.freeSides = append(s.freeSides, s.usedSides...)
-	s.usedSides = s.usedSides[:0]
-	s.freeInt8s = append(s.freeInt8s, s.usedInt8s...)
-	s.usedInt8s = s.usedInt8s[:0]
+	s.ints.release()
+	s.bools.release()
+	s.int64s.release()
+	s.sides.release()
+	s.int8s.release()
+	s.uint64s.release()
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}

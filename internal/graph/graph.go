@@ -16,35 +16,58 @@ import (
 )
 
 // Graph is an immutable simple undirected graph with vertices
-// 0..N-1, stored in CSR adjacency form.
+// 0..N-1, held in one of two storage forms: CSR adjacency lists (every
+// constructor but UncheckedBitset), or bitset rows for dense graphs
+// (see bitset.go). Every method answers identically in both forms.
 type Graph struct {
-	start  []int
-	adj    []int
+	n int
+	// CSR form: row v is adj[start[v]:start[v+1]].
+	start []int
+	adj   []int
+	// Bitset form (bitset set): row v is rows[v*words:(v+1)*words].
+	bitset bool
+	rows   []uint64
+	words  int
+	edges  int // computed once at construction
 	maxDeg int // computed once at construction; see MaxDegree
 }
 
 // NumVertices returns the vertex count.
-func (g *Graph) NumVertices() int { return len(g.start) - 1 }
+func (g *Graph) NumVertices() int { return g.n }
 
 // NumEdges returns the number of undirected edges.
-func (g *Graph) NumEdges() int { return len(g.adj) / 2 }
+func (g *Graph) NumEdges() int { return g.edges }
 
-// Neighbors returns the neighbors of v in ascending order. The slice
-// aliases internal storage and must not be modified.
-func (g *Graph) Neighbors(v int) []int { return g.adj[g.start[v]:g.start[v+1]] }
+// Neighbors returns the neighbors of v in ascending order. In the CSR
+// form the slice aliases internal storage and must not be modified; in
+// the bitset form the row is decoded into a fresh slice.
+func (g *Graph) Neighbors(v int) []int {
+	if g.bitset {
+		return appendBits(nil, g.Row(v))
+	}
+	return g.adj[g.start[v]:g.start[v+1]]
+}
 
 // Degree returns the degree of vertex v.
-func (g *Graph) Degree(v int) int { return g.start[v+1] - g.start[v] }
+func (g *Graph) Degree(v int) int {
+	if g.bitset {
+		return popCount(g.Row(v))
+	}
+	return g.start[v+1] - g.start[v]
+}
 
 // MaxDegree returns the maximum degree, or 0 for an empty graph. The
 // value is computed once at construction (the graph is immutable), so
 // callers in hot loops — bucket-queue sizing in particular — pay O(1).
 func (g *Graph) MaxDegree() int { return g.maxDeg }
 
-// computeMaxDeg scans the start offsets; called by every constructor.
+// computeMaxDeg scans the start offsets and sets the vertex and edge
+// counts; called by every CSR constructor.
 func (g *Graph) computeMaxDeg() {
+	g.n = len(g.start) - 1
+	g.edges = len(g.adj) / 2
 	m := 0
-	for v := 0; v < len(g.start)-1; v++ {
+	for v := 0; v < g.n; v++ {
 		if d := g.start[v+1] - g.start[v]; d > m {
 			m = d
 		}
@@ -52,8 +75,13 @@ func (g *Graph) computeMaxDeg() {
 	g.maxDeg = m
 }
 
-// HasEdge reports whether {u,v} is an edge, by binary search.
+// HasEdge reports whether {u,v} is an edge, by binary search (CSR) or
+// a bit test (bitset rows).
 func (g *Graph) HasEdge(u, v int) bool {
+	if g.bitset {
+		row := g.Row(u)
+		return v >= 0 && v < g.n && row[v>>6]&(1<<(v&63)) != 0
+	}
 	nb := g.Neighbors(u)
 	i := sort.SearchInts(nb, v)
 	return i < len(nb) && nb[i] == v
@@ -159,9 +187,14 @@ func UncheckedCSR(start, adj []int) *Graph {
 // ValidateCSR checks the representation invariants of the CSR arrays:
 // monotone offsets, in-range endpoints, rows sorted strictly ascending
 // (which implies simplicity: no parallel edges, no self-loops once
-// symmetry holds), and symmetry (u lists v iff v lists u). It is the
-// oracle behind FromCSR and the construction fuzz targets.
+// symmetry holds), and symmetry (u lists v iff v lists u). For bitset
+// rows it checks that no row sets its own bit or a bit at or above n,
+// and symmetry. It is the oracle behind FromCSR and the construction
+// fuzz targets.
 func (g *Graph) ValidateCSR() error {
+	if g.bitset {
+		return g.validateBitset()
+	}
 	n := len(g.start) - 1
 	if n < 0 {
 		return fmt.Errorf("graph: csr: start array is empty")
@@ -235,6 +268,12 @@ func (g *Graph) BFS(src int) (dist, parent []int) {
 	}
 	dist[src] = 0
 	parent[src] = src
+	if g.bitset {
+		buf := bfsPool.Get().(*bfsBuffers)
+		g.sweepBitset(src, dist, parent, buf)
+		bfsPool.Put(buf)
+		return dist, parent
+	}
 	queue := make([]int, 0, n)
 	queue = append(queue, src)
 	for head := 0; head < len(queue); head++ {
@@ -257,6 +296,7 @@ func (g *Graph) BFS(src int) (dist, parent []int) {
 type bfsBuffers struct {
 	dist  []int
 	queue []int
+	seen  []uint64 // bitset rows: the claimed-vertex set
 }
 
 var bfsPool = sync.Pool{New: func() any { return new(bfsBuffers) }}
@@ -277,19 +317,23 @@ func (g *Graph) Eccentricity(src int) (far int, dist int) {
 		d[i] = Unreached
 	}
 	d[src] = 0
-	queue := append(buf.queue[:0], src)
-	// Once the queue holds all n vertices every distance is final, so
-	// the sweep stops there instead of rescanning the remaining rows.
-	for head := 0; head < len(queue) && len(queue) < n; head++ {
-		v := queue[head]
-		for _, u := range g.Neighbors(v) {
-			if d[u] == Unreached {
-				d[u] = d[v] + 1
-				queue = append(queue, u)
+	if g.bitset {
+		g.sweepBitset(src, d, nil, buf)
+	} else {
+		queue := append(buf.queue[:0], src)
+		// Once the queue holds all n vertices every distance is final, so
+		// the sweep stops there instead of rescanning the remaining rows.
+		for head := 0; head < len(queue) && len(queue) < n; head++ {
+			v := queue[head]
+			for _, u := range g.Neighbors(v) {
+				if d[u] == Unreached {
+					d[u] = d[v] + 1
+					queue = append(queue, u)
+				}
 			}
 		}
+		buf.queue = queue
 	}
-	buf.queue = queue
 	far, dist = src, 0
 	for v, dv := range d {
 		if dv > dist {
@@ -340,6 +384,9 @@ func (g *Graph) Components() (comp []int, k int) {
 	comp = make([]int, n)
 	for i := range comp {
 		comp[i] = Unreached
+	}
+	if g.bitset {
+		return comp, g.componentsBitset(comp)
 	}
 	queue := make([]int, 0, n)
 	for v := 0; v < n; v++ {
@@ -432,6 +479,9 @@ func (g *Graph) DoubleBFSSidesInto(u, v int, side, f0, f1, next []int) []int {
 	if n == 0 {
 		return side
 	}
+	if g.bitset {
+		return g.doubleBFSBitset(u, v, side, f0, f1, next)
+	}
 	frontiers := [2][]int{append(f0[:0], u), append(f1[:0], v)}
 	side[u] = 0
 	labeled := 1
@@ -490,6 +540,9 @@ func (g *Graph) DoubleBFSSidesBalancedInto(u, v int, side, f0, f1, next []int) [
 	}
 	if n == 0 {
 		return side
+	}
+	if g.bitset {
+		return g.doubleBFSBalancedBitset(u, v, side, f0, f1, next)
 	}
 	frontiers := [2][]int{append(f0[:0], u), append(f1[:0], v)}
 	claimed := [2]int{1, 0}

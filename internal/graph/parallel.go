@@ -88,12 +88,13 @@ func (g *Graph) DoubleBFSSidesParallel(u, v, workers int) []int {
 // caller-provided buffers, mirroring DoubleBFSSidesInto (side must have
 // length NumVertices; f0, f1, next are frontier buffers). stats, when
 // non-nil, receives the execution counters. workers < 1 means 1; one
-// worker dispatches straight to the serial kernel.
+// worker, or a graph held as bitset rows, dispatches straight to the
+// serial kernel (leaving stats zero).
 func (g *Graph) DoubleBFSSidesParallelInto(u, v, workers int, side, f0, f1, next []int, stats *ParallelBFSStats) []int {
 	if stats != nil {
 		*stats = ParallelBFSStats{}
 	}
-	if workers <= 1 {
+	if workers <= 1 || g.bitset {
 		return g.DoubleBFSSidesInto(u, v, side, f0, f1, next)
 	}
 	n := g.NumVertices()

@@ -1,17 +1,21 @@
 package intersect
 
-// Differential suite for the stamp-based Build: against BuildReference
-// (the original clique-pair builder, kept as the oracle) the new
-// builder must return a bit-identical Result — same CSR start/adj
-// arrays, same NetOf/GVertexOf/Excluded down to nil-ness — on every
-// instance family of the PR 2 verification suite and across the
-// threshold range, plus a fuzz target asserting the CSR invariants
-// directly.
+// Differential suite for the production builders against
+// BuildReference (the original clique-pair builder, kept as the
+// oracle). The CSR builder must return a bit-identical Result — same
+// CSR start/adj arrays, same NetOf/GVertexOf/Excluded down to nil-ness.
+// The bitset builder holds G in the other storage form, so it is
+// compared by content: the net maps, the vertex and edge counts and
+// every Neighbors row. Both builders run on every instance family of
+// the verification suite and across the threshold range, whichever
+// form Build would pick, plus a fuzz target asserting the graph
+// invariants directly.
 
 import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fasthgp/internal/gen"
@@ -23,21 +27,63 @@ import (
 // (most nets excluded), and the paper's recommended k = 10.
 var diffThresholds = []int{0, 2, 3, 5, 10}
 
-// checkIdentical asserts Build and BuildReference agree bit-for-bit on
-// h under every threshold, and that Build's unchecked CSR satisfies the
-// graph invariants.
+// serialCSR and serialBitset run one serial builder directly,
+// bypassing Build's choice of form.
+func serialCSR(h *hypergraph.Hypergraph, opts Options) *Result {
+	res := newResult(h, opts)
+	buildCSR(h, res)
+	return res
+}
+
+func serialBitset(h *hypergraph.Hypergraph, opts Options) *Result {
+	res := newResult(h, opts)
+	buildBitset(h, res)
+	return res
+}
+
+// sameContent describes the first difference between two Results by
+// content — net maps, sizes and every Neighbors row, whatever storage
+// form either G is held in — or returns "" when there is none.
+func sameContent(got, want *Result) string {
+	switch {
+	case !slices.Equal(got.NetOf, want.NetOf):
+		return fmt.Sprintf("NetOf %v, want %v", got.NetOf, want.NetOf)
+	case !slices.Equal(got.GVertexOf, want.GVertexOf):
+		return fmt.Sprintf("GVertexOf %v, want %v", got.GVertexOf, want.GVertexOf)
+	case !slices.Equal(got.Excluded, want.Excluded):
+		return fmt.Sprintf("Excluded %v, want %v", got.Excluded, want.Excluded)
+	case got.G.NumVertices() != want.G.NumVertices() || got.G.NumEdges() != want.G.NumEdges():
+		return fmt.Sprintf("G %v, want %v", got.G, want.G)
+	}
+	for v := 0; v < want.G.NumVertices(); v++ {
+		if !slices.Equal(got.G.Neighbors(v), want.G.Neighbors(v)) {
+			return fmt.Sprintf("row %d %v, want %v", v, got.G.Neighbors(v), want.G.Neighbors(v))
+		}
+	}
+	return ""
+}
+
+// checkIdentical asserts both serial builders and Build agree with
+// BuildReference on h under every threshold — the CSR builder
+// bit-for-bit, the bitset builder and Build by content — and that each
+// unchecked graph satisfies the graph invariants.
 func checkIdentical(t *testing.T, name string, h *hypergraph.Hypergraph) {
 	t.Helper()
 	for _, thr := range diffThresholds {
 		opts := Options{Threshold: thr}
-		got := Build(h, opts)
 		want := BuildReference(h, opts)
-		if err := got.G.ValidateCSR(); err != nil {
-			t.Errorf("%s thr=%d: Build CSR invariant: %v", name, thr, err)
+		csr := serialCSR(h, opts)
+		if !reflect.DeepEqual(csr, want) {
+			t.Errorf("%s thr=%d: CSR build differs from BuildReference\n got: NetOf=%v Excluded=%v G=%v\nwant: NetOf=%v Excluded=%v G=%v",
+				name, thr, csr.NetOf, csr.Excluded, csr.G, want.NetOf, want.Excluded, want.G)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s thr=%d: Build differs from BuildReference\n got: NetOf=%v Excluded=%v G=%v\nwant: NetOf=%v Excluded=%v G=%v",
-				name, thr, got.NetOf, got.Excluded, got.G, want.NetOf, want.Excluded, want.G)
+		for form, got := range map[string]*Result{"csr": csr, "bitset": serialBitset(h, opts), "Build": Build(h, opts)} {
+			if err := got.G.ValidateCSR(); err != nil {
+				t.Errorf("%s thr=%d: %s invariant: %v", name, thr, form, err)
+			}
+			if diff := sameContent(got, want); diff != "" {
+				t.Errorf("%s thr=%d: %s build differs from BuildReference: %s", name, thr, form, diff)
+			}
 		}
 	}
 }
@@ -135,9 +181,10 @@ func fuzzHypergraphAndThreshold(data []byte) (*hypergraph.Hypergraph, int) {
 	return b.MustBuild(), thr
 }
 
-// FuzzIntersectBuild fuzzes the stamp-based builder against the CSR
-// invariant oracle (rows sorted strictly ascending, no self-loops,
-// symmetric) and differentially against BuildReference.
+// FuzzIntersectBuild fuzzes both serial builders and the sharded one
+// against the graph invariant oracle (no self-loops, symmetric; CSR
+// rows sorted strictly ascending, bitset rows without bits past n) and
+// differentially against BuildReference.
 func FuzzIntersectBuild(f *testing.F) {
 	f.Add([]byte{4, 0, 2, 0, 1, 2, 1, 2, 2, 2, 3})
 	f.Add([]byte{10, 3, 3, 0, 1, 2, 3, 4, 5, 6, 2, 7, 8, 2, 8, 9})
@@ -149,20 +196,20 @@ func FuzzIntersectBuild(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, thr := fuzzHypergraphAndThreshold(data)
 		opts := Options{Threshold: thr}
-		got := Build(h, opts)
-		if err := got.G.ValidateCSR(); err != nil {
-			t.Fatalf("CSR invariant on %v thr=%d: %v", h, thr, err)
-		}
 		want := BuildReference(h, opts)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Build differs from BuildReference on %v thr=%d:\n got %v\nwant %v",
-				h, thr, fmt.Sprint(got), fmt.Sprint(want))
-		}
 		workers := 2 + len(data)%3
-		sharded := Build(h, Options{Threshold: thr, Parallelism: workers})
-		if !reflect.DeepEqual(sharded, want) {
-			t.Fatalf("sharded Build (workers=%d) differs from BuildReference on %v thr=%d:\n got %v\nwant %v",
-				workers, h, thr, fmt.Sprint(sharded), fmt.Sprint(want))
+		for form, got := range map[string]*Result{
+			"csr":     serialCSR(h, opts),
+			"bitset":  serialBitset(h, opts),
+			"Build":   Build(h, opts),
+			"sharded": Build(h, Options{Threshold: thr, Parallelism: workers}),
+		} {
+			if err := got.G.ValidateCSR(); err != nil {
+				t.Fatalf("%s invariant on %v thr=%d: %v", form, h, thr, err)
+			}
+			if diff := sameContent(got, want); diff != "" {
+				t.Fatalf("%s build differs from BuildReference on %v thr=%d (workers=%d): %s", form, h, thr, workers, diff)
+			}
 		}
 	})
 }

@@ -24,6 +24,12 @@
 // sort call. The only allocations are the output arrays themselves —
 // working stamps come from a sync.Pool — and the Result is bit-
 // identical to BuildReference's, which the differential suite enforces.
+//
+// A dense G — the V-cycle's coarsest levels, where hub modules make
+// about half of all net pairs adjacent — is held as bitset rows
+// instead (see graph.UncheckedBitset and denseDual), built by ORing
+// each module's net bitset into its nets' rows. It holds the same
+// edges, and every graph query answers as on the CSR form.
 package intersect
 
 import (
@@ -42,8 +48,10 @@ type Options struct {
 	Threshold int
 	// Parallelism is the number of workers the two counting passes may
 	// shard across. Values below 2 — and hypergraphs too small to
-	// shard — run the serial construction. Any value produces a Result
-	// bit-for-bit identical to the serial one; see BuildCounted.
+	// shard — run the serial construction. Values of 2 or more always
+	// hold G as CSR, bit-for-bit identical to the serial CSR
+	// construction; a serial build may pick bitset rows instead, with
+	// the same edges. See BuildCounted.
 	Parallelism int
 }
 
@@ -104,22 +112,25 @@ type Result struct {
 // NumIncluded returns the number of nets represented in G.
 func (r *Result) NumIncluded() int { return len(r.NetOf) }
 
-// buildScratch holds the per-net stamp and cursor arrays of one Build.
-// Pooled: construction runs once per partitioning call, but daemon
-// traffic makes that a steady drumbeat, and the arrays are O(nets).
+// buildScratch holds the per-net stamp and cursor arrays of one CSR
+// build and the module bitset of one bitset build. Pooled: construction
+// runs once per partitioning call, but daemon traffic makes that a
+// steady drumbeat, and the arrays are O(nets).
 type buildScratch struct {
 	lastSeen []int
 	cursor   []int
+	modBits  []uint64
 }
 
 var buildPool = sync.Pool{New: func() any { return new(buildScratch) }}
 
 // Build constructs the intersection graph of h under opts.
 //
-// Complexity: both passes walk, for every included net, the incident
-// nets of each of its modules — O(pins · maxdeg) total, within the
-// paper's O(n²) budget — and the peak transient memory is two O(nets)
-// integer arrays, not the O(Σ d²) pair buffer of BuildReference.
+// Complexity (CSR form): both passes walk, for every included net, the
+// incident nets of each of its modules — O(pins · maxdeg) total, within
+// the paper's O(n²) budget — and the peak transient memory is two
+// O(nets) integer arrays, not the O(Σ d²) pair buffer of
+// BuildReference.
 func Build(h *hypergraph.Hypergraph, opts Options) *Result {
 	return BuildCounted(h, opts, nil)
 }
@@ -133,14 +144,46 @@ func Build(h *hypergraph.Hypergraph, opts Options) *Result {
 // non-overlapping adj slots (pass 2). Because shards are contiguous
 // ascending source ranges and each row's shard segments are laid out in
 // shard order, every CSR row still comes out as ascending sources — the
-// Result is reflect.DeepEqual-identical to the serial construction for
-// every input and worker count, which the differential suite enforces.
+// Result is reflect.DeepEqual-identical to the serial CSR construction
+// for every input and worker count, which the differential suite
+// enforces.
+//
+// A serial build (opts.Parallelism < 2) holds G as bitset rows instead
+// of CSR when the rows are no larger than the clique-pair bound — see
+// denseDual. Both forms hold the same edges and answer every graph
+// query identically.
 func BuildCounted(h *hypergraph.Hypergraph, opts Options, stats *BuildStats) *Result {
+	res := newResult(h, opts)
+	nG := len(res.NetOf)
+	if shards := buildShards(nG, opts.Parallelism); shards > 1 {
+		buildSharded(h, res, nG, shards, stats)
+		return res
+	}
+	if stats != nil {
+		total := 0
+		for _, e := range res.NetOf {
+			for _, m := range h.EdgePins(e) {
+				total += len(h.VertexEdges(m))
+			}
+		}
+		*stats = BuildStats{Shards: 1, TotalArcs: total, MaxShardArcs: total}
+	}
+	if opts.Parallelism < 2 && denseDual(h, res) {
+		buildBitset(h, res)
+	} else {
+		buildCSR(h, res)
+	}
+	return res
+}
+
+// newResult applies the net filter: GVertexOf, NetOf and Excluded, with
+// G left for a builder to fill.
+func newResult(h *hypergraph.Hypergraph, opts Options) *Result {
 	numEdges := h.NumEdges()
 	res := &Result{GVertexOf: make([]int, numEdges)}
 
-	// Net filtering: one sizing pass so NetOf and Excluded are
-	// allocated exactly (nil when empty, matching BuildReference).
+	// One sizing pass so NetOf and Excluded are allocated exactly (nil
+	// when empty, matching BuildReference).
 	included := numEdges
 	if opts.Threshold > 0 {
 		included = 0
@@ -165,21 +208,37 @@ func BuildCounted(h *hypergraph.Hypergraph, opts Options, stats *BuildStats) *Re
 		res.GVertexOf[e] = len(res.NetOf)
 		res.NetOf = append(res.NetOf, e)
 	}
+	return res
+}
 
+// denseDual reports whether G's bitset rows, n·⌈n/64⌉ words for n
+// included nets, are no larger than the clique-pair bound Σ_m C(d_m, 2)
+// over modules m with d_m included nets — the number of (duplicated)
+// pairs the per-module cliques contribute, which bounds G's edges from
+// above. It costs O(pins) and runs before anything is allocated.
+// Netlists of many sparse nets (Table-2 IC1, IC2, Diff1–3: 2–5 pairs
+// per pin) stay on CSR; small boards (Bd1–Bd3) and coarsened netlists
+// whose hub modules make half of all net pairs adjacent (hundreds of
+// pairs per pin) take the bitset rows.
+func denseDual(h *hypergraph.Hypergraph, res *Result) bool {
 	nG := len(res.NetOf)
-	if shards := buildShards(nG, opts.Parallelism); shards > 1 {
-		buildSharded(h, res, nG, shards, stats)
-		return res
-	}
-	if stats != nil {
-		total := 0
-		for _, e := range res.NetOf {
-			for _, m := range h.EdgePins(e) {
-				total += len(h.VertexEdges(m))
+	budget := nG * graph.RowWords(nG)
+	pairs := 0
+	for m := 0; m < h.NumVertices() && pairs < budget; m++ {
+		d := 0
+		for _, e := range h.VertexEdges(m) {
+			if res.GVertexOf[e] >= 0 {
+				d++
 			}
 		}
-		*stats = BuildStats{Shards: 1, TotalArcs: total, MaxShardArcs: total}
+		pairs += d * (d - 1) / 2
 	}
+	return pairs >= budget
+}
+
+// buildCSR fills res.G in CSR form by the two counting passes.
+func buildCSR(h *hypergraph.Hypergraph, res *Result) {
+	nG := len(res.NetOf)
 	sc := buildPool.Get().(*buildScratch)
 	if cap(sc.lastSeen) < nG {
 		sc.lastSeen = make([]int, nG)
@@ -234,7 +293,50 @@ func BuildCounted(h *hypergraph.Hypergraph, opts Options, stats *BuildStats) *Re
 	buildPool.Put(sc)
 
 	res.G = graph.UncheckedCSR(start, adj)
-	return res
+}
+
+// buildBitset fills res.G in bitset form: each module's included nets
+// form a clique, so the module's net bitset is ORed into the row of
+// each of its nets (over the words the module spans), and the self bits
+// are cleared at the end. O(Σ_m d_m · span_m) word operations, at most
+// pins · ⌈n/64⌉, in place of the two Σ d² stamp passes.
+func buildBitset(h *hypergraph.Hypergraph, res *Result) {
+	nG := len(res.NetOf)
+	w := graph.RowWords(nG)
+	rows := make([]uint64, nG*w)
+	sc := buildPool.Get().(*buildScratch)
+	if cap(sc.modBits) < w {
+		sc.modBits = make([]uint64, w)
+	}
+	mod := sc.modBits[:w]
+	clear(mod)
+	for m := 0; m < h.NumVertices(); m++ {
+		lo, hi := w, -1
+		for _, e := range h.VertexEdges(m) {
+			if i := res.GVertexOf[e]; i >= 0 {
+				mod[i>>6] |= 1 << (i & 63)
+				lo, hi = min(lo, i>>6), max(hi, i>>6)
+			}
+		}
+		if hi < 0 {
+			continue // in no included net
+		}
+		span := mod[lo : hi+1]
+		for _, e := range h.VertexEdges(m) {
+			if i := res.GVertexOf[e]; i >= 0 {
+				row := rows[i*w+lo : i*w+hi+1]
+				for k, x := range span {
+					row[k] |= x
+				}
+			}
+		}
+		clear(span)
+	}
+	buildPool.Put(sc)
+	for i := 0; i < nG; i++ {
+		rows[i*w+i>>6] &^= 1 << (i & 63)
+	}
+	res.G = graph.UncheckedBitset(nG, rows)
 }
 
 // shardScratch holds the per-worker arrays of one sharded build: a

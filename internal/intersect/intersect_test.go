@@ -207,3 +207,47 @@ func TestEmptyHypergraph(t *testing.T) {
 		t.Error("intersection graph of edgeless hypergraph not empty")
 	}
 }
+
+// TestBuildPicksForm pins the storage-form rule: bitset rows when
+// n·⌈n/64⌉ is within the clique-pair bound and the build is serial,
+// CSR otherwise, with the same arc count reported either way.
+func TestBuildPicksForm(t *testing.T) {
+	// A hub module in 100 two-pin nets: 100·2 words ≤ C(100,2) pairs.
+	star := make([][]int, 100)
+	for i := range star {
+		star[i] = []int{0, i + 1}
+	}
+	hub := mkHG(t, 101, star)
+	// A path of 100 two-pin nets: 99 pairs < 100·2 words.
+	chain := make([][]int, 100)
+	for i := range chain {
+		chain[i] = []int{i, i + 1}
+	}
+	line := mkHG(t, 101, chain)
+	for _, tc := range []struct {
+		name   string
+		h      *hypergraph.Hypergraph
+		opts   Options
+		bitset bool
+	}{
+		{"hub", hub, Options{}, true},
+		{"hub-parallel", hub, Options{Parallelism: 2}, false},
+		{"hub-excluded", hub, Options{Threshold: 2}, true}, // empty G: 0 ≤ 0
+		{"path", line, Options{}, false},
+	} {
+		var stats BuildStats
+		res := BuildCounted(tc.h, tc.opts, &stats)
+		if res.G.Bitset() != tc.bitset {
+			t.Errorf("%s: Bitset() = %v, want %v", tc.name, res.G.Bitset(), tc.bitset)
+		}
+		want := 0
+		for _, e := range res.NetOf {
+			for _, m := range tc.h.EdgePins(e) {
+				want += tc.h.VertexDegree(m)
+			}
+		}
+		if stats.TotalArcs != want {
+			t.Errorf("%s: TotalArcs = %d, want %d", tc.name, stats.TotalArcs, want)
+		}
+	}
+}

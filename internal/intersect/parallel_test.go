@@ -1,8 +1,9 @@
 package intersect
 
 // Differential suite for the sharded builder: with Parallelism > 1 the
-// Result must be reflect.DeepEqual-identical to the serial construction
-// on every instance family, every threshold, and every worker count.
+// Result must be reflect.DeepEqual-identical to the serial CSR
+// construction on every instance family, every threshold, and every
+// worker count.
 // minBuildShard is forced to 1 so even the tiny curated instances
 // genuinely exercise the sharded passes.
 
@@ -31,7 +32,7 @@ var parallelWorkerCounts = []int{2, 3, 4, 8}
 func checkShardedIdentical(t *testing.T, name string, h *hypergraph.Hypergraph) {
 	t.Helper()
 	for _, thr := range diffThresholds {
-		want := Build(h, Options{Threshold: thr})
+		want := serialCSR(h, Options{Threshold: thr})
 		for _, w := range parallelWorkerCounts {
 			var stats BuildStats
 			got := BuildCounted(h, Options{Threshold: thr, Parallelism: w}, &stats)
@@ -79,7 +80,7 @@ func TestBuildShardedProductionFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Build(h, Options{})
+	want := serialCSR(h, Options{})
 	var stats BuildStats
 	got := BuildCounted(h, Options{Parallelism: 8}, &stats)
 	if !reflect.DeepEqual(got, want) {
@@ -125,7 +126,7 @@ func TestBuildShardedOversubscribed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Build(h, Options{})
+	want := serialCSR(h, Options{})
 	got := Build(h, Options{Parallelism: 16})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("oversubscribed sharded Result differs from serial")

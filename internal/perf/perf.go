@@ -98,6 +98,9 @@ type Counters struct {
 	CliquePairs int64 `json:"clique_pairs"`
 	// ArcsEmitted = 2·GEdges is what the stamp builder writes instead.
 	ArcsEmitted int `json:"arcs_emitted"`
+	// DualForm is the storage form the serial build chose for G:
+	// "bitset" rows or "csr" lists.
+	DualForm string `json:"dual_form"`
 }
 
 // CountersFor computes f's counters by running the production builder.
@@ -111,6 +114,10 @@ func CountersFor(f Family) Counters {
 		GVertices:   res.G.NumVertices(),
 		GEdges:      res.G.NumEdges(),
 		ArcsEmitted: 2 * res.G.NumEdges(),
+		DualForm:    "csr",
+	}
+	if res.G.Bitset() {
+		c.DualForm = "bitset"
 	}
 	for m := 0; m < h.NumVertices(); m++ {
 		k := int64(0)
