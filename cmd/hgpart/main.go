@@ -320,8 +320,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		p, es = res.Partition, res.Stats.Engine
-		fmt.Fprintf(stdout, "algorithm I: G = (%d vertices, %d edges), boundary %d, BFS depth %d, %d distinct endpoint pairs",
-			res.Stats.GVertices, res.Stats.GEdges, res.Stats.BoundarySize, res.Stats.BFSDepth, res.Stats.DistinctPairs)
+		fmt.Fprintf(stdout, "algorithm I: G = (%d vertices, %d edges), boundary %d, BFS depth %d, %d distinct endpoint pairs, %d boundary graphs as bitset rows",
+			res.Stats.GVertices, res.Stats.GEdges, res.Stats.BoundarySize, res.Stats.BFSDepth, res.Stats.DistinctPairs, res.Stats.BitsetBoundaries)
 		if res.Stats.BitsetDual {
 			fmt.Fprint(stdout, " [dual as bitset rows]")
 		}

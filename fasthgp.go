@@ -203,17 +203,6 @@ func FMCtx(ctx context.Context, h *Hypergraph, opts FMOptions) (*FMResult, error
 	return fm.BisectCtx(ctx, h, opts)
 }
 
-// FMImprove refines an existing bipartition in place with FM passes.
-func FMImprove(h *Hypergraph, p *Bipartition, opts FMOptions) (*FMResult, error) {
-	return fm.Improve(h, p, opts)
-}
-
-// FMImproveCtx is FMImprove with cancellation: passes stop early when
-// ctx expires and the partition as improved so far is returned.
-func FMImproveCtx(ctx context.Context, h *Hypergraph, p *Bipartition, opts FMOptions) (*FMResult, error) {
-	return fm.ImproveCtx(ctx, h, p, opts)
-}
-
 // AnnealOptions configures the simulated-annealing baseline.
 type AnnealOptions = anneal.Options
 
@@ -346,11 +335,6 @@ func WriteNetlist(w io.Writer, h *Hypergraph) error { return netio.Write(w, h) }
 // directives: fixed[v] is vertex v's pinned side, FreeVertex when free,
 // and the slice is nil when the input pins nothing.
 func ReadNetlistFixed(r io.Reader) (*Hypergraph, []int8, error) { return netio.ReadFixed(r) }
-
-// WriteNetlistFixed emits h plus a fixed directive per pinned vertex.
-func WriteNetlistFixed(w io.Writer, h *Hypergraph, fixed []int8) error {
-	return netio.WriteFixed(w, h, fixed)
-}
 
 // ParseFixedSpec parses the compact fixed-vertex query syntax of the
 // HTTP tier ("0:L,5:R"): comma-separated vertex:side records, sides L,
@@ -742,7 +726,6 @@ type portfolioConfig struct {
 	seed          int64
 	parallelism   int
 	kernelWorkers int
-	maxAttempts   int
 	breakers      *resilience.BreakerSet
 	constraint    Constraint
 }
@@ -781,10 +764,6 @@ func WithKernelWorkers(w int) PortfolioOption {
 	return func(c *portfolioConfig) { c.kernelWorkers = w }
 }
 
-// WithMaxAttempts caps per-tier retries of transient failures —
-// panics and oracle-rejected results (default 2: one try + one retry).
-func WithMaxAttempts(n int) PortfolioOption { return func(c *portfolioConfig) { c.maxAttempts = n } }
-
 // WithBreakers attaches a circuit-breaker set shared across portfolio
 // runs: a tier that keeps failing is skipped outright (and excluded
 // from the budget split) until its cooldown admits a probe. Meant for
@@ -814,9 +793,9 @@ func NewBreakerSet(cfg BreakerConfig) *BreakerSet { return resilience.NewBreaker
 // ErrBreakerOpen marks a tier skipped because its breaker was open.
 var ErrBreakerOpen = resilience.ErrBreakerOpen
 
-// DefaultChain is the default portfolio fallback chain: the strongest
+// defaultChain is the default portfolio fallback chain: the strongest
 // partitioner first, degrading toward the cheapest.
-func DefaultChain() []string { return []string{"multilevel", "fm", "algo1"} }
+func defaultChain() []string { return []string{"multilevel", "fm", "algo1"} }
 
 // resolveAlgorithm finds a registry entry by name or alias.
 func resolveAlgorithm(name string) (Algorithm, error) {
@@ -848,7 +827,7 @@ func resolveAlgorithm(name string) (Algorithm, error) {
 // only when there is no certified candidate at all does the call
 // return an error (ErrPortfolioExhausted, carrying the tier errors).
 func PartitionPortfolio(ctx context.Context, h *Hypergraph, opts ...PortfolioOption) (*PortfolioResult, error) {
-	cfg := portfolioConfig{chain: DefaultChain(), starts: 8, seed: 1}
+	cfg := portfolioConfig{chain: defaultChain(), starts: 8, seed: 1}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -870,11 +849,10 @@ func PartitionPortfolio(ctx context.Context, h *Hypergraph, opts ...PortfolioOpt
 		})
 	}
 	return resilience.RunPortfolio(ctx, h, tiers, resilience.Options{
-		Budget:      cfg.budget,
-		Seed:        cfg.seed,
-		MaxAttempts: cfg.maxAttempts,
-		Breakers:    cfg.breakers,
-		Constraint:  cfg.constraint,
+		Budget:     cfg.budget,
+		Seed:       cfg.seed,
+		Breakers:   cfg.breakers,
+		Constraint: cfg.constraint,
 	})
 }
 

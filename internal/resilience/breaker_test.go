@@ -290,11 +290,11 @@ func TestPortfolioTripsAndRecoversBreaker(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
 	set := NewBreakerSet(BreakerConfig{Threshold: 2, Cooldown: time.Minute, Now: clk.now})
 
-	// One run: the failing tier burns MaxAttempts=2 attempts — exactly
+	// One run: the failing tier burns maxAttempts = 2 attempts — exactly
 	// the threshold — and trips its breaker.
 	var failCalls int
 	tiers := []Tier{failTier("flaky", &failCalls), okTier("fallback", nil)}
-	opts := Options{Breakers: set, MaxAttempts: 2, BackoffBase: time.Microsecond}
+	opts := Options{Breakers: set, BackoffBase: time.Microsecond}
 	if _, err := RunPortfolio(context.Background(), h, tiers, opts); err != nil {
 		t.Fatal(err)
 	}

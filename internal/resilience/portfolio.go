@@ -49,9 +49,6 @@ type Options struct {
 	// Seed drives the jittered per-attempt seeds; the same (chain,
 	// Seed, fault plan) replays identically.
 	Seed int64
-	// MaxAttempts is the per-tier attempt cap for transient failures
-	// (values < 1 mean 2: the first try plus one retry).
-	MaxAttempts int
 	// BackoffBase is the first retry's backoff (values <= 0 mean 5ms);
 	// it doubles per attempt, capped at BackoffCap (<= 0 means 100ms),
 	// jittered ±50% from the attempt seed, and always bounded by the
@@ -111,6 +108,10 @@ type Result struct {
 	Tiers []TierReport
 }
 
+// maxAttempts is the per-tier attempt cap for transient failures: the
+// first try plus one retry.
+const maxAttempts = 2
+
 // ErrExhausted is returned (wrapped with the per-tier failures) when no
 // tier produced any certified candidate.
 var ErrExhausted = errors.New("resilience: every portfolio tier failed")
@@ -142,10 +143,6 @@ func RunPortfolio(ctx context.Context, h *hypergraph.Hypergraph, tiers []Tier, o
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.Budget)
 		defer cancel()
-	}
-	maxAttempts := opts.MaxAttempts
-	if maxAttempts < 1 {
-		maxAttempts = 2
 	}
 	backoffBase := opts.BackoffBase
 	if backoffBase <= 0 {
