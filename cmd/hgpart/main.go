@@ -12,7 +12,8 @@
 //
 // Every algorithm runs on the shared multi-start engine: -starts sets
 // the multi-start count, -parallel fans the starts across workers
-// (never changing the result), -timeout returns the best cut found
+// (never changing the result; each start itself runs serially, so
+// this is the only parallelism), -timeout returns the best cut found
 // within a wall-clock budget, and -stats prints the engine's account
 // of the run. -verify recomputes every invariant of the reported
 // result with the internal/verify oracle and exits nonzero on any
@@ -96,7 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		epsilon    = fs.Float64("epsilon", 0, "balance bound: each side at most (1+epsilon)*ceil(total/k) weight (0 = unconstrained)")
 		fixedPath  = fs.String("fixed", "", "hMETIS-style fix file pinning vertices to sides (one part id per line, -1 = free); overrides inline fixed directives")
 		parallel   = fs.Int("parallel", 0, "engine workers fanning the starts (0 = GOMAXPROCS); affects wall time only, never the result")
-		workers    = fs.Int("workers", 0, "intra-start kernel workers (dual-graph build, double BFS) per start (0 = serial); affects wall time only, never the result")
 		timeout    = fs.Duration("timeout", 0, "wall-clock budget, e.g. 500ms; on expiry the best cut found so far is reported (0 = none)")
 		fallback   = fs.String("fallback", "", "comma-separated fallback chain after -algo (e.g. fm,core); runs the resilience portfolio")
 		budget     = fs.Duration("budget", 0, "portfolio wall budget across the whole -fallback chain, e.g. 2s (0 = -timeout)")
@@ -242,7 +242,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *ckptPath != "" {
 			return fail(fmt.Errorf("-checkpoint cannot be combined with -fallback/-budget"))
 		}
-		return runPortfolio(ctx, h, *algo, *fallback, *budget, *starts, *seed, *parallel, *workers, constraint, *doVerify, *verbose, stdout, stderr)
+		return runPortfolio(ctx, h, *algo, *fallback, *budget, *starts, *seed, *parallel, constraint, *doVerify, *verbose, stdout, stderr)
 	}
 
 	if *resume && *ckptPath == "" {
@@ -253,13 +253,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(fmt.Errorf("-checkpoint supports bipartitioning only (got -k %d)", *k))
 		}
 		return runCheckpointed(ctx, h, *algo, *ckptPath, *resume,
-			fasthgp.AlgoConfig{Starts: *starts, Seed: *seed, Parallelism: *parallel, KernelWorkers: *workers, Constraint: constraint},
+			fasthgp.AlgoConfig{Starts: *starts, Seed: *seed, Parallelism: *parallel, Constraint: constraint},
 			*stats, *doVerify, *verbose, stdout, stderr)
 	}
 
 	if *k > 2 {
 		start := time.Now()
-		res, err := fasthgp.KWayCtx(ctx, h, fasthgp.KWayOptions{K: *k, Starts: *starts, Seed: *seed, Parallelism: *parallel, KernelWorkers: *workers, Constraint: constraint})
+		res, err := fasthgp.KWayCtx(ctx, h, fasthgp.KWayOptions{K: *k, Starts: *starts, Seed: *seed, Parallelism: *parallel, Constraint: constraint})
 		if err != nil {
 			return fail(err)
 		}
@@ -296,7 +296,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	start := time.Now()
 	switch *algo {
 	case "algI":
-		opts := fasthgp.Options{Starts: *starts, Threshold: *threshold, Seed: *seed, Parallelism: *parallel, KernelWorkers: *workers, Constraint: constraint}
+		opts := fasthgp.Options{Starts: *starts, Threshold: *threshold, Seed: *seed, Parallelism: *parallel, Constraint: constraint}
 		switch *completion {
 		case "greedy":
 			opts.Completion = fasthgp.CompletionGreedy
@@ -331,7 +331,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout)
 	case "multilevel":
 		res, err := fasthgp.MultilevelCtx(ctx, h, fasthgp.MultilevelOptions{
-			Starts: *starts, Seed: *seed, Parallelism: *parallel, KernelWorkers: *workers,
+			Starts: *starts, Seed: *seed, Parallelism: *parallel,
 			Constraint: constraint, DisableFlow: !*vcycle})
 		if err != nil {
 			return fail(err)
@@ -447,7 +447,7 @@ func runCheckpointed(ctx context.Context, h *fasthgp.Hypergraph, algo, path stri
 // runPortfolio executes the deadline-aware fallback chain and reports
 // the winning tier.
 func runPortfolio(ctx context.Context, h *fasthgp.Hypergraph, algo, fallback string, budget time.Duration,
-	starts int, seed int64, parallel, workers int, constraint fasthgp.Constraint, doVerify, verbose bool, stdout, stderr io.Writer) int {
+	starts int, seed int64, parallel int, constraint fasthgp.Constraint, doVerify, verbose bool, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "hgpart:", err)
 		return 1
@@ -463,7 +463,7 @@ func runPortfolio(ctx context.Context, h *fasthgp.Hypergraph, algo, fallback str
 	res, err := fasthgp.PartitionPortfolio(ctx, h,
 		fasthgp.WithChain(chain...), fasthgp.WithBudget(budget),
 		fasthgp.WithStarts(starts), fasthgp.WithSeed(seed), fasthgp.WithParallelism(parallel),
-		fasthgp.WithKernelWorkers(workers), fasthgp.WithConstraint(constraint))
+		fasthgp.WithConstraint(constraint))
 	if err != nil {
 		return fail(err)
 	}

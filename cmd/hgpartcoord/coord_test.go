@@ -58,8 +58,9 @@ func testCoord(now func() time.Time) *coord {
 // /partition honestly by construction — it parses the posted netlist
 // and returns the half-split assignment with its true recomputed cut,
 // so its answers pass the coordinator's oracle for any request. The
-// lie knob turns it Byzantine (claimed cut off by one); the delay knob
-// makes it slow (for hedging tests).
+// lie knob turns it Byzantine (claimed cut off by one); the hold knob
+// keeps it from answering until the test releases it (for hedging and
+// single-flight tests).
 type fakeWorker struct {
 	id       string
 	srv      *httptest.Server
@@ -67,7 +68,7 @@ type fakeWorker struct {
 	requests int
 	lastHdr  string // last X-Request-Deadline seen
 	lie      bool
-	delay    time.Duration
+	hold     chan struct{} // non-nil: wait for it to close before answering
 }
 
 func newFakeWorker(t *testing.T, id string) *fakeWorker {
@@ -78,11 +79,11 @@ func newFakeWorker(t *testing.T, id string) *fakeWorker {
 		f.mu.Lock()
 		f.requests++
 		f.lastHdr = r.Header.Get("X-Request-Deadline")
-		lie, delay := f.lie, f.delay
+		lie, hold := f.lie, f.hold
 		f.mu.Unlock()
-		if delay > 0 {
+		if hold != nil {
 			select {
-			case <-time.After(delay):
+			case <-hold:
 			case <-r.Context().Done():
 				return
 			}
@@ -130,10 +131,33 @@ func (f *fakeWorker) setLie(v bool) {
 	f.lie = v
 }
 
-func (f *fakeWorker) setDelay(d time.Duration) {
+// holdAnswers makes the worker hold every /partition request it gets
+// from now on until release is called or the request is canceled.
+// Release is idempotent and also runs at test cleanup, before the
+// server closes.
+func (f *fakeWorker) holdAnswers(t *testing.T) (release func()) {
+	hold := make(chan struct{})
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.delay = d
+	f.hold = hold
+	f.mu.Unlock()
+	var once sync.Once
+	release = func() { once.Do(func() { close(hold) }) }
+	t.Cleanup(release)
+	return release
+}
+
+// waitUntil polls cond until it holds, failing the test if it still
+// does not after five seconds. The five seconds are a deadline for
+// something that must happen, not a bound on how fast it happens.
+func waitUntil(t *testing.T, desc string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", desc)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // register announces a worker through the coordinator's real endpoint.

@@ -180,11 +180,14 @@ func TestQuarantineProbeReadmission(t *testing.T) {
 }
 
 // TestHedgedDispatchBeatsSlowWorker: with hedging on, a request whose
-// primary has gone slow is answered by the failover worker well inside
-// the slow worker's latency.
+// primary has gone slow is answered by the failover worker while the
+// primary still holds it unanswered.
 func TestHedgedDispatchBeatsSlowWorker(t *testing.T) {
 	c := testCoord(nil)
 	c.cfg.hedgeDelay = 20 * time.Millisecond
+	// No budget runs out while the test waits, so only the hedge can
+	// end a request the primary holds.
+	c.cfg.reqTimeout = time.Hour
 	h := c.handler()
 	w1, w2 := newFakeWorker(t, "w1"), newFakeWorker(t, "w2")
 	register(t, h, "w1", w1.addr())
@@ -203,19 +206,26 @@ func TestHedgedDispatchBeatsSlowWorker(t *testing.T) {
 	} else {
 		slow = w2
 	}
-	slow.setDelay(500 * time.Millisecond)
+	release := slow.holdAnswers(t)
 
-	start := time.Now()
-	rec, resp = postNetlist(t, h, "", testNets)
-	elapsed := time.Since(start)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rec, resp = postNetlist(t, h, "", testNets)
+	}()
+	// The answer must arrive while the slow worker still holds the
+	// request; ten seconds is a deadline, not a latency bound.
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("hedged request still waiting on the held primary after 10s")
+	}
+	release()
 	if rec.Code != http.StatusOK {
 		t.Fatalf("hedged request = %d: %s", rec.Code, rec.Body)
 	}
 	if resp.Worker != other {
 		t.Errorf("hedged request answered by %q, want failover %q", resp.Worker, other)
-	}
-	if elapsed >= 450*time.Millisecond {
-		t.Errorf("hedged request took %v, want well under the slow worker's 500ms", elapsed)
 	}
 	if c.hedges.Load() == 0 {
 		t.Error("no hedge fired")
@@ -231,7 +241,7 @@ func TestSingleFlightCollapse(t *testing.T) {
 	c := testCoord(nil)
 	h := c.handler()
 	w := newFakeWorker(t, "w1")
-	w.setDelay(150 * time.Millisecond)
+	release := w.holdAnswers(t)
 	register(t, h, "w1", w.addr())
 
 	type result struct {
@@ -246,11 +256,16 @@ func TestSingleFlightCollapse(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { defer wg.Done(); post() }() // the leader
-	time.Sleep(40 * time.Millisecond)       // let it own the flight
+	// The leader owns the flight once its forward reaches the worker.
+	waitUntil(t, "the leader's forward to reach the worker", func() bool { return w.seen() == 1 })
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() { defer wg.Done(); post() }()
 	}
+	// Every follower joins the flight while the worker still holds the
+	// leader's request; only then may the worker answer.
+	waitUntil(t, "four followers to join the flight", func() bool { return c.collapsed.Load() == 4 })
+	release()
 	wg.Wait()
 	close(results)
 	for r := range results {

@@ -88,7 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed         = fs.Int64("seed", 1, "default random seed")
 		budget       = fs.Duration("budget", 0, "default portfolio budget (0 = -req-timeout)")
 		parallel     = fs.Int("parallel", 0, "engine workers per request (0 = GOMAXPROCS)")
-		workers      = fs.Int("workers", 0, "intra-start kernel workers (dual-graph build, double BFS) per start (0 = serial); affects wall time only, never the result")
 		walPath      = fs.String("wal", "", "write-ahead log path: accepted requests are journaled and replayed after a crash (empty = off)")
 		scrubEvery   = fs.Duration("scrub-interval", time.Minute, "WAL integrity-scrub cadence; rot degrades /healthz (0 = off)")
 		maxHeap      = fs.Uint64("max-heap", 0, "live-heap watermark in bytes; above it new requests are shed with 503 (0 = off)")
@@ -123,7 +122,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed:             *seed,
 		budget:           *budget,
 		parallelism:      *parallel,
-		kernelWorkers:    *workers,
 		drainTimeout:     *drainTimeout,
 		maxHeap:          *maxHeap,
 		breakerThreshold: *brkThresh,

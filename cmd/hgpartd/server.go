@@ -29,7 +29,6 @@ type serverConfig struct {
 	seed             int64         // default seed
 	budget           time.Duration // default portfolio budget (0 = reqTimeout)
 	parallelism      int
-	kernelWorkers    int           // intra-start kernel workers (0 = serial); wall time only, never the result
 	drainTimeout     time.Duration // SIGTERM drain grace
 	maxHeap          uint64        // live-heap watermark; above it new work is shed with 503 (0 = off)
 	breakerThreshold int           // consecutive tier failures tripping its breaker (0 = breakers off)
@@ -315,7 +314,6 @@ func (s *server) portfolioOptions(q url.Values, ct *serve.Contract) ([]fasthgp.P
 	opts := []fasthgp.PortfolioOption{
 		fasthgp.WithStarts(starts), fasthgp.WithSeed(seed), fasthgp.WithBudget(budget),
 		fasthgp.WithParallelism(s.cfg.parallelism),
-		fasthgp.WithKernelWorkers(s.cfg.kernelWorkers),
 	}
 	if len(chain) > 0 {
 		opts = append(opts, fasthgp.WithChain(chain...))

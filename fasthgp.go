@@ -452,14 +452,6 @@ type AlgoConfig struct {
 	// Parallelism is the engine worker count; values < 1 mean
 	// GOMAXPROCS. Wall time only, never the result.
 	Parallelism int
-	// KernelWorkers is the intra-start worker count for the per-start
-	// kernels (intersection-graph build and double BFS) of the
-	// algorithms that use them (algo1, multilevel); the rest ignore it.
-	// Values < 1 mean 1 — serial kernels. Any value produces bit-for-
-	// bit identical results to serial — which is why the serialized
-	// form omits the default: configs that differ only here describe
-	// the same computation.
-	KernelWorkers int `json:",omitempty"`
 	// Constraint is the unified balance contract (ε-imbalance bound plus
 	// fixed vertices) every registry algorithm honors; the zero value is
 	// unconstrained. Checkpoint journals bind to it: a journal written
@@ -534,7 +526,7 @@ func algorithmTable() []Algorithm {
 			Name:        "algo1",
 			Description: "Algorithm I: intersection-graph double-BFS heuristic (the paper)",
 			Run: func(ctx context.Context, h *Hypergraph, cfg AlgoConfig) (*AlgoResult, error) {
-				r, err := core.BipartitionCtx(ctx, h, core.Options{Starts: cfg.Starts, Seed: cfg.Seed, Parallelism: cfg.Parallelism, KernelWorkers: cfg.KernelWorkers, Constraint: cfg.Constraint, Checkpoint: cfg.Checkpoint})
+				r, err := core.BipartitionCtx(ctx, h, core.Options{Starts: cfg.Starts, Seed: cfg.Seed, Parallelism: cfg.Parallelism, Constraint: cfg.Constraint, Checkpoint: cfg.Checkpoint})
 				if err != nil {
 					return nil, err
 				}
@@ -600,7 +592,7 @@ func algorithmTable() []Algorithm {
 			Name:        "multilevel",
 			Description: "coarsen → Algorithm I → FM refinement V-cycles",
 			Run: func(ctx context.Context, h *Hypergraph, cfg AlgoConfig) (*AlgoResult, error) {
-				r, err := multilevel.BisectCtx(ctx, h, multilevel.Options{Starts: cfg.Starts, Seed: cfg.Seed, Parallelism: cfg.Parallelism, KernelWorkers: cfg.KernelWorkers, Constraint: cfg.Constraint, Checkpoint: cfg.Checkpoint})
+				r, err := multilevel.BisectCtx(ctx, h, multilevel.Options{Starts: cfg.Starts, Seed: cfg.Seed, Parallelism: cfg.Parallelism, Constraint: cfg.Constraint, Checkpoint: cfg.Checkpoint})
 				if err != nil {
 					return nil, err
 				}
@@ -720,14 +712,13 @@ var ErrPortfolioExhausted = resilience.ErrExhausted
 
 // portfolioConfig collects the PortfolioOption knobs.
 type portfolioConfig struct {
-	chain         []string
-	budget        time.Duration
-	starts        int
-	seed          int64
-	parallelism   int
-	kernelWorkers int
-	breakers      *resilience.BreakerSet
-	constraint    Constraint
+	chain       []string
+	budget      time.Duration
+	starts      int
+	seed        int64
+	parallelism int
+	breakers    *resilience.BreakerSet
+	constraint  Constraint
 }
 
 // PortfolioOption configures PartitionPortfolio.
@@ -757,12 +748,6 @@ func WithSeed(s int64) PortfolioOption { return func(c *portfolioConfig) { c.see
 // WithParallelism sets each tier's engine worker count (0 =
 // GOMAXPROCS); wall time only, never the result.
 func WithParallelism(p int) PortfolioOption { return func(c *portfolioConfig) { c.parallelism = p } }
-
-// WithKernelWorkers sets each tier's intra-start kernel worker count
-// (0 = serial kernels); wall time only, never the result.
-func WithKernelWorkers(w int) PortfolioOption {
-	return func(c *portfolioConfig) { c.kernelWorkers = w }
-}
 
 // WithBreakers attaches a circuit-breaker set shared across portfolio
 // runs: a tier that keeps failing is skipped outright (and excluded
@@ -840,7 +825,7 @@ func PartitionPortfolio(ctx context.Context, h *Hypergraph, opts ...PortfolioOpt
 		tiers = append(tiers, resilience.Tier{
 			Name: alg.Name,
 			Run: func(ctx context.Context, h *Hypergraph, seed int64) (*Bipartition, int, error) {
-				r, err := alg.Run(ctx, h, AlgoConfig{Starts: cfg.starts, Seed: seed, Parallelism: cfg.parallelism, KernelWorkers: cfg.kernelWorkers, Constraint: cfg.constraint})
+				r, err := alg.Run(ctx, h, AlgoConfig{Starts: cfg.starts, Seed: seed, Parallelism: cfg.parallelism, Constraint: cfg.constraint})
 				if err != nil {
 					return nil, 0, err
 				}

@@ -65,7 +65,7 @@ func TestBoundaryGraphMatchesReference(t *testing.T) {
 			continue
 		}
 		u, v := rng.Intn(nG), rng.Intn(nG)
-		pb := partialFromCut(h, ig, u, v, trial%2 == 1, scratch)
+		pb := partialFromCut(h, ig, u, v, trial%2 == 1, true, scratch)
 		nets, sideOf, want := boundaryGraphReference(ig, pb.NetSide)
 		bg := pb.Boundary
 		if err := bg.G.ValidateCSR(); err != nil {

@@ -123,7 +123,7 @@ func completeCutGreedy(bg *BoundaryGraph, scratch *engine.Scratch) []bool {
 // over the paper's greedy; Section 5 invites "alternative greedy
 // methods for partitioning the boundary graph". The matching reads G′
 // through Neighbors, which decodes a bitset row at every visit, so
-// Algorithm I builds G′ as CSR lists for it (see partialFromCutWorkers).
+// Algorithm I builds G′ as CSR lists for it (see partialFromCut).
 func CompleteCutExact(bg *BoundaryGraph) []bool {
 	indep, _, ok := matching.MaxIndependentSet(bg.G)
 	if !ok {

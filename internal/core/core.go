@@ -133,12 +133,9 @@ type Options struct {
 	// values < 1 mean GOMAXPROCS. It affects wall time only, never the
 	// result.
 	Parallelism int
-	// KernelWorkers is the number of workers the per-start kernels (the
-	// intersection-graph counting passes and the double BFS) may use
-	// inside a single start. Values < 1 mean 1 — serial kernels, the
-	// historical behavior. Any value produces bit-for-bit identical
-	// results: the parallel kernels reproduce the serial visit order
-	// exactly (see internal/graph and internal/intersect).
+	// Deprecated: KernelWorkers is ignored; each start runs one serial
+	// dual build and one serial double BFS. It remains only because the
+	// benchmark module still sets it.
 	KernelWorkers int
 	// Constraint is the unified balance contract. With fixed vertices the
 	// double-BFS endpoints are drawn from nets touching Left- and
@@ -251,10 +248,7 @@ func BipartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options)
 		return nil, fmt.Errorf("core: hypergraph has %d vertices; need at least 2 to bipartition", h.NumVertices())
 	}
 
-	ig := intersect.Build(h, intersect.Options{
-		Threshold:   opts.Threshold,
-		Parallelism: engine.NormalizeKernelWorkers(opts.KernelWorkers),
-	})
+	ig := intersect.Build(h, intersect.Options{Threshold: opts.Threshold})
 	return bipartitionDual(ctx, h, ig, opts)
 }
 
@@ -376,8 +370,7 @@ func better(h *hypergraph.Hypergraph, a, b *Result, obj Objective) bool {
 // assignment, repair, scoring. It draws no randomness. The scratch
 // arena (may be nil) backs buffers that die with the start.
 func solvePair(h *hypergraph.Hypergraph, ig *intersect.Result, u, v, depth int, opts Options, scratch *engine.Scratch) (*Result, error) {
-	pb := partialFromCutWorkers(h, ig, u, v, opts.BalancedBFS,
-		engine.NormalizeKernelWorkers(opts.KernelWorkers), opts.Completion != CompletionExact, scratch)
+	pb := partialFromCut(h, ig, u, v, opts.BalancedBFS, opts.Completion != CompletionExact, scratch)
 
 	var winner []bool
 	switch opts.Completion {

@@ -91,7 +91,7 @@ func PartialFromCut(h *hypergraph.Hypergraph, ig *intersect.Result, u, v int) *P
 // alternation (the paper's prescription); balanced=true expands the
 // side that has claimed fewer vertices (ablated in the benchmarks).
 func PartialFromCutPolicy(h *hypergraph.Hypergraph, ig *intersect.Result, u, v int, balanced bool) *Partial {
-	return partialFromCut(h, ig, u, v, balanced, nil)
+	return partialFromCut(h, ig, u, v, balanced, true, nil)
 }
 
 // partialFromCut is PartialFromCutPolicy drawing every working buffer —
@@ -100,18 +100,10 @@ func PartialFromCutPolicy(h *hypergraph.Hypergraph, ig *intersect.Result, u, v i
 // scratch arena when one is available. A Partial built with a non-nil
 // scratch must not outlive the start that leased it (the engine zeroes
 // and reuses the buffers on Release); solvePair copies what it keeps.
-func partialFromCut(h *hypergraph.Hypergraph, ig *intersect.Result, u, v int, balanced bool, s *engine.Scratch) *Partial {
-	return partialFromCutWorkers(h, ig, u, v, balanced, 1, true, s)
-}
-
-// partialFromCutWorkers is partialFromCut with an intra-start worker
-// count for the double BFS. workers > 1 routes the strict-alternation
-// policy through the frontier-chunked parallel kernel, whose labeling
-// is bit-for-bit identical to the serial one; the balanced policy has
-// no parallel variant and always runs serial. rowsOK reports whether a
-// dense G′ may be held as bitset rows (see buildBoundaryGraphBitset):
-// the exact completion reads CSR lists, so it asks for those directly.
-func partialFromCutWorkers(h *hypergraph.Hypergraph, ig *intersect.Result, u, v int, balanced bool, workers int, rowsOK bool, s *engine.Scratch) *Partial {
+// rowsOK reports whether a dense G′ may be held as bitset rows (see
+// buildBoundaryGraphBitset): the exact completion reads CSR lists, so
+// it asks for those directly.
+func partialFromCut(h *hypergraph.Hypergraph, ig *intersect.Result, u, v int, balanced, rowsOK bool, s *engine.Scratch) *Partial {
 	g := ig.G
 	n := g.NumVertices()
 	sideBuf := leaseInts(s, n)
@@ -119,12 +111,9 @@ func partialFromCutWorkers(h *hypergraph.Hypergraph, ig *intersect.Result, u, v 
 	f1 := leaseInts(s, n)[:0]
 	next := leaseInts(s, n)[:0]
 	var raw []int
-	switch {
-	case balanced:
+	if balanced {
 		raw = g.DoubleBFSSidesBalancedInto(u, v, sideBuf, f0, f1, next)
-	case workers > 1:
-		raw = g.DoubleBFSSidesParallelInto(u, v, workers, sideBuf, f0, f1, next, nil)
-	default:
+	} else {
 		raw = g.DoubleBFSSidesInto(u, v, sideBuf, f0, f1, next)
 	}
 	pb := &Partial{

@@ -90,8 +90,10 @@ func sameResult(a, b *Result) string {
 
 // checkBothForms runs Algorithm I on h's dual in both storage forms —
 // whole calls, and solvePair on the first starts' endpoint pairs with
-// and without a scratch arena — and fails on any difference. It returns
-// the whole call's Result on the dual as production builds it.
+// and without a scratch arena — and fails on any difference. It also
+// runs the whole call with the deprecated KernelWorkers set, which must
+// change nothing, the dual's and G′'s storage forms included. It
+// returns the whole call's Result on the dual as production builds it.
 func checkBothForms(t *testing.T, name string, h *hypergraph.Hypergraph, opts Options) *Result {
 	t.Helper()
 	ig := intersect.Build(h, intersect.Options{Threshold: opts.Threshold})
@@ -114,6 +116,19 @@ func checkBothForms(t *testing.T, name string, h *hypergraph.Hypergraph, opts Op
 	}
 	if diff := sameResult(results[0], results[1]); diff != "" {
 		t.Errorf("%s: %s differs between the storage forms", name, diff)
+	}
+	kernelOpts := opts
+	kernelOpts.KernelWorkers = 8
+	res, err := BipartitionCtx(context.Background(), h, kernelOpts)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if diff := sameResult(res, results[0]); diff != "" {
+		t.Errorf("%s: %s differs at KernelWorkers 8", name, diff)
+	}
+	if res.Stats.BitsetDual != results[0].Stats.BitsetDual || res.Stats.BitsetBoundaries != results[0].Stats.BitsetBoundaries {
+		t.Errorf("%s: KernelWorkers 8 gives BitsetDual %v and %d bitset-row G′, want %v and %d", name,
+			res.Stats.BitsetDual, res.Stats.BitsetBoundaries, results[0].Stats.BitsetDual, results[0].Stats.BitsetBoundaries)
 	}
 	if results[0].Stats.Disconnected {
 		return results[0]

@@ -71,18 +71,6 @@ func NormalizeParallelism(p int) int {
 	return p
 }
 
-// NormalizeKernelWorkers clamps an intra-start kernel worker count:
-// values < 1 mean 1 (serial kernels), the historical behavior. Unlike
-// NormalizeParallelism it never defaults to GOMAXPROCS — intra-start
-// parallelism competes with the engine's start-level fan-out for the
-// same cores, so oversubscription must be an explicit choice.
-func NormalizeKernelWorkers(w int) int {
-	if w < 1 {
-		return 1
-	}
-	return w
-}
-
 // StartSeed derives the RNG seed of start index i from the user-facing
 // seed. Starts never share a stream, and the mapping is pure, so any
 // start can be re-executed in isolation.

@@ -86,10 +86,6 @@ func checkDualForms(t *testing.T, name string, c *Graph, sources []int, pairs []
 		if got := b.DoubleBFSSidesInto(u, v, side, f0, f1, next); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: DoubleBFSSides(%d,%d) = %v, csr %v", name, u, v, got, want)
 		}
-		var stats ParallelBFSStats
-		if got := b.DoubleBFSSidesParallelInto(u, v, 4, side, f0, f1, next, &stats); !reflect.DeepEqual(got, want) || stats != (ParallelBFSStats{}) {
-			t.Fatalf("%s: DoubleBFSSidesParallel(%d,%d) on bitset rows = %v (stats %+v), serial %v", name, u, v, got, stats, want)
-		}
 		want = c.DoubleBFSSidesBalanced(u, v)
 		if got := b.DoubleBFSSidesBalancedInto(u, v, side, f0, f1, next); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: DoubleBFSSidesBalanced(%d,%d) = %v, csr %v", name, u, v, got, want)

@@ -27,8 +27,8 @@ import (
 // (most nets excluded), and the paper's recommended k = 10.
 var diffThresholds = []int{0, 2, 3, 5, 10}
 
-// serialCSR and serialBitset run one serial builder directly,
-// bypassing Build's choice of form.
+// serialCSR and serialBitset run one builder directly, bypassing
+// Build's choice of form.
 func serialCSR(h *hypergraph.Hypergraph, opts Options) *Result {
 	res := newResult(h, opts)
 	buildCSR(h, res)
@@ -181,7 +181,7 @@ func fuzzHypergraphAndThreshold(data []byte) (*hypergraph.Hypergraph, int) {
 	return b.MustBuild(), thr
 }
 
-// FuzzIntersectBuild fuzzes both serial builders and the sharded one
+// FuzzIntersectBuild fuzzes both builders and Build's choice of form
 // against the graph invariant oracle (no self-loops, symmetric; CSR
 // rows sorted strictly ascending, bitset rows without bits past n) and
 // differentially against BuildReference.
@@ -190,25 +190,20 @@ func FuzzIntersectBuild(f *testing.F) {
 	f.Add([]byte{10, 3, 3, 0, 1, 2, 3, 4, 5, 6, 2, 7, 8, 2, 8, 9})
 	f.Add([]byte{0, 2})
 	f.Add([]byte("arbitrary text also decodes"))
-	prevFloor := minBuildShard
-	minBuildShard = 1 // so tiny fuzz instances exercise the sharded passes
-	f.Cleanup(func() { minBuildShard = prevFloor })
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, thr := fuzzHypergraphAndThreshold(data)
 		opts := Options{Threshold: thr}
 		want := BuildReference(h, opts)
-		workers := 2 + len(data)%3
 		for form, got := range map[string]*Result{
-			"csr":     serialCSR(h, opts),
-			"bitset":  serialBitset(h, opts),
-			"Build":   Build(h, opts),
-			"sharded": Build(h, Options{Threshold: thr, Parallelism: workers}),
+			"csr":    serialCSR(h, opts),
+			"bitset": serialBitset(h, opts),
+			"Build":  Build(h, opts),
 		} {
 			if err := got.G.ValidateCSR(); err != nil {
 				t.Fatalf("%s invariant on %v thr=%d: %v", form, h, thr, err)
 			}
 			if diff := sameContent(got, want); diff != "" {
-				t.Fatalf("%s build differs from BuildReference on %v thr=%d (workers=%d): %s", form, h, thr, workers, diff)
+				t.Fatalf("%s build differs from BuildReference on %v thr=%d: %s", form, h, thr, diff)
 			}
 		}
 	})

@@ -23,7 +23,8 @@
 // ascending source order leaves every CSR row sorted without a single
 // sort call. The only allocations are the output arrays themselves —
 // working stamps come from a sync.Pool — and the Result is bit-
-// identical to BuildReference's, which the differential suite enforces.
+// identical to the original clique-pair builder's, which the
+// differential suite keeps as its oracle.
 //
 // A dense G — the V-cycle's coarsest levels, where hub modules make
 // about half of all net pairs adjacent — is held as bitset rows
@@ -46,51 +47,18 @@ type Options struct {
 	// analysis supports thresholds as low as 10 with very small
 	// expected cutsize error.
 	Threshold int
-	// Parallelism is the number of workers the two counting passes may
-	// shard across. Values below 2 — and hypergraphs too small to
-	// shard — run the serial construction. Values of 2 or more always
-	// hold G as CSR, bit-for-bit identical to the serial CSR
-	// construction; a serial build may pick bitset rows instead, with
-	// the same edges. See BuildCounted.
+	// Deprecated: Parallelism is ignored; every build is serial. It
+	// remains only because the benchmark module still sets it.
 	Parallelism int
 }
 
-// BuildStats reports how a construction executed. Every field is a pure
-// function of (hypergraph, Options) — shard boundaries are work-
-// balanced deterministically, never scheduled — so the perf harness can
-// bless them as regression-gated counters.
+// BuildStats reports how a construction executed. TotalArcs is a pure
+// function of (hypergraph, Options), so the benchmark can report it as
+// a work counter.
 type BuildStats struct {
-	// Shards is how many contiguous source-vertex ranges the passes
-	// split into (1 = serial construction).
-	Shards int
-	// TotalArcs is the number of candidate arcs walked per pass
-	// (duplicates and filtered candidates included): the work measure
-	// shards are balanced against.
+	// TotalArcs is the number of candidate arcs the CSR passes walk
+	// per pass (duplicates and filtered candidates included).
 	TotalArcs int
-	// MaxShardArcs is the candidate-arc count of the heaviest shard.
-	// TotalArcs/MaxShardArcs bounds the achievable pass speedup.
-	MaxShardArcs int
-}
-
-// minBuildShard is the smallest per-shard net count worth a goroutine.
-// A var, not a const, so the differential suite can force sharding on
-// small instances.
-var minBuildShard = 64
-
-// buildShards picks the shard count for nG included nets: at most
-// workers, no shard smaller than minBuildShard nets.
-func buildShards(nG, workers int) int {
-	if workers <= 1 {
-		return 1
-	}
-	s := nG / minBuildShard
-	if s > workers {
-		s = workers
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
 }
 
 // Result is an intersection graph together with the bookkeeping needed
@@ -129,36 +97,19 @@ var buildPool = sync.Pool{New: func() any { return new(buildScratch) }}
 // Complexity (CSR form): both passes walk, for every included net, the
 // incident nets of each of its modules — O(pins · maxdeg) total, within
 // the paper's O(n²) budget — and the peak transient memory is two
-// O(nets) integer arrays, not the O(Σ d²) pair buffer of
-// BuildReference.
+// O(nets) integer arrays, not an O(Σ d²) buffer of clique pairs.
 func Build(h *hypergraph.Hypergraph, opts Options) *Result {
 	return BuildCounted(h, opts, nil)
 }
 
 // BuildCounted is Build that additionally reports execution counters
-// when stats is non-nil. With opts.Parallelism > 1 the two counting
-// passes shard the source-vertex range across workers: each shard
-// counts into a private per-worker count array with a private stamp
-// array (pass 1), a serial prefix pass converts the per-shard counts
-// into disjoint per-shard row cursors, and the shards then emit into
-// non-overlapping adj slots (pass 2). Because shards are contiguous
-// ascending source ranges and each row's shard segments are laid out in
-// shard order, every CSR row still comes out as ascending sources — the
-// Result is reflect.DeepEqual-identical to the serial CSR construction
-// for every input and worker count, which the differential suite
-// enforces.
+// when stats is non-nil.
 //
-// A serial build (opts.Parallelism < 2) holds G as bitset rows instead
-// of CSR when the rows are no larger than the clique-pair bound — see
-// denseDual. Both forms hold the same edges and answer every graph
-// query identically.
+// G is held as bitset rows instead of CSR when the rows are no larger
+// than the clique-pair bound — see denseDual. Both forms hold the same
+// edges and answer every graph query identically.
 func BuildCounted(h *hypergraph.Hypergraph, opts Options, stats *BuildStats) *Result {
 	res := newResult(h, opts)
-	nG := len(res.NetOf)
-	if shards := buildShards(nG, opts.Parallelism); shards > 1 {
-		buildSharded(h, res, nG, shards, stats)
-		return res
-	}
 	if stats != nil {
 		total := 0
 		for _, e := range res.NetOf {
@@ -166,9 +117,9 @@ func BuildCounted(h *hypergraph.Hypergraph, opts Options, stats *BuildStats) *Re
 				total += len(h.VertexEdges(m))
 			}
 		}
-		*stats = BuildStats{Shards: 1, TotalArcs: total, MaxShardArcs: total}
+		*stats = BuildStats{TotalArcs: total}
 	}
-	if opts.Parallelism < 2 && denseDual(h, res) {
+	if denseDual(h, res) {
 		buildBitset(h, res)
 	} else {
 		buildCSR(h, res)
@@ -183,7 +134,7 @@ func newResult(h *hypergraph.Hypergraph, opts Options) *Result {
 	res := &Result{GVertexOf: make([]int, numEdges)}
 
 	// One sizing pass so NetOf and Excluded are allocated exactly (nil
-	// when empty, matching BuildReference).
+	// when empty).
 	included := numEdges
 	if opts.Threshold > 0 {
 		included = 0
@@ -337,152 +288,6 @@ func buildBitset(h *hypergraph.Hypergraph, res *Result) {
 		rows[i*w+i>>6] &^= 1 << (i & 63)
 	}
 	res.G = graph.UncheckedBitset(nG, rows)
-}
-
-// shardScratch holds the per-worker arrays of one sharded build: a
-// stamp array and a count/cursor array per shard, plus the work-prefix
-// and shard-boundary arrays. Pooled like buildScratch.
-type shardScratch struct {
-	lastSeen [][]int
-	counts   [][]int
-	work     []int
-	bounds   []int
-}
-
-var shardPool = sync.Pool{New: func() any { return new(shardScratch) }}
-
-// buildSharded runs the two counting passes across shards contiguous
-// source ranges, filling res.G (and stats when non-nil). Workers only
-// read the shared hypergraph and res.GVertexOf and only write their own
-// shard's arrays (pass 1) or their own disjoint adj slots (pass 2), so
-// the WaitGroup per pass is the entire synchronization story.
-func buildSharded(h *hypergraph.Hypergraph, res *Result, nG, shards int, stats *BuildStats) {
-	ps := shardPool.Get().(*shardScratch)
-	defer shardPool.Put(ps)
-
-	// Work prefix: candidate arcs per source, so shard boundaries track
-	// actual walk work, not net counts — hub modules make the two very
-	// different.
-	if cap(ps.work) < nG+1 {
-		ps.work = make([]int, nG+1)
-	}
-	work := ps.work[:nG+1]
-	work[0] = 0
-	for i, e := range res.NetOf {
-		w := 0
-		for _, m := range h.EdgePins(e) {
-			w += len(h.VertexEdges(m))
-		}
-		work[i+1] = work[i] + w
-	}
-	total := work[nG]
-
-	if cap(ps.bounds) < shards+1 {
-		ps.bounds = make([]int, shards+1)
-	}
-	bounds := ps.bounds[:shards+1]
-	bounds[0] = 0
-	pos := 0
-	for k := 1; k < shards; k++ {
-		target := total * k / shards
-		for pos < nG && work[pos+1] <= target {
-			pos++
-		}
-		bounds[k] = pos
-	}
-	bounds[shards] = nG
-
-	for len(ps.lastSeen) < shards {
-		ps.lastSeen = append(ps.lastSeen, nil)
-		ps.counts = append(ps.counts, nil)
-	}
-
-	// Pass 1 — per-shard counting. Stamps are src+1 with src global, so
-	// they are unique across shards; each worker clears its pooled
-	// arrays itself, keeping the clears parallel too.
-	var wg sync.WaitGroup
-	wg.Add(shards)
-	for k := 0; k < shards; k++ {
-		go func(k int) {
-			defer wg.Done()
-			ls, cn := ps.lastSeen[k], ps.counts[k]
-			if cap(ls) < nG {
-				ls = make([]int, nG)
-				cn = make([]int, nG)
-			} else {
-				ls, cn = ls[:nG], cn[:nG]
-			}
-			clear(ls)
-			clear(cn)
-			for src := bounds[k]; src < bounds[k+1]; src++ {
-				stamp := src + 1
-				for _, m := range h.EdgePins(res.NetOf[src]) {
-					for _, e2 := range h.VertexEdges(m) {
-						dst := res.GVertexOf[e2]
-						if dst < 0 || dst == src || ls[dst] == stamp {
-							continue
-						}
-						ls[dst] = stamp
-						cn[dst]++
-					}
-				}
-			}
-			ps.lastSeen[k], ps.counts[k] = ls, cn
-		}(k)
-	}
-	wg.Wait()
-
-	// Serial prefix over (row, shard): start[dst] is the row offset, and
-	// each shard's count cell becomes that shard's write cursor into the
-	// row. Shard order = ascending source order, so rows stay sorted.
-	start := make([]int, nG+1)
-	off := 0
-	for dst := 0; dst < nG; dst++ {
-		start[dst] = off
-		for k := 0; k < shards; k++ {
-			c := ps.counts[k][dst]
-			ps.counts[k][dst] = off
-			off += c
-		}
-	}
-	start[nG] = off
-	adj := make([]int, off)
-
-	// Pass 2 — disjoint emission with negated stamps (no clear needed:
-	// pass-1 positives and untouched zeros never equal -(src+1)).
-	wg.Add(shards)
-	for k := 0; k < shards; k++ {
-		go func(k int) {
-			defer wg.Done()
-			ls, cn := ps.lastSeen[k], ps.counts[k]
-			for src := bounds[k]; src < bounds[k+1]; src++ {
-				stamp := -(src + 1)
-				for _, m := range h.EdgePins(res.NetOf[src]) {
-					for _, e2 := range h.VertexEdges(m) {
-						dst := res.GVertexOf[e2]
-						if dst < 0 || dst == src || ls[dst] == stamp {
-							continue
-						}
-						ls[dst] = stamp
-						adj[cn[dst]] = src
-						cn[dst]++
-					}
-				}
-			}
-		}(k)
-	}
-	wg.Wait()
-
-	if stats != nil {
-		maxShard := 0
-		for k := 0; k < shards; k++ {
-			if w := work[bounds[k+1]] - work[bounds[k]]; w > maxShard {
-				maxShard = w
-			}
-		}
-		*stats = BuildStats{Shards: shards, TotalArcs: total, MaxShardArcs: maxShard}
-	}
-	res.G = graph.UncheckedCSR(start, adj)
 }
 
 // SharedModule returns a module shared by nets e1 and e2 of h, or -1

@@ -209,8 +209,9 @@ func TestEmptyHypergraph(t *testing.T) {
 }
 
 // TestBuildPicksForm pins the storage-form rule: bitset rows when
-// n·⌈n/64⌉ is within the clique-pair bound and the build is serial,
-// CSR otherwise, with the same arc count reported either way.
+// n·⌈n/64⌉ is within the clique-pair bound, CSR otherwise, with the
+// same arc count reported either way. The deprecated Parallelism field
+// no longer forces CSR.
 func TestBuildPicksForm(t *testing.T) {
 	// A hub module in 100 two-pin nets: 100·2 words ≤ C(100,2) pairs.
 	star := make([][]int, 100)
@@ -231,7 +232,7 @@ func TestBuildPicksForm(t *testing.T) {
 		bitset bool
 	}{
 		{"hub", hub, Options{}, true},
-		{"hub-parallel", hub, Options{Parallelism: 2}, false},
+		{"hub-parallel", hub, Options{Parallelism: 2}, true},
 		{"hub-excluded", hub, Options{Threshold: 2}, true}, // empty G: 0 ≤ 0
 		{"path", line, Options{}, false},
 	} {

@@ -9,9 +9,9 @@ import (
 // module it emits every pair of its incident included nets into a
 // graph.Builder pair buffer (duplicates included), which then sorts and
 // deduplicates per vertex. It allocates Σ d·(d−1)/2 pair entries before
-// producing the CSR and is kept solely as the differential oracle and
-// benchmark baseline for the stamp-based Build; both must return
-// bit-identical Results on every input.
+// producing the CSR and is kept solely as the differential oracle for
+// the stamp-based CSR builder; both must return bit-identical Results
+// on every input.
 func BuildReference(h *hypergraph.Hypergraph, opts Options) *Result {
 	numEdges := h.NumEdges()
 	res := &Result{GVertexOf: make([]int, numEdges)}

@@ -45,10 +45,6 @@ type Options struct {
 	// Algorithm I multi-start (the recursion itself is sequential);
 	// values < 1 mean GOMAXPROCS. Wall time only, never the result.
 	Parallelism int
-	// KernelWorkers is the intra-start worker count forwarded to each
-	// split's Algorithm I kernels. Values < 1 mean 1. Wall time only,
-	// never the result.
-	KernelWorkers int
 	// Constraint is the unified balance contract, interpreted K-way:
 	// FixedSide entries are target part ids in [0, K) (−1 free; K ≤ 127
 	// when fixed vertices are present, the int8 limit), and Epsilon
@@ -323,14 +319,13 @@ func fitSplit(sub *hypergraph.Hypergraph, p *partition.Bipartition, lo, hi int64
 func bipartitionSub(ctx context.Context, sub *hypergraph.Hypergraph, opts Options, rng *rand.Rand, c partition.Constraint) *partition.Bipartition {
 	if sub.NumVertices() >= 2 {
 		res, err := core.BipartitionCtx(ctx, sub, core.Options{
-			Starts:        opts.Starts,
-			Seed:          rng.Int63(),
-			Threshold:     10,
-			BalancedBFS:   true,
-			Completion:    core.CompletionWeighted,
-			Parallelism:   opts.Parallelism,
-			KernelWorkers: opts.KernelWorkers,
-			Constraint:    c,
+			Starts:      opts.Starts,
+			Seed:        rng.Int63(),
+			Threshold:   10,
+			BalancedBFS: true,
+			Completion:  core.CompletionWeighted,
+			Parallelism: opts.Parallelism,
+			Constraint:  c,
 		})
 		if err == nil {
 			return res.Partition

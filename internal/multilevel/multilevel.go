@@ -48,9 +48,9 @@ type Options struct {
 	// the coarsest-level Algorithm I multi-start); values < 1 mean
 	// GOMAXPROCS. Wall time only, never the result.
 	Parallelism int
-	// KernelWorkers is the intra-start worker count forwarded to the
-	// coarsest-level Algorithm I kernels (intersection-graph build and
-	// double BFS). Values < 1 mean 1. Wall time only, never the result.
+	// Deprecated: KernelWorkers is ignored; the coarsest-level
+	// Algorithm I kernels are serial. It remains only because the
+	// benchmark module still sets it.
 	KernelWorkers int
 	// Constraint is the unified balance contract, threaded through the
 	// whole V-cycle: coarsening never contracts two vertices pinned to
@@ -209,14 +209,13 @@ func vcycle(ctx context.Context, h *hypergraph.Hypergraph, opts Options, rng *ra
 	// degenerate inputs.
 	var p *partition.Bipartition
 	res, err := core.BipartitionCtx(ctx, coarsest, core.Options{
-		Starts:        opts.InitialStarts,
-		Seed:          rng.Int63(),
-		Threshold:     10,
-		BalancedBFS:   true,
-		Completion:    core.CompletionWeighted,
-		Parallelism:   innerParallelism,
-		KernelWorkers: opts.KernelWorkers,
-		Constraint:    coarseC,
+		Starts:      opts.InitialStarts,
+		Seed:        rng.Int63(),
+		Threshold:   10,
+		BalancedBFS: true,
+		Completion:  core.CompletionWeighted,
+		Parallelism: innerParallelism,
+		Constraint:  coarseC,
 	})
 	if err == nil {
 		p = res.Partition

@@ -5,13 +5,12 @@ package perf
 // the serial and the balanced variants must not allocate at all. The
 // balanced variant is the one history lost track of — its scratch
 // threading rides the same partialFromCut path as the serial kernel,
-// and this test pins it there. The parallel variant is exempt from
-// zero: spawning worker goroutines allocates by construction; it is
-// bounded instead, so a pooling regression still fails.
+// and this test pins it there.
 
 import (
 	"testing"
 
+	"fasthgp/internal/graph"
 	"fasthgp/internal/intersect"
 )
 
@@ -37,13 +36,31 @@ func TestDoubleBFSSteadyStateAllocs(t *testing.T) {
 	}); a != 0 {
 		t.Errorf("balanced double BFS: %.1f allocs/op with provided buffers, want 0", a)
 	}
-	// The chunked kernel's worker goroutines allocate; everything else
-	// (candidate lists, chunk bookkeeping) is pooled. ~2 allocs per
-	// goroutine per parallel level is the structural floor; 256 is a
-	// generous lid that still catches a lost pool.
-	if a := testing.AllocsPerRun(10, func() {
-		g.DoubleBFSSidesParallelInto(u, v, 8, side, f0, f1, next, nil)
-	}); a > 256 {
-		t.Errorf("parallel double BFS: %.1f allocs/op, want pooled steady state (<= 256)", a)
+}
+
+// farthestFrom returns the highest-distance vertex from src under BFS
+// (lowest index among ties — the visit order is deterministic).
+func farthestFrom(g *graph.Graph, src int) int {
+	n := g.NumVertices()
+	dist := make([]int, n)
+	for i := range dist {
+		dist[i] = -1
 	}
+	dist[src] = 0
+	queue := make([]int, 0, n)
+	queue = append(queue, src)
+	far := src
+	for head := 0; head < len(queue); head++ {
+		x := queue[head]
+		for _, w := range g.Neighbors(x) {
+			if dist[w] < 0 {
+				dist[w] = dist[x] + 1
+				if dist[w] > dist[far] {
+					far = w
+				}
+				queue = append(queue, w)
+			}
+		}
+	}
+	return far
 }

@@ -27,14 +27,9 @@ type Family struct {
 	Name string
 	// Threshold is the net-size filter passed to intersect.Build.
 	Threshold int
-	// Dense marks the dense synthetic suite — the regime where the old
-	// clique-pair builder's Σ d·(d−1)/2 buffer blows up and where the
-	// acceptance ratios (speedup, allocs/op reduction) are asserted.
+	// Dense marks the dense synthetic suite, the instance the pipeline
+	// benchmark and the double-BFS allocation test run on.
 	Dense bool
-	// Huge marks the wide family added for the intra-start parallelism
-	// suite; Dense and Huge families must both clear the ≥2× work-model
-	// speedup floors at 8 workers (see TestPerfBaseline).
-	Huge bool
 	// H is the pinned instance.
 	H *hypergraph.Hypergraph
 }
@@ -62,8 +57,8 @@ func Families() []Family {
 		{Name: "uniform-1k", H: random("uniform-1k", 1000,
 			gen.RandomConfig{NumEdges: 1400, MinEdgeSize: 2, MaxEdgeSize: 4}, 1)},
 		// Dense suite: 500 modules × 4000 nets, wide nets, unbounded
-		// degree — the clique-pair buffer here is orders of magnitude
-		// larger than the CSR it produces.
+		// degree — a clique-pair buffer here would be orders of
+		// magnitude larger than the graph it produces.
 		{Name: "dense-500", Dense: true, H: random("dense-500", 500,
 			gen.RandomConfig{NumEdges: 4000, MinEdgeSize: 2, MaxEdgeSize: 10}, 2)},
 		// Table-2 technology profiles at paper scale.
@@ -71,11 +66,9 @@ func Families() []Family {
 		{Name: "stdcell-561-t10", Threshold: 10, H: table2(gen.IC1, 4)},
 		// Planted difficult instance (Diff1: c=4 on 500×700).
 		{Name: "planted-500", H: table2(gen.Diff1, 5)},
-		// Huge suite: 2000 modules × 10000 nets — wide frontiers on the
-		// dual graph and enough net rows that the sharded construction
-		// and chunked BFS both engage at full width; the second family
-		// (with dense-500) held to the intra-start speedup floors.
-		{Name: "huge-2k", Huge: true, H: random("huge-2k", 2000,
+		// Huge suite: 2000 modules × 10000 nets — the widest CSR dual
+		// in the suite.
+		{Name: "huge-2k", H: random("huge-2k", 2000,
 			gen.RandomConfig{NumEdges: 10000, MinEdgeSize: 2, MaxEdgeSize: 8}, 6)},
 	}
 }
@@ -92,9 +85,8 @@ type Counters struct {
 	GVertices int `json:"g_vertices"`
 	GEdges    int `json:"g_edges"`
 	// CliquePairs is Σ_m k_m·(k_m−1)/2 over modules m with k_m included
-	// incident nets: the number of pair-buffer entries the reference
-	// builder allocates before sorting. The stamp builder never
-	// materializes them.
+	// incident nets: the number of pairs a clique-pair builder would
+	// buffer before sorting. The stamp builder never materializes them.
 	CliquePairs int64 `json:"clique_pairs"`
 	// ArcsEmitted = 2·GEdges is what the stamp builder writes instead.
 	ArcsEmitted int `json:"arcs_emitted"`

@@ -2,22 +2,17 @@ package perf
 
 // TestPerfBaseline is the continuous-performance gate. It
 //
-//   - recomputes every family's deterministic work counters — serial
-//     construction and the 8-worker parallel family (shard split,
-//     chunk merges, work-model speedups) — and compares them exactly
-//     against the committed BENCH_perf.json (machine-independent:
-//     only a behavior change moves them);
-//   - asserts the ≥2× intra-start work-model speedup floors on the
-//     dense and huge families, in both parallel kernels;
-//   - measures allocs/op of the stamp builder and fails hard on
+//   - recomputes every family's deterministic work counters and
+//     compares them exactly against the committed BENCH_perf.json
+//     (machine-independent: only a behavior change moves them);
+//   - measures allocs/op of the production builder and fails hard on
 //     regression past the blessed value — the CI benchmark job runs
 //     exactly this;
-//   - asserts the acceptance ratios on the dense suite (≥2× speedup,
-//     ≥10× allocs/op reduction vs the reference builder), skipped
-//     under -short and under the race detector;
 //   - always rewrites the gitignored BENCH_perf.timing.json sidecar so
 //     successive commits leave a local perf trail without wall-clock
 //     churn in the diff.
+//
+// No gate reads wall clock, so the test passes at any GOMAXPROCS.
 //
 // Re-bless after an intentional change with
 //
@@ -39,7 +34,6 @@ import (
 	"time"
 
 	"fasthgp/internal/core"
-	"fasthgp/internal/hypergraph"
 	"fasthgp/internal/intersect"
 )
 
@@ -51,10 +45,9 @@ var (
 	sinkCut    int
 )
 
-// BenchmarkIntersectBuild measures the production stamp builder (new)
-// against the retained clique-pair builder (old) on every family.
-// These are the dual-construction benchmarks the CI allocs gate and
-// benchstat baseline refer to.
+// BenchmarkIntersectBuild measures the production builder on every
+// family. These are the dual-construction benchmarks the CI allocs
+// gate and benchstat baseline refer to.
 func BenchmarkIntersectBuild(b *testing.B) {
 	for _, f := range Families() {
 		opts := intersect.Options{Threshold: f.Threshold}
@@ -63,12 +56,6 @@ func BenchmarkIntersectBuild(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				sinkResult = intersect.Build(h, opts)
-			}
-		})
-		b.Run(f.Name+"/old", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sinkResult = intersect.BuildReference(h, opts)
 			}
 		})
 	}
@@ -104,12 +91,7 @@ type familyEntry struct {
 	Name      string `json:"name"`
 	Threshold int    `json:"threshold"`
 	Counters
-	// Parallel is the intra-start parallel counter family at 8 workers
-	// — deterministic work-model numbers, so any drift is a real
-	// behavior change in the sharded build or the chunked BFS.
-	Parallel       ParallelCounters `json:"parallel"`
-	AllocsPerOpNew float64          `json:"allocs_per_op_new"`
-	AllocsPerOpOld float64          `json:"allocs_per_op_old"`
+	AllocsPerOpNew float64 `json:"allocs_per_op_new"`
 }
 
 // vcycleEntry is one row of BENCH_perf.json's vcycle section: the
@@ -123,13 +105,6 @@ type vcycleEntry struct {
 type perfFile struct {
 	Suite    string        `json:"suite"`
 	Families []familyEntry `json:"families"`
-	// Dense records the acceptance ratios measured on the dense suite
-	// at bless time (live runs must still meet the 2×/10× floors).
-	Dense struct {
-		Name             string  `json:"name"`
-		SpeedupX         float64 `json:"speedup_x"`
-		AllocsReductionX float64 `json:"allocs_reduction_x"`
-	} `json:"dense"`
 	// VCycle is the multilevel scale suite, blessed and gated by
 	// TestVCycleBaseline; TestPerfBaseline preserves it on -update.
 	VCycle []vcycleEntry `json:"vcycle,omitempty"`
@@ -138,15 +113,8 @@ type perfFile struct {
 // timingRow is one BENCH_perf.timing.json row — machine-dependent,
 // gitignored.
 type timingRow struct {
-	Name     string  `json:"name"`
-	NsNew    float64 `json:"ns_per_op_new"`
-	NsOld    float64 `json:"ns_per_op_old"`
-	SpeedupX float64 `json:"speedup_x"`
-	// NsPar8 and ParSpeedupX compare the sharded build at 8 workers
-	// against the serial build wall clock — only meaningful on a
-	// multi-core machine, so they live here and not in the baseline.
-	NsPar8      float64 `json:"ns_per_op_parallel8"`
-	ParSpeedupX float64 `json:"parallel_speedup_x"`
+	Name  string  `json:"name"`
+	NsNew float64 `json:"ns_per_op_new"`
 }
 
 // measurement is a cheap local benchmark: minimum wall time over a few
@@ -159,8 +127,7 @@ type measurement struct {
 
 // measureHeadroom is how far the heap may grow while the collector is
 // held off for an allocation count before the memory limit lets it run.
-// The pooled builders stay well below it; only the pool-free reference
-// builder, whose count no collection can change, reaches it.
+// The pooled builder stays well below it.
 const measureHeadroom = 256 << 20
 
 func measure(fn func()) measurement {
@@ -205,50 +172,16 @@ func TestPerfBaseline(t *testing.T) {
 
 	for _, f := range families {
 		opts := intersect.Options{Threshold: f.Threshold}
-		optsPar := intersect.Options{Threshold: f.Threshold, Parallelism: 8}
 		h := f.H
-		mNew := measure(func() { sinkResult = intersect.Build(h, opts) })
-		mOld := measure(func() { sinkResult = intersect.BuildReference(h, opts) })
-		mPar := measure(func() { sinkResult = intersect.Build(h, optsPar) })
-		e := familyEntry{
+		m := measure(func() { sinkResult = intersect.Build(h, opts) })
+		entries = append(entries, familyEntry{
 			Name:           f.Name,
 			Threshold:      f.Threshold,
 			Counters:       CountersFor(f),
-			Parallel:       ParallelCountersFor(f),
-			AllocsPerOpNew: mNew.allocs,
-			AllocsPerOpOld: mOld.allocs,
-		}
-		entries = append(entries, e)
-		timings = append(timings, timingRow{
-			Name:        f.Name,
-			NsNew:       mNew.ns,
-			NsOld:       mOld.ns,
-			SpeedupX:    round1(mOld.ns / mNew.ns),
-			NsPar8:      mPar.ns,
-			ParSpeedupX: round1(mNew.ns / mPar.ns),
+			AllocsPerOpNew: m.allocs,
 		})
-		// Intra-start acceptance floors: the dense and huge families
-		// must admit ≥2× work-model speedup at 8 workers in both
-		// kernels. The bound is a pure function of the pinned instance,
-		// so it holds (or fails) identically on every machine.
-		if f.Dense || f.Huge {
-			if e.Parallel.BuildSpeedupX < 2 {
-				t.Errorf("%s: sharded-build work-model speedup %.1fx < 2x acceptance floor",
-					f.Name, e.Parallel.BuildSpeedupX)
-			}
-			if e.Parallel.BFSSpeedupX < 2 {
-				t.Errorf("%s: chunked-BFS work-model speedup %.1fx < 2x acceptance floor",
-					f.Name, e.Parallel.BFSSpeedupX)
-			}
-		}
-		if f.Dense {
-			got.Dense.Name = f.Name
-			got.Dense.SpeedupX = round1(mOld.ns / mNew.ns)
-			got.Dense.AllocsReductionX = round1(mOld.allocs / math.Max(mNew.allocs, 1))
-		}
-		t.Logf("%-16s new: %8.0f ns/op %6.1f allocs/op | old: %8.0f ns/op %8.1f allocs/op | %5.1fx / %5.1fx",
-			f.Name, mNew.ns, mNew.allocs, mOld.ns, mOld.allocs,
-			mOld.ns/mNew.ns, mOld.allocs/math.Max(mNew.allocs, 1))
+		timings = append(timings, timingRow{Name: f.Name, NsNew: m.ns})
+		t.Logf("%-16s %8.0f ns/op %6.1f allocs/op", f.Name, m.ns, m.allocs)
 	}
 	got.Families = entries
 
@@ -257,31 +190,6 @@ func TestPerfBaseline(t *testing.T) {
 		Suite   string      `json:"suite"`
 		Entries []timingRow `json:"families"`
 	}{"intersect-build", timings})
-
-	// Live acceptance floors on the dense suite. Timing and allocation
-	// behavior under the race detector (or a -short smoke run) is not
-	// representative, so only full builds enforce them.
-	if !raceEnabled && !testing.Short() {
-		if got.Dense.SpeedupX < 2 {
-			t.Errorf("dense suite speedup %.1fx < 2x acceptance floor", got.Dense.SpeedupX)
-		}
-		if got.Dense.AllocsReductionX < 10 {
-			t.Errorf("dense suite allocs/op reduction %.1fx < 10x acceptance floor", got.Dense.AllocsReductionX)
-		}
-		// Live sanity bound for the sharded build: with real cores under
-		// the workers the 8-way build must at minimum not lose to the
-		// serial one (the ≥2× claim itself is asserted on the
-		// machine-independent work model above; wall clock on shared
-		// runners is too noisy for a tight floor).
-		if runtime.GOMAXPROCS(0) >= 4 {
-			for _, row := range timings {
-				if (row.Name == got.Dense.Name || familyIsHuge(families, row.Name)) && row.ParSpeedupX < 1 {
-					t.Errorf("%s: 8-worker build wall clock %.1fx of serial — parallel path is a live regression",
-						row.Name, row.ParSpeedupX)
-				}
-			}
-		}
-	}
 
 	if *update {
 		// Read-modify-write: the vcycle section belongs to
@@ -320,14 +228,7 @@ func TestPerfBaseline(t *testing.T) {
 			t.Errorf("%s: counters changed\n got %+v thr=%d\nwant %+v thr=%d — construction workload moved; re-bless with -update if intentional",
 				e.Name, e.Counters, e.Threshold, w.Counters, w.Threshold)
 		}
-		// Parallel-efficiency regression gate: shard split, chunk
-		// merge and work-model speedups are deterministic, so any
-		// drift means the parallel kernels' workload or balance moved.
-		if e.Parallel != w.Parallel {
-			t.Errorf("%s: parallel counters changed\n got %+v\nwant %+v — intra-start efficiency moved; re-bless with -update if intentional",
-				e.Name, e.Parallel, w.Parallel)
-		}
-		// Hard allocation gate: the live stamp builder may not regress
+		// Hard allocation gate: the live builder may not regress
 		// past the blessed allocs/op (small absolute slack absorbs pool
 		// and GC noise).
 		if slack := math.Max(2, w.AllocsPerOpNew/2); e.AllocsPerOpNew > w.AllocsPerOpNew+slack {
@@ -357,20 +258,17 @@ func writeBenchstatBaseline(t *testing.T, families []Family) {
 		t.Fatal(err)
 	}
 	out := fmt.Sprintf("goos: %s\ngoarch: %s\npkg: fasthgp/internal/perf\n", runtime.GOOS, runtime.GOARCH)
-	bench := func(name string, h *hypergraph.Hypergraph, opts intersect.Options, build func(*hypergraph.Hypergraph, intersect.Options) *intersect.Result) {
+	for _, f := range families {
+		opts := intersect.Options{Threshold: f.Threshold}
+		h := f.H
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sinkResult = build(h, opts)
+				sinkResult = intersect.Build(h, opts)
 			}
 		})
-		out += fmt.Sprintf("BenchmarkIntersectBuild/%s-%d\t%s\t%s\n",
-			name, runtime.GOMAXPROCS(0), r.String(), r.MemString())
-	}
-	for _, f := range families {
-		opts := intersect.Options{Threshold: f.Threshold}
-		bench(f.Name+"/new", f.H, opts, intersect.Build)
-		bench(f.Name+"/old", f.H, opts, intersect.BuildReference)
+		out += fmt.Sprintf("BenchmarkIntersectBuild/%s/new-%d\t%s\t%s\n",
+			f.Name, runtime.GOMAXPROCS(0), r.String(), r.MemString())
 	}
 	if err := os.WriteFile(baselinePath, []byte(out), 0o644); err != nil {
 		t.Fatal(err)
@@ -386,13 +284,4 @@ func writeJSON(t *testing.T, path string, v any) {
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func familyIsHuge(families []Family, name string) bool {
-	for _, f := range families {
-		if f.Name == name {
-			return f.Huge
-		}
-	}
-	return false
 }
