@@ -3,11 +3,14 @@ package fasthgp
 import (
 	"math"
 	"testing"
+
+	"fasthgp/internal/checkpoint"
 )
 
 // TestPlaceClusterPinned freezes the outputs of min-cut placement and
 // connectivity clustering at their default settings on three corpus
-// netlists. The golden corpus covers only the bipartitioners, and the
+// netlists, the clustered hypergraph included (its pins, weights and
+// net order, by hash). The golden corpus covers only the bipartitioners, and the
 // place and cluster package tests check relations (HPWL below the
 // random average, clusters under the weight cap), so this is the test
 // that notices when a refactor of either package moves a result.
@@ -18,10 +21,11 @@ func TestPlaceClusterPinned(t *testing.T) {
 		hpwl, hpwlTP int64
 		clusters     int
 		absorption   float64
+		clustered    uint64 // checkpoint.HashHypergraph of the clustered hypergraph
 	}{
-		{"profile-stdcell-30", 61, 60, 21, 0.15462962962962962},
-		{"profile-pcb-30", 81, 93, 18, 0.24872970260901292},
-		{"profile-hybrid-30", 95, 84, 12, 0.30654761904761907},
+		{"profile-stdcell-30", 61, 60, 21, 0.15462962962962962, 0x10e07dadf00df891},
+		{"profile-pcb-30", 81, 93, 18, 0.24872970260901292, 0xc0f640361c4cf035},
+		{"profile-hybrid-30", 95, 84, 12, 0.30654761904761907, 0x5d2cbb62ee445440},
 	} {
 		inst, ok := insts[want.name]
 		if !ok {
@@ -51,6 +55,9 @@ func TestPlaceClusterPinned(t *testing.T) {
 		}
 		if math.Abs(cl.Absorption-want.absorption) > 1e-12 {
 			t.Errorf("%s: absorption %.17g, want %.17g", want.name, cl.Absorption, want.absorption)
+		}
+		if got := checkpoint.HashHypergraph(cl.H); got != want.clustered {
+			t.Errorf("%s: clustered hypergraph hash %#x, want %#x", want.name, got, want.clustered)
 		}
 	}
 }
