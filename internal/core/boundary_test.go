@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fasthgp/internal/engine"
+	"fasthgp/internal/gen"
 	"fasthgp/internal/graph"
 	"fasthgp/internal/hypergraph"
 	"fasthgp/internal/intersect"
@@ -315,9 +316,9 @@ func checkCompletionForms(t *testing.T, name string, h *hypergraph.Hypergraph, p
 		name string
 		run  func(pb *Partial, s *engine.Scratch) []bool
 	}{
-		{"greedy", func(pb *Partial, s *engine.Scratch) []bool { return completeCutGreedy(pb.Boundary, s) }},
+		{"greedy", func(pb *Partial, s *engine.Scratch) []bool { return completeCut(nil, pb, s) }},
 		{"exact", func(pb *Partial, _ *engine.Scratch) []bool { return CompleteCutExact(pb.Boundary) }},
-		{"weighted", func(pb *Partial, s *engine.Scratch) []bool { return completeCutWeighted(h, pb, s) }},
+		{"weighted", func(pb *Partial, s *engine.Scratch) []bool { return completeCut(h, pb, s) }},
 	} {
 		want := slices.Clone(rule.run(pb, nil))
 		for _, s := range []*engine.Scratch{nil, scratch} {
@@ -352,6 +353,40 @@ func TestCompletionForms(t *testing.T) {
 				h, pb := randomCompletionCase(rng, n, p, left)
 				checkCompletionForms(t, fmt.Sprintf("n′=%d p=%v left=%v", n, p, left), h, pb, scratch)
 			}
+		}
+	}
+}
+
+// TestCompletionSteadyStateAllocs pins the allocation contract of the
+// CSR completion: with a warmed scratch arena the greedy rule allocates
+// nothing, and the weighted rule only the partial bipartition
+// BaseAssignment builds (the Bipartition and its side array). IC2's G′
+// is held as CSR lists.
+func TestCompletionSteadyStateAllocs(t *testing.T) {
+	h, err := gen.Table2Instance(gen.IC2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ig := intersect.Build(h, intersect.Options{})
+	u, v, _ := ig.G.LongestBFSPath(rand.New(rand.NewSource(1)))
+	pb := PartialFromCut(h, ig, u, v)
+	if pb.Boundary.G.Bitset() || pb.Boundary.G.NumEdges() == 0 {
+		t.Fatalf("IC2's G′ (%v) is not a non-empty CSR G′", pb.Boundary.G)
+	}
+	scratch := engine.GetScratch()
+	defer engine.PutScratch(scratch)
+	for _, rule := range []struct {
+		name string
+		h    *hypergraph.Hypergraph
+		want float64
+	}{{"greedy", nil, 0}, {"weighted", h, 2}} {
+		run := func() {
+			completeCut(rule.h, pb, scratch)
+			scratch.Release()
+		}
+		run()
+		if a := testing.AllocsPerRun(20, run); a > rule.want {
+			t.Errorf("%s completion on a CSR G′: %.1f allocs per call with a warmed arena, want at most %v", rule.name, a, rule.want)
 		}
 	}
 }

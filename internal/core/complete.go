@@ -23,97 +23,31 @@ import (
 // loser count is within one of the optimum completion for each
 // connected component of G′.
 func CompleteCutGreedy(bg *BoundaryGraph) []bool {
-	return completeCutGreedy(bg, nil)
+	return completeCut(nil, &Partial{Boundary: bg}, nil)
 }
 
-// completeCutGreedy is CompleteCutGreedy drawing its side arrays from
-// the multi-start scratch arena when one is available (nil falls back
-// to fresh allocations). The winner slice itself also comes from the
-// arena — it never outlives the start that leased it.
-func completeCutGreedy(bg *BoundaryGraph, scratch *engine.Scratch) []bool {
-	g := bg.G
-	if g.Bitset() {
-		return completeCutRows(nil, &Partial{Boundary: bg}, scratch)
+// completeCut runs Complete-Cut on pb's G′ in the form it is held in:
+// with h nil the greedy rule, otherwise the paper's "engineer's method"
+// for the weighted r-bipartition constraint (Section 3):
+//
+//	Rule: if the left (right) side of the partition has less weight
+//	than the right (left), pick the smallest-degree vertex remaining
+//	in G′_L (G′_R) as the next winner.
+//
+// The weight of a side is the total module weight committed to it by
+// non-boundary nets and by winners chosen so far. The weighted winner
+// set is independent in G′, like the greedy rule's, but the balance of
+// the final partition is much tighter at a small cutsize premium — the
+// trade the paper reports. The greedy rule is the weighted one with a
+// single side and no weights. Every working array leases from the
+// scratch arena when one is available (nil falls back to fresh
+// allocations); the winner slice never outlives the start that leased
+// it.
+func completeCut(h *hypergraph.Hypergraph, pb *Partial, scratch *engine.Scratch) []bool {
+	if pb.Boundary.G.Bitset() {
+		return completeCutRows(h, pb, scratch)
 	}
-	n := g.NumVertices()
-	winner := leaseBools(scratch, n)
-	alive := leaseBools(scratch, n)
-	deg := leaseInts(scratch, n)
-	maxd := g.MaxDegree()
-	for v := 0; v < n; v++ {
-		alive[v] = true
-		deg[v] = g.Degree(v)
-	}
-	// Lazy bucket queue over degrees: vertices are (re)pushed whenever
-	// their degree drops; stale entries are skipped on pop. Each vertex
-	// is pushed once initially and at most once per incident edge, so
-	// entries fit in n + 2·|E′| slots and the loop is O(V + E)
-	// amortized. The queue is stored as flat per-degree FIFO lists
-	// (heads/tails index entry+1, 0 meaning empty) over two entry
-	// arrays, so the whole structure leases from the arena instead of
-	// allocating a slice per degree — and pop order is exactly the
-	// per-bucket FIFO order of the slice-of-slices formulation, which
-	// the golden corpus pins down.
-	entryCap := n + 2*g.NumEdges()
-	heads := leaseInts(scratch, maxd+1)
-	tails := leaseInts(scratch, maxd+1)
-	entryNext := leaseInts(scratch, entryCap)
-	entryVert := leaseInts(scratch, entryCap)
-	nEntries := 0
-	for v := 0; v < n; v++ {
-		entryVert[nEntries] = v
-		entryNext[nEntries] = 0
-		if tails[deg[v]] == 0 {
-			heads[deg[v]] = nEntries + 1
-		} else {
-			entryNext[tails[deg[v]]-1] = nEntries + 1
-		}
-		tails[deg[v]] = nEntries + 1
-		nEntries++
-	}
-	d := 0
-	for d <= maxd {
-		e := heads[d]
-		if e == 0 {
-			d++
-			continue
-		}
-		heads[d] = entryNext[e-1]
-		if heads[d] == 0 {
-			tails[d] = 0
-		}
-		v := entryVert[e-1]
-		if !alive[v] || deg[v] != d {
-			continue // stale entry
-		}
-		winner[v] = true
-		alive[v] = false
-		for _, u := range g.Neighbors(v) {
-			if !alive[u] {
-				continue
-			}
-			alive[u] = false // loser
-			for _, w := range g.Neighbors(u) {
-				if !alive[w] {
-					continue
-				}
-				deg[w]--
-				entryVert[nEntries] = w
-				entryNext[nEntries] = 0
-				if tails[deg[w]] == 0 {
-					heads[deg[w]] = nEntries + 1
-				} else {
-					entryNext[tails[deg[w]]-1] = nEntries + 1
-				}
-				tails[deg[w]] = nEntries + 1
-				nEntries++
-				if deg[w] < d {
-					d = deg[w]
-				}
-			}
-		}
-	}
-	return winner
+	return completeCutLists(h, pb, scratch)
 }
 
 // CompleteCutExact returns the optimum completion of the boundary
@@ -134,100 +68,96 @@ func CompleteCutExact(bg *BoundaryGraph) []bool {
 	return indep
 }
 
-// completeCutWeighted implements the paper's "engineer's method" for
-// the weighted r-bipartition constraint (Section 3):
-//
-//	Rule: if the left (right) side of the partition has less weight
-//	than the right (left), pick the smallest-degree vertex remaining
-//	in G′_L (G′_R) as the next winner.
-//
-// The weight of a side is the total module weight committed to it by
-// non-boundary nets and by winners chosen so far. The returned winner
-// set is independent in G′, like the greedy rule's, but the balance of
-// the final partition is much tighter at a small cutsize premium — the
-// trade the paper reports. The winner, alive and degree arrays lease
-// from the scratch arena when one is available, as in
-// completeCutGreedy.
-func completeCutWeighted(h *hypergraph.Hypergraph, pb *Partial, scratch *engine.Scratch) []bool {
+// completeCutLists is completeCut over a G′ held as CSR lists. Each
+// side keeps a lazy bucket queue over degrees: a vertex is pushed at the
+// start and again whenever its degree drops, and stale entries are
+// skipped on pop. A loser's live neighbours are on the winner's side
+// (G′ is bipartite), so they re-enter that side's queue. Each vertex is
+// pushed once initially and at most once per incident edge, so entries
+// fit in n + 2·|E′| slots and the loop is O(V + E) amortized. The
+// buckets are flat per-degree FIFO lists (heads/tails index entry+1, 0
+// meaning empty) over two entry arrays, so the whole structure leases
+// from the arena, and pop order is exactly the per-bucket FIFO order
+// that the golden corpus pins down. The loop stops once no vertex is
+// alive.
+func completeCutLists(h *hypergraph.Hypergraph, pb *Partial, scratch *engine.Scratch) []bool {
 	bg := pb.Boundary
 	g := bg.G
-	if g.Bitset() {
-		return completeCutRows(h, pb, scratch)
-	}
 	n := g.NumVertices()
-	p, leftW, rightW := pb.BaseAssignment(h)
-
+	sides := 1
+	var p *partition.Bipartition
+	var weight [2]int64
+	if h != nil {
+		sides = 2
+		p, weight[0], weight[1] = pb.BaseAssignment(h)
+	}
 	winner := leaseBools(scratch, n)
 	alive := leaseBools(scratch, n)
 	deg := leaseInts(scratch, n)
-	aliveCount := n
-	maxd := 0
+	// Side s's bucket of degree d is heads/tails[s*width+d]; low[s] is at
+	// most the smallest degree with a live entry on side s.
+	width := g.MaxDegree() + 1
+	heads := leaseInts(scratch, sides*width)
+	tails := leaseInts(scratch, sides*width)
+	entryNext := leaseInts(scratch, n+2*g.NumEdges())
+	entryVert := leaseInts(scratch, n+2*g.NumEdges())
+	entries := 0
+	var low [2]int
+	push := func(s, v int) {
+		b := s*width + deg[v]
+		entryVert[entries] = v
+		if tails[b] == 0 {
+			heads[b] = entries + 1
+		} else {
+			entryNext[tails[b]-1] = entries + 1
+		}
+		tails[b] = entries + 1
+		entries++
+		low[s] = min(low[s], deg[v])
+	}
+	pop := func(s int) int {
+		for ; low[s] < width; low[s]++ {
+			b := s*width + low[s]
+			for e := heads[b]; e != 0; e = heads[b] {
+				heads[b] = entryNext[e-1]
+				if heads[b] == 0 {
+					tails[b] = 0
+				}
+				if v := entryVert[e-1]; alive[v] && deg[v] == low[s] {
+					return v
+				}
+			}
+		}
+		return -1
+	}
 	for v := 0; v < n; v++ {
 		alive[v] = true
 		deg[v] = g.Degree(v)
-		if deg[v] > maxd {
-			maxd = deg[v]
-		}
+		push(int(bg.SideOf[v])&(sides-1), v)
 	}
-	// Per-side lazy bucket queues, same discipline as CompleteCutGreedy.
-	// They stay slices of slices: flat linked-list FIFO buckets with the
-	// same pop order measured 8–18% slower per coarsest-level solve.
-	var buckets [2][][]int
-	var dptr [2]int
-	sideIdx := func(v int) int {
-		if bg.SideOf[v] == partition.Left {
-			return 0
-		}
-		return 1
-	}
-	for s := 0; s < 2; s++ {
-		buckets[s] = make([][]int, maxd+1)
-	}
-	for v := 0; v < n; v++ {
-		buckets[sideIdx(v)][deg[v]] = append(buckets[sideIdx(v)][deg[v]], v)
-	}
-	pop := func(s int) (int, bool) {
-		for dptr[s] <= maxd {
-			b := buckets[s][dptr[s]]
-			if len(b) == 0 {
-				dptr[s]++
-				continue
-			}
-			v := b[0]
-			buckets[s][dptr[s]] = b[1:]
-			if alive[v] && deg[v] == dptr[s] {
-				return v, true
-			}
-		}
-		return 0, false
-	}
-
-	for aliveCount > 0 {
+	for left := n; left > 0; {
 		// The lighter side supplies the next winner (ties go left, as in
-		// the bisection convention that L absorbs the odd vertex).
+		// the bisection convention that L absorbs the odd vertex); an
+		// exhausted side yields to the other. Every live vertex has a
+		// current entry, so some side yields one.
 		s := 0
-		if leftW > rightW {
+		if weight[0] > weight[1] {
 			s = 1
 		}
-		v, ok := pop(s)
-		if !ok {
-			v, ok = pop(1 - s)
-			if !ok {
-				break // only stale entries remained
-			}
+		v := pop(s)
+		if v < 0 {
+			s ^= 1
+			v = pop(s)
 		}
 		winner[v] = true
 		alive[v] = false
-		aliveCount--
-		// Commit the winner's uncommitted modules to its side.
-		vs := bg.SideOf[v]
-		for _, m := range h.EdgePins(bg.Nets[v]) {
-			if p.Side(m) == partition.Unassigned {
-				p.Assign(m, vs)
-				if vs == partition.Left {
-					leftW += h.VertexWeight(m)
-				} else {
-					rightW += h.VertexWeight(m)
+		left--
+		if p != nil {
+			vs := bg.SideOf[v]
+			for _, m := range h.EdgePins(bg.Nets[v]) {
+				if p.Side(m) == partition.Unassigned {
+					p.Assign(m, vs)
+					weight[vs] += h.VertexWeight(m)
 				}
 			}
 		}
@@ -236,15 +166,11 @@ func completeCutWeighted(h *hypergraph.Hypergraph, pb *Partial, scratch *engine.
 				continue
 			}
 			alive[u] = false // loser
-			aliveCount--
+			left--
 			for _, w := range g.Neighbors(u) {
 				if alive[w] {
 					deg[w]--
-					si := sideIdx(w)
-					buckets[si][deg[w]] = append(buckets[si][deg[w]], w)
-					if deg[w] < dptr[si] {
-						dptr[si] = deg[w]
-					}
+					push(s, w)
 				}
 			}
 		}
@@ -252,10 +178,7 @@ func completeCutWeighted(h *hypergraph.Hypergraph, pb *Partial, scratch *engine.
 	return winner
 }
 
-// completeCutRows runs Complete-Cut over a G′ held as bitset rows. With
-// h nil it is the greedy rule (completeCutGreedy); otherwise it is the
-// weighted rule (completeCutWeighted) on pb's partial bipartition. The
-// greedy rule is the weighted one with a single side and no weights.
+// completeCutRows is completeCut over a G′ held as bitset rows.
 //
 // Each side keeps a live bitset. A winner v's losers are row(v) & live
 // of the other side, and each loser u decrements the degree of every
@@ -264,8 +187,8 @@ func completeCutWeighted(h *hypergraph.Hypergraph, pb *Partial, scratch *engine.
 // with the smallest key (degree, arrival), where arrival is when the
 // vertex reached its current degree: its index at the start, then a
 // counter from n stamped at every decrement. That is the entry the
-// lazy FIFO bucket queues of the CSR code pop: degrees only fall, so a
-// vertex enters each degree's bucket once, at its arrival, and the
+// lazy FIFO bucket queues of completeCutLists pop: degrees only fall,
+// so a vertex enters each degree's bucket once, at its arrival, and the
 // lowest non-empty bucket's first live entry is the least key. Every
 // winner therefore matches the CSR form's.
 //

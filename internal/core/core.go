@@ -377,9 +377,9 @@ func solvePair(h *hypergraph.Hypergraph, ig *intersect.Result, u, v, depth int, 
 	case CompletionExact:
 		winner = CompleteCutExact(pb.Boundary)
 	case CompletionWeighted:
-		winner = completeCutWeighted(h, pb, scratch)
+		winner = completeCut(h, pb, scratch)
 	default:
-		winner = completeCutGreedy(pb.Boundary, scratch)
+		winner = completeCut(nil, pb, scratch)
 	}
 
 	p, losers := pb.Apply(h, winner)

@@ -110,12 +110,7 @@ func partialFromCut(h *hypergraph.Hypergraph, ig *intersect.Result, u, v int, ba
 	f0 := leaseInts(s, n)[:0]
 	f1 := leaseInts(s, n)[:0]
 	next := leaseInts(s, n)[:0]
-	var raw []int
-	if balanced {
-		raw = g.DoubleBFSSidesBalancedInto(u, v, sideBuf, f0, f1, next)
-	} else {
-		raw = g.DoubleBFSSidesInto(u, v, sideBuf, f0, f1, next)
-	}
+	raw := g.DoubleBFSSidesInto(u, v, balanced, sideBuf, f0, f1, next)
 	pb := &Partial{
 		IG:         ig,
 		NetSide:    leaseSides(s, n),
@@ -377,11 +372,4 @@ func (pb *Partial) Apply(h *hypergraph.Hypergraph, winner []bool) (*partition.Bi
 	p, _, _ := pb.BaseAssignment(h)
 	losers := pb.CommitWinners(h, p, winner)
 	return p, losers
-}
-
-// BoundaryNets returns the boundary net indices, ascending.
-func (pb *Partial) BoundaryNets() []int {
-	nets := append([]int(nil), pb.Boundary.Nets...)
-	sort.Ints(nets)
-	return nets
 }

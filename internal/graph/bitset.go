@@ -123,128 +123,3 @@ func (g *Graph) validateBitset() error {
 	}
 	return nil
 }
-
-// sweepBitset fills d, and parent when non-nil, with BFS distances and
-// parents from src over bitset rows. It stops once every vertex is
-// queued: no label changes after that.
-func (g *Graph) sweepBitset(src int, d, parent []int, buf *bfsBuffers) {
-	seen := g.seenSet(buf, src)
-	queue := append(buf.queue[:0], src)
-	for head := 0; head < len(queue) && len(queue) < g.n; head++ {
-		v := queue[head]
-		tail := len(queue)
-		queue = g.claim(v, seen, queue)
-		for _, u := range queue[tail:] {
-			d[u] = d[v] + 1
-			if parent != nil {
-				parent[u] = v
-			}
-		}
-	}
-	buf.queue = queue
-}
-
-// componentsBitset fills comp (all Unreached on entry) with component
-// labels over bitset rows and returns the component count.
-func (g *Graph) componentsBitset(comp []int) int {
-	buf := bfsPool.Get().(*bfsBuffers)
-	defer bfsPool.Put(buf)
-	seen := g.seenSet(buf, -1)
-	k := 0
-	queue := buf.queue[:0]
-	for v := 0; v < g.n; v++ {
-		if comp[v] != Unreached {
-			continue
-		}
-		seen[v>>6] |= 1 << (v & 63)
-		queue = append(queue[:0], v)
-		for head := 0; head < len(queue); head++ {
-			queue = g.claim(queue[head], seen, queue)
-		}
-		for _, u := range queue {
-			comp[u] = k
-		}
-		k++
-	}
-	buf.queue = queue
-	return k
-}
-
-// doubleBFSBitset is DoubleBFSSidesInto over bitset rows; side is
-// already Unreached-filled and n > 0.
-func (g *Graph) doubleBFSBitset(u, v int, side, f0, f1, next []int) []int {
-	buf := bfsPool.Get().(*bfsBuffers)
-	defer bfsPool.Put(buf)
-	seen := g.seenSet(buf, u)
-	seen[v>>6] |= 1 << (v & 63)
-	frontiers := [2][]int{append(f0[:0], u), append(f1[:0], v)}
-	side[u] = 0
-	labeled := 1
-	if v != u {
-		side[v] = 1
-		labeled = 2
-	}
-	for len(frontiers[0]) > 0 || len(frontiers[1]) > 0 {
-		for s := 0; s < 2; s++ {
-			next = next[:0]
-			// With u == v, frontier 1 holds u, whose neighbours side 0
-			// has already claimed: expanding it claims nothing.
-			for _, x := range frontiers[s] {
-				tail := len(next)
-				next = g.claim(x, seen, next)
-				for _, w := range next[tail:] {
-					side[w] = s
-				}
-				labeled += len(next) - tail
-				if labeled == g.n {
-					return side
-				}
-			}
-			frontiers[s] = append(frontiers[s][:0], next...)
-		}
-	}
-	return side
-}
-
-// doubleBFSBalancedBitset is DoubleBFSSidesBalancedInto over bitset
-// rows; side is already Unreached-filled and n > 0.
-func (g *Graph) doubleBFSBalancedBitset(u, v int, side, f0, f1, next []int) []int {
-	buf := bfsPool.Get().(*bfsBuffers)
-	defer bfsPool.Put(buf)
-	seen := g.seenSet(buf, u)
-	seen[v>>6] |= 1 << (v & 63)
-	frontiers := [2][]int{append(f0[:0], u), append(f1[:0], v)}
-	claimed := [2]int{1, 0}
-	side[u] = 0
-	if v != u {
-		side[v] = 1
-		claimed[1] = 1
-	} else {
-		frontiers[1] = frontiers[1][:0]
-	}
-	for len(frontiers[0]) > 0 || len(frontiers[1]) > 0 {
-		s := 0
-		switch {
-		case len(frontiers[0]) == 0:
-			s = 1
-		case len(frontiers[1]) == 0:
-			s = 0
-		case claimed[1] < claimed[0]:
-			s = 1
-		}
-		next = next[:0]
-		for _, x := range frontiers[s] {
-			tail := len(next)
-			next = g.claim(x, seen, next)
-			for _, w := range next[tail:] {
-				side[w] = s
-			}
-			claimed[s] += len(next) - tail
-			if claimed[0]+claimed[1] == g.n {
-				return side
-			}
-		}
-		frontiers[s] = append(frontiers[s][:0], next...)
-	}
-	return side
-}

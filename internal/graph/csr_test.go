@@ -118,11 +118,11 @@ func TestDoubleBFSIntoMatchesAllocating(t *testing.T) {
 		u, v := rng.Intn(n), rng.Intn(n)
 		// Buffers are deliberately NOT cleared between trials: Into
 		// variants must not depend on incoming contents.
-		if got, want := g.DoubleBFSSidesInto(u, v, side, f0, f1, next), g.DoubleBFSSides(u, v); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: DoubleBFSSidesInto(%d,%d) = %v, want %v", trial, u, v, got, want)
+		if got, want := g.DoubleBFSSidesInto(u, v, false, side, f0, f1, next), g.DoubleBFSSides(u, v); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: DoubleBFSSidesInto(%d,%d,false) = %v, want %v", trial, u, v, got, want)
 		}
-		if got, want := g.DoubleBFSSidesBalancedInto(u, v, side, f0, f1, next), g.DoubleBFSSidesBalanced(u, v); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: DoubleBFSSidesBalancedInto(%d,%d) = %v, want %v", trial, u, v, got, want)
+		if got, want := g.DoubleBFSSidesInto(u, v, true, side, f0, f1, next), g.DoubleBFSSidesBalanced(u, v); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: DoubleBFSSidesInto(%d,%d,true) = %v, want %v", trial, u, v, got, want)
 		}
 	}
 }

@@ -83,11 +83,11 @@ func checkDualForms(t *testing.T, name string, c *Graph, sources []int, pairs []
 	for _, p := range pairs {
 		u, v := p[0], p[1]
 		want := c.DoubleBFSSides(u, v)
-		if got := b.DoubleBFSSidesInto(u, v, side, f0, f1, next); !reflect.DeepEqual(got, want) {
+		if got := b.DoubleBFSSidesInto(u, v, false, side, f0, f1, next); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: DoubleBFSSides(%d,%d) = %v, csr %v", name, u, v, got, want)
 		}
 		want = c.DoubleBFSSidesBalanced(u, v)
-		if got := b.DoubleBFSSidesBalancedInto(u, v, side, f0, f1, next); !reflect.DeepEqual(got, want) {
+		if got := b.DoubleBFSSidesInto(u, v, true, side, f0, f1, next); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: DoubleBFSSidesBalanced(%d,%d) = %v, csr %v", name, u, v, got, want)
 		}
 	}

@@ -268,24 +268,9 @@ func (g *Graph) BFS(src int) (dist, parent []int) {
 	}
 	dist[src] = 0
 	parent[src] = src
-	if g.bitset {
-		buf := bfsPool.Get().(*bfsBuffers)
-		g.sweepBitset(src, dist, parent, buf)
-		bfsPool.Put(buf)
-		return dist, parent
-	}
-	queue := make([]int, 0, n)
-	queue = append(queue, src)
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		for _, u := range g.Neighbors(v) {
-			if dist[u] == Unreached {
-				dist[u] = dist[v] + 1
-				parent[u] = v
-				queue = append(queue, u)
-			}
-		}
-	}
+	buf := bfsPool.Get().(*bfsBuffers)
+	g.sweep(src, dist, parent, buf)
+	bfsPool.Put(buf)
 	return dist, parent
 }
 
@@ -300,6 +285,42 @@ type bfsBuffers struct {
 }
 
 var bfsPool = sync.Pool{New: func() any { return new(bfsBuffers) }}
+
+// sweep fills d, and parent when non-nil, with BFS distances and
+// parents from src; d[src] is 0 and every other entry Unreached on
+// entry. It stops once every vertex is queued: no label changes after
+// that.
+func (g *Graph) sweep(src int, d, parent []int, buf *bfsBuffers) {
+	var seen []uint64
+	if g.bitset {
+		seen = g.seenSet(buf, src)
+	}
+	queue := append(buf.queue[:0], src)
+	for head := 0; head < len(queue) && len(queue) < g.n; head++ {
+		v := queue[head]
+		tail := len(queue)
+		dv := d[v] + 1
+		if seen != nil {
+			queue = g.claim(v, seen, queue)
+			for _, u := range queue[tail:] {
+				d[u] = dv
+			}
+		} else {
+			for _, u := range g.Neighbors(v) {
+				if d[u] == Unreached {
+					d[u] = dv
+					queue = append(queue, u)
+				}
+			}
+		}
+		if parent != nil {
+			for _, u := range queue[tail:] {
+				parent[u] = v
+			}
+		}
+	}
+	buf.queue = queue
+}
 
 // Eccentricity returns the maximum finite BFS distance from src and a
 // vertex attaining it (the lowest-numbered such vertex; src itself when
@@ -317,23 +338,7 @@ func (g *Graph) Eccentricity(src int) (far int, dist int) {
 		d[i] = Unreached
 	}
 	d[src] = 0
-	if g.bitset {
-		g.sweepBitset(src, d, nil, buf)
-	} else {
-		queue := append(buf.queue[:0], src)
-		// Once the queue holds all n vertices every distance is final, so
-		// the sweep stops there instead of rescanning the remaining rows.
-		for head := 0; head < len(queue) && len(queue) < n; head++ {
-			v := queue[head]
-			for _, u := range g.Neighbors(v) {
-				if d[u] == Unreached {
-					d[u] = d[v] + 1
-					queue = append(queue, u)
-				}
-			}
-		}
-		buf.queue = queue
-	}
+	g.sweep(src, d, nil, buf)
 	far, dist = src, 0
 	for v, dv := range d {
 		if dv > dist {
@@ -385,27 +390,42 @@ func (g *Graph) Components() (comp []int, k int) {
 	for i := range comp {
 		comp[i] = Unreached
 	}
+	buf := bfsPool.Get().(*bfsBuffers)
+	var seen []uint64
 	if g.bitset {
-		return comp, g.componentsBitset(comp)
+		seen = g.seenSet(buf, -1)
 	}
-	queue := make([]int, 0, n)
+	queue := buf.queue[:0]
 	for v := 0; v < n; v++ {
 		if comp[v] != Unreached {
 			continue
+		}
+		if seen != nil {
+			seen[v>>6] |= 1 << (v & 63)
 		}
 		comp[v] = k
 		queue = append(queue[:0], v)
 		for head := 0; head < len(queue); head++ {
 			x := queue[head]
-			for _, u := range g.Neighbors(x) {
-				if comp[u] == Unreached {
+			if seen != nil {
+				tail := len(queue)
+				queue = g.claim(x, seen, queue)
+				for _, u := range queue[tail:] {
 					comp[u] = k
-					queue = append(queue, u)
+				}
+			} else {
+				for _, u := range g.Neighbors(x) {
+					if comp[u] == Unreached {
+						comp[u] = k
+						queue = append(queue, u)
+					}
 				}
 			}
 		}
 		k++
 	}
+	buf.queue = queue
+	bfsPool.Put(buf)
 	return comp, k
 }
 
@@ -461,61 +481,8 @@ func (g *Graph) IsBipartite() (color []int, ok bool) {
 // suite.
 func (g *Graph) DoubleBFSSides(u, v int) []int {
 	n := g.NumVertices()
-	return g.DoubleBFSSidesInto(u, v,
+	return g.DoubleBFSSidesInto(u, v, false,
 		make([]int, n), make([]int, 0, n), make([]int, 0, n), make([]int, 0, n))
-}
-
-// DoubleBFSSidesInto is DoubleBFSSides writing into caller-provided
-// buffers, for allocation-free multi-start runs: side must have length
-// NumVertices; f0, f1 and next are frontier buffers (their contents are
-// ignored; capacity NumVertices avoids growth). The returned labeling
-// aliases side.
-func (g *Graph) DoubleBFSSidesInto(u, v int, side, f0, f1, next []int) []int {
-	n := g.NumVertices()
-	side = side[:n]
-	for i := range side {
-		side[i] = Unreached
-	}
-	if n == 0 {
-		return side
-	}
-	if g.bitset {
-		return g.doubleBFSBitset(u, v, side, f0, f1, next)
-	}
-	frontiers := [2][]int{append(f0[:0], u), append(f1[:0], v)}
-	side[u] = 0
-	labeled := 1
-	if v != u {
-		side[v] = 1
-		labeled = 2
-	}
-	next = next[:0]
-	for len(frontiers[0]) > 0 || len(frontiers[1]) > 0 {
-		for s := 0; s < 2; s++ {
-			next = next[:0]
-			for _, x := range frontiers[s] {
-				// A vertex may have been claimed by the other side after
-				// being enqueued; its label is final, but it still expands
-				// for its owning side only.
-				if side[x] != s {
-					continue
-				}
-				for _, w := range g.Neighbors(x) {
-					if side[w] == Unreached {
-						side[w] = s
-						labeled++
-						next = append(next, w)
-					}
-				}
-				if labeled == n {
-					// Every label is final; further rows only rescan.
-					return side
-				}
-			}
-			frontiers[s] = append(frontiers[s][:0], next...)
-		}
-	}
-	return side
 }
 
 // DoubleBFSSidesBalanced is the alternative tie policy to
@@ -526,13 +493,22 @@ func (g *Graph) DoubleBFSSidesInto(u, v int, side, f0, f1, next []int) []int {
 // cost of no longer matching the paper's plain prescription.
 func (g *Graph) DoubleBFSSidesBalanced(u, v int) []int {
 	n := g.NumVertices()
-	return g.DoubleBFSSidesBalancedInto(u, v,
+	return g.DoubleBFSSidesInto(u, v, true,
 		make([]int, n), make([]int, 0, n), make([]int, 0, n), make([]int, 0, n))
 }
 
-// DoubleBFSSidesBalancedInto is DoubleBFSSidesBalanced writing into
-// caller-provided buffers, mirroring DoubleBFSSidesInto.
-func (g *Graph) DoubleBFSSidesBalancedInto(u, v int, side, f0, f1, next []int) []int {
+// DoubleBFSSidesInto is DoubleBFSSides (balanced false) or
+// DoubleBFSSidesBalanced (balanced true) writing into caller-provided
+// buffers, for allocation-free multi-start runs: side must have length
+// NumVertices; f0, f1 and next are frontier buffers (their contents are
+// ignored; capacity NumVertices avoids growth). The returned labeling
+// aliases side.
+//
+// Round r expands one frontier by one level: side r&1 under strict
+// alternation; under the balanced policy the non-empty side that has
+// claimed fewer vertices, ties to side 0. With u == v, side 1 starts
+// with an empty frontier.
+func (g *Graph) DoubleBFSSidesInto(u, v int, balanced bool, side, f0, f1, next []int) []int {
 	n := g.NumVertices()
 	side = side[:n]
 	for i := range side {
@@ -541,38 +517,46 @@ func (g *Graph) DoubleBFSSidesBalancedInto(u, v int, side, f0, f1, next []int) [
 	if n == 0 {
 		return side
 	}
+	var seen []uint64
 	if g.bitset {
-		return g.doubleBFSBalancedBitset(u, v, side, f0, f1, next)
+		buf := bfsPool.Get().(*bfsBuffers)
+		defer bfsPool.Put(buf)
+		seen = g.seenSet(buf, u)
+		seen[v>>6] |= 1 << (v & 63)
 	}
-	frontiers := [2][]int{append(f0[:0], u), append(f1[:0], v)}
+	frontiers := [2][]int{append(f0[:0], u), f1[:0]}
 	claimed := [2]int{1, 0}
 	side[u] = 0
 	if v != u {
 		side[v] = 1
 		claimed[1] = 1
-	} else {
-		frontiers[1] = frontiers[1][:0]
+		frontiers[1] = append(frontiers[1], v)
 	}
-	next = next[:0]
-	for len(frontiers[0]) > 0 || len(frontiers[1]) > 0 {
-		s := 0
-		switch {
-		case len(frontiers[0]) == 0:
-			s = 1
-		case len(frontiers[1]) == 0:
+	for round := 0; len(frontiers[0]) > 0 || len(frontiers[1]) > 0; round++ {
+		s := round & 1
+		if balanced {
 			s = 0
-		case claimed[1] < claimed[0]:
-			s = 1
+			if len(frontiers[0]) == 0 || len(frontiers[1]) > 0 && claimed[1] < claimed[0] {
+				s = 1
+			}
 		}
 		next = next[:0]
 		for _, x := range frontiers[s] {
-			for _, w := range g.Neighbors(x) {
-				if side[w] == Unreached {
+			tail := len(next)
+			if seen != nil {
+				next = g.claim(x, seen, next)
+				for _, w := range next[tail:] {
 					side[w] = s
-					claimed[s]++
-					next = append(next, w)
+				}
+			} else {
+				for _, w := range g.Neighbors(x) {
+					if side[w] == Unreached {
+						side[w] = s
+						next = append(next, w)
+					}
 				}
 			}
+			claimed[s] += len(next) - tail
 			if claimed[0]+claimed[1] == n {
 				// Every label is final; further rows only rescan.
 				return side

@@ -1,11 +1,11 @@
 package perf
 
-// Steady-state allocation contract of the double-BFS kernels: with
-// caller-provided buffers (the engine's scratch arena in production),
-// the serial and the balanced variants must not allocate at all. The
-// balanced variant is the one history lost track of — its scratch
-// threading rides the same partialFromCut path as the serial kernel,
-// and this test pins it there.
+// Steady-state allocation contract of the double BFS: with
+// caller-provided buffers (the engine's scratch arena in production) it
+// must not allocate at all, under both frontier policies and on both
+// storage forms of the dual — dense-500's is held as bitset rows and
+// uniform-1k's as CSR lists, so both branches of the one entry point
+// are pinned.
 
 import (
 	"testing"
@@ -15,26 +15,30 @@ import (
 )
 
 func TestDoubleBFSSteadyStateAllocs(t *testing.T) {
-	f := denseFamily()
-	res := intersect.Build(f.H, intersect.Options{Threshold: f.Threshold})
-	g := res.G
-	n := g.NumVertices()
-	u := farthestFrom(g, 0)
-	v := farthestFrom(g, u)
-	side := make([]int, n)
-	f0 := make([]int, 0, n)
-	f1 := make([]int, 0, n)
-	next := make([]int, 0, n)
-
-	if a := testing.AllocsPerRun(10, func() {
-		g.DoubleBFSSidesInto(u, v, side, f0, f1, next)
-	}); a != 0 {
-		t.Errorf("serial double BFS: %.1f allocs/op with provided buffers, want 0", a)
-	}
-	if a := testing.AllocsPerRun(10, func() {
-		g.DoubleBFSSidesBalancedInto(u, v, side, f0, f1, next)
-	}); a != 0 {
-		t.Errorf("balanced double BFS: %.1f allocs/op with provided buffers, want 0", a)
+	for _, f := range Families() {
+		wantBitset := f.Dense
+		if !wantBitset && f.Name != "uniform-1k" {
+			continue
+		}
+		res := intersect.Build(f.H, intersect.Options{Threshold: f.Threshold})
+		g := res.G
+		if g.Bitset() != wantBitset {
+			t.Fatalf("%s: dual Bitset() = %v, want %v", f.Name, g.Bitset(), wantBitset)
+		}
+		n := g.NumVertices()
+		u := farthestFrom(g, 0)
+		v := farthestFrom(g, u)
+		side := make([]int, n)
+		f0 := make([]int, 0, n)
+		f1 := make([]int, 0, n)
+		next := make([]int, 0, n)
+		for _, balanced := range []bool{false, true} {
+			if a := testing.AllocsPerRun(10, func() {
+				g.DoubleBFSSidesInto(u, v, balanced, side, f0, f1, next)
+			}); a != 0 {
+				t.Errorf("%s: double BFS (balanced %v): %.1f allocs/op with provided buffers, want 0", f.Name, balanced, a)
+			}
+		}
 	}
 }
 
