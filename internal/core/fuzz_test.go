@@ -1,11 +1,12 @@
 package core
 
 // FuzzCompleteCut drives Algorithm I over arbitrary byte-encoded small
-// hypergraphs and checks the paper's completion guarantees
-// differentially: the exact König completion can never lose to the
-// greedy Complete-Cut under the same start path, greedy stays within
-// the boundary-size bound of exact, and every result must satisfy the
-// shared invariant oracle with its claimed cutsize.
+// hypergraphs, under both double-BFS frontier policies, and checks the
+// paper's completion guarantees differentially: the exact König
+// completion can never lose to the greedy Complete-Cut under the same
+// start path, greedy stays within the boundary-size bound of exact, and
+// every result must satisfy the shared invariant oracle with its
+// claimed cutsize.
 
 import (
 	"testing"
@@ -56,40 +57,44 @@ func FuzzCompleteCut(f *testing.F) {
 	f.Add([]byte("arbitrary text also decodes"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h := fuzzHypergraph(data)
-		run := func(c Completion) *Result {
-			res, err := Bipartition(h, Options{Starts: 1, Seed: 7, Completion: c})
-			if err != nil {
-				t.Fatalf("%v on %v: %v", c, h, err)
+		for _, balanced := range []bool{false, true} {
+			run := func(c Completion) *Result {
+				res, err := Bipartition(h, Options{Starts: 1, Seed: 7, Completion: c, BalancedBFS: balanced})
+				if err != nil {
+					t.Fatalf("%v (balanced BFS %v) on %v: %v", c, balanced, h, err)
+				}
+				if _, err := verify.CheckCut(h, res.Partition, res.CutSize); err != nil {
+					t.Fatalf("%v (balanced BFS %v) on %v: oracle: %v", c, balanced, h, err)
+				}
+				return res
 			}
-			if _, err := verify.CheckCut(h, res.Partition, res.CutSize); err != nil {
-				t.Fatalf("%v on %v: oracle: %v", c, h, err)
-			}
-			return res
-		}
-		greedy := run(CompletionGreedy)
-		exact := run(CompletionExact)
-		weighted := run(CompletionWeighted)
+			greedy := run(CompletionGreedy)
+			exact := run(CompletionExact)
+			weighted := run(CompletionWeighted)
 
-		// Same seed and Starts: all three rules complete the identical
-		// start path over the identical boundary graph, so the paper's
-		// completion theorem must hold on the loser counts. (The final
-		// recomputed cutsizes are NOT ordered: module packing after
-		// completion can leave a nominal loser uncut, in either rule's
-		// favor — the theorem speaks only about the completion.)
-		if len(exact.Losers) > len(greedy.Losers) {
-			t.Errorf("exact completion chose %d losers > greedy %d on %v",
-				len(exact.Losers), len(greedy.Losers), h)
-		}
-		// Complete-Cut is within one of optimum per connected component
-		// of the boundary graph; components are bounded by |B|.
-		if len(greedy.Losers) > len(exact.Losers)+greedy.Stats.BoundarySize {
-			t.Errorf("greedy losers %d exceed exact %d + boundary %d on %v",
-				len(greedy.Losers), len(exact.Losers), greedy.Stats.BoundarySize, h)
-		}
-		// Every crossing net is a loser (threshold off, no repair).
-		for _, res := range []*Result{greedy, exact, weighted} {
-			if !res.Stats.Repaired && res.CutSize > len(res.Losers) {
-				t.Errorf("cut %d exceeds loser count %d on %v", res.CutSize, len(res.Losers), h)
+			// Same seed, Starts and frontier policy: all three rules
+			// complete the identical start path over the identical
+			// boundary graph, so the paper's completion theorem must hold
+			// on the loser counts. (The final recomputed cutsizes are NOT
+			// ordered: module packing after completion can leave a nominal
+			// loser uncut, in either rule's favor — the theorem speaks
+			// only about the completion.)
+			if len(exact.Losers) > len(greedy.Losers) {
+				t.Errorf("balanced BFS %v: exact completion chose %d losers > greedy %d on %v",
+					balanced, len(exact.Losers), len(greedy.Losers), h)
+			}
+			// Complete-Cut is within one of optimum per connected
+			// component of the boundary graph; components are bounded by
+			// |B|.
+			if len(greedy.Losers) > len(exact.Losers)+greedy.Stats.BoundarySize {
+				t.Errorf("balanced BFS %v: greedy losers %d exceed exact %d + boundary %d on %v",
+					balanced, len(greedy.Losers), len(exact.Losers), greedy.Stats.BoundarySize, h)
+			}
+			// Every crossing net is a loser (threshold off, no repair).
+			for _, res := range []*Result{greedy, exact, weighted} {
+				if !res.Stats.Repaired && res.CutSize > len(res.Losers) {
+					t.Errorf("balanced BFS %v: cut %d exceeds loser count %d on %v", balanced, res.CutSize, len(res.Losers), h)
+				}
 			}
 		}
 	})
