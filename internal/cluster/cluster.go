@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"fasthgp/internal/coarsen"
 	"fasthgp/internal/hypergraph"
 	"fasthgp/internal/partition"
 )
@@ -129,7 +130,7 @@ func Cluster(h *hypergraph.Hypergraph, opts Options) (*Result, error) {
 		res.ClusterOf[v] = id
 	}
 	res.NumClusters = len(label)
-	res.H = contract(h, res.ClusterOf, res.NumClusters)
+	res.H = coarsen.ContractMap(h, res.ClusterOf, res.NumClusters)
 	res.Absorption = Absorption(h, res.ClusterOf)
 	return res, nil
 }
@@ -165,72 +166,5 @@ func Absorption(h *hypergraph.Hypergraph, clusterOf []int) float64 {
 // Project lifts a partition of the clustered hypergraph back to the
 // modules.
 func (r *Result) Project(p *partition.Bipartition) *partition.Bipartition {
-	out := partition.New(len(r.ClusterOf))
-	for v, c := range r.ClusterOf {
-		out.Assign(v, p.Side(c))
-	}
-	return out
-}
-
-// contract builds the clustered hypergraph (same merging rules as
-// multilevel coarsening).
-func contract(h *hypergraph.Hypergraph, clusterOf []int, k int) *hypergraph.Hypergraph {
-	b := hypergraph.NewBuilder(k)
-	weights := make([]int64, k)
-	for v := 0; v < h.NumVertices(); v++ {
-		weights[clusterOf[v]] += h.VertexWeight(v)
-	}
-	for c, w := range weights {
-		b.SetVertexWeight(c, w)
-	}
-	type key string
-	merged := map[key]int{}
-	mergedWeight := map[int]int64{}
-	for e := 0; e < h.NumEdges(); e++ {
-		seen := map[int]bool{}
-		var pins []int
-		for _, v := range h.EdgePins(e) {
-			c := clusterOf[v]
-			if !seen[c] {
-				seen[c] = true
-				pins = append(pins, c)
-			}
-		}
-		if len(pins) < 2 {
-			continue
-		}
-		sortInts(pins)
-		sig := make([]byte, 0, 4*len(pins))
-		for _, p := range pins {
-			sig = append(sig, byte(p), byte(p>>8), byte(p>>16), byte(p>>24))
-		}
-		kk := key(sig)
-		if id, ok := merged[kk]; ok {
-			mergedWeight[id] += h.EdgeWeight(e)
-			continue
-		}
-		id := b.AddEdge(pins...)
-		merged[kk] = id
-		mergedWeight[id] = h.EdgeWeight(e)
-	}
-	for id, w := range mergedWeight {
-		b.SetEdgeWeight(id, w)
-	}
-	ch, err := b.Build()
-	if err != nil {
-		panic("cluster: contraction produced invalid hypergraph: " + err.Error())
-	}
-	return ch
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		x := xs[i]
-		j := i - 1
-		for j >= 0 && xs[j] > x {
-			xs[j+1] = xs[j]
-			j--
-		}
-		xs[j+1] = x
-	}
+	return coarsen.Project(len(r.ClusterOf), r.ClusterOf, p)
 }

@@ -91,11 +91,34 @@ func Contract(h *hypergraph.Hypergraph, rng *rand.Rand, opts Options) *Result {
 		res.Map[v] = next
 		next++
 	}
+	res.Coarse = ContractMap(h, res.Map, next)
+	if opts.Fixed != nil {
+		// A coarse vertex inherits the pinned side of its fine members
+		// (at most one distinct side by the matching rule above).
+		cf := make([]int8, next)
+		for i := range cf {
+			cf[i] = partition.FreeVertex
+		}
+		for v := 0; v < n; v++ {
+			if v < len(opts.Fixed) && opts.Fixed[v] >= 0 {
+				cf[res.Map[v]] = opts.Fixed[v]
+			}
+		}
+		res.Fixed = cf
+	}
+	return res
+}
 
-	b := hypergraph.NewBuilder(next)
-	weights := make([]int64, next)
-	for v := 0; v < n; v++ {
-		weights[res.Map[v]] += h.VertexWeight(v)
+// ContractMap contracts h by the vertex map m, which sends each vertex
+// of h to one of k coarse vertices: vertex weights add, nets map their
+// pins through m, nets reduced to a single pin disappear, and duplicate
+// nets merge with their weights added. Coarse nets keep the order of
+// their first fine net, with pins ascending.
+func ContractMap(h *hypergraph.Hypergraph, m []int, k int) *hypergraph.Hypergraph {
+	b := hypergraph.NewBuilder(k)
+	weights := make([]int64, k)
+	for v := 0; v < h.NumVertices(); v++ {
+		weights[m[v]] += h.VertexWeight(v)
 	}
 	for cv, w := range weights {
 		b.SetVertexWeight(cv, w)
@@ -112,7 +135,7 @@ func Contract(h *hypergraph.Hypergraph, rng *rand.Rand, opts Options) *Result {
 	for e := 0; e < h.NumEdges(); e++ {
 		scratch = scratch[:0]
 		for _, v := range h.EdgePins(e) {
-			scratch = append(scratch, res.Map[v])
+			scratch = append(scratch, m[v])
 		}
 		sort.Ints(scratch)
 		out := scratch[:0]
@@ -150,22 +173,7 @@ func Contract(h *hypergraph.Hypergraph, rng *rand.Rand, opts Options) *Result {
 	if err != nil {
 		panic("coarsen: contraction produced invalid hypergraph: " + err.Error())
 	}
-	res.Coarse = coarse
-	if opts.Fixed != nil {
-		// A coarse vertex inherits the pinned side of its fine members
-		// (at most one distinct side by the matching rule above).
-		cf := make([]int8, next)
-		for i := range cf {
-			cf[i] = partition.FreeVertex
-		}
-		for v := 0; v < n; v++ {
-			if v < len(opts.Fixed) && opts.Fixed[v] >= 0 {
-				cf[res.Map[v]] = opts.Fixed[v]
-			}
-		}
-		res.Fixed = cf
-	}
-	return res
+	return coarse
 }
 
 // pinHash is FNV-1a over the pin ids; collisions are resolved by
