@@ -210,7 +210,7 @@ func TestScratchBuffersZeroedAndReused(t *testing.T) {
 	}
 	b := s.Bools(4)
 	b[0] = true
-	w := s.Int64s(3)
+	w := s.Uint64s(3)
 	w[2] = 7
 	s.Release()
 	a2 := s.Ints(6)
@@ -226,9 +226,9 @@ func TestScratchBuffersZeroedAndReused(t *testing.T) {
 	if b2[0] {
 		t.Error("reused bool buffer not zeroed")
 	}
-	w2 := s.Int64s(3)
+	w2 := s.Uint64s(3)
 	if w2[2] != 0 {
-		t.Error("reused int64 buffer not zeroed")
+		t.Error("reused uint64 buffer not zeroed")
 	}
 	// Two concurrent leases must not alias.
 	x, y := s.Ints(5), s.Ints(5)

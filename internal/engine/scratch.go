@@ -20,7 +20,6 @@ import (
 type Scratch struct {
 	ints    freeList[int]
 	bools   freeList[bool]
-	int64s  freeList[int64]
 	sides   freeList[partition.Side]
 	int8s   freeList[int8]
 	uint64s freeList[uint64]
@@ -67,9 +66,6 @@ func (s *Scratch) Ints(n int) []int { return s.ints.lease(n) }
 // Bools leases a zeroed []bool of length n from the arena.
 func (s *Scratch) Bools(n int) []bool { return s.bools.lease(n) }
 
-// Int64s leases a zeroed []int64 of length n from the arena.
-func (s *Scratch) Int64s(n int) []int64 { return s.int64s.lease(n) }
-
 // Uint64s leases a zeroed []uint64 of length n from the arena — the
 // word currency of bitset rows and masks.
 func (s *Scratch) Uint64s(n int) []uint64 { return s.uint64s.lease(n) }
@@ -87,7 +83,6 @@ func (s *Scratch) Sides(n int) []partition.Side { return s.sides.lease(n) }
 func (s *Scratch) Release() {
 	s.ints.release()
 	s.bools.release()
-	s.int64s.release()
 	s.sides.release()
 	s.int8s.release()
 	s.uint64s.release()

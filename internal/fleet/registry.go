@@ -91,18 +91,17 @@ func (c RegistryConfig) withDefaults() RegistryConfig {
 // WorkerInfo is one worker's externally visible state (the /healthz
 // shape).
 type WorkerInfo struct {
-	ID            string      `json:"id"`
-	Addr          string      `json:"addr"`
-	State         string      `json:"state"`
-	Breaker       string      `json:"breaker"`
-	LastBeat      time.Time   `json:"-"`
-	SilenceMS     int64       `json:"silence_ms"`
-	Ejections     int64       `json:"ejections,omitempty"`
-	Quarantined   bool        `json:"quarantined,omitempty"`
-	Quarantines   int64       `json:"quarantines,omitempty"`
-	InvalidRecent int         `json:"invalid_recent,omitempty"`
-	ProbesOK      int         `json:"probes_ok,omitempty"`
-	state         WorkerState `json:"-"`
+	ID            string    `json:"id"`
+	Addr          string    `json:"addr"`
+	State         string    `json:"state"`
+	Breaker       string    `json:"breaker"`
+	LastBeat      time.Time `json:"-"`
+	SilenceMS     int64     `json:"silence_ms"`
+	Ejections     int64     `json:"ejections,omitempty"`
+	Quarantined   bool      `json:"quarantined,omitempty"`
+	Quarantines   int64     `json:"quarantines,omitempty"`
+	InvalidRecent int       `json:"invalid_recent,omitempty"`
+	ProbesOK      int       `json:"probes_ok,omitempty"`
 }
 
 type workerEntry struct {
@@ -285,7 +284,6 @@ func (g *Registry) Snapshot() []WorkerInfo {
 			Quarantines:   w.quarantines,
 			InvalidRecent: countSince(w.invalid, now.Add(-g.cfg.Quarantine.Window)),
 			ProbesOK:      w.consecValid,
-			state:         w.state,
 		})
 	}
 	g.mu.Unlock()
@@ -295,7 +293,3 @@ func (g *Registry) Snapshot() []WorkerInfo {
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	return out
 }
-
-// Ejected reports whether info describes an ejected worker (helper for
-// health summaries, which only see the wire shape).
-func (w WorkerInfo) Ejected() bool { return w.state == WorkerEjected }
