@@ -135,12 +135,12 @@ type EngineStats = engine.Stats
 
 // CheckpointIO binds a run to a durable checkpoint sink and, on
 // resume, the state recovered from its journal. PartitionCheckpointed
-// manages one for you; build your own (with engine.BindCheckpoint
-// machinery from internal/checkpoint) only for custom sinks.
+// manages one for you; build your own only for custom sinks.
 type CheckpointIO = engine.CheckpointIO
 
 // CheckpointState is the progress recovered from a checkpoint journal:
-// completed starts, their cuts, and the encoded best result.
+// completed starts, their cuts, and which of them was the best. It
+// holds no result; a resume re-runs the best start to recover it.
 type CheckpointState = engine.RunState
 
 // Partition runs Algorithm I — the paper's O(n²) intersection-graph
@@ -457,10 +457,11 @@ type AlgoConfig struct {
 	// unconstrained. Checkpoint journals bind to it: a journal written
 	// under one constraint refuses to resume a run under another.
 	Constraint Constraint
-	// Checkpoint, when non-nil, journals every completed start into its
-	// sink and resumes from its recovered state. Most callers want
-	// PartitionCheckpointed, which manages the journal file; set this
-	// directly only to supply a custom sink.
+	// Checkpoint, when non-nil, journals every start that finished
+	// under a live context into its sink and resumes from its recovered
+	// state: the best journaled start runs again first, the others are
+	// skipped. Most callers want PartitionCheckpointed, which manages
+	// the journal file; set this directly only to supply a custom sink.
 	Checkpoint *CheckpointIO
 }
 
@@ -633,18 +634,8 @@ func runRandomAlgo(ctx context.Context, h *Hypergraph, cfg AlgoConfig) (*AlgoRes
 			}
 			return partition.Imbalance(h, a.Partition) < partition.Imbalance(h, b.Partition)
 		},
-		Cut: func(r *AlgoResult) int { return r.CutSize },
-		Checkpoint: engine.BindCheckpoint(cfg.Checkpoint,
-			func(r *AlgoResult) []byte {
-				return checkpoint.EncodeBest(r.Partition.Sides(), r.CutSize)
-			},
-			func(b []byte) (*AlgoResult, error) {
-				p, cut, _, err := checkpoint.DecodeBestFor(h, b, 0)
-				if err != nil {
-					return nil, fmt.Errorf("random: %w", err)
-				}
-				return &AlgoResult{Partition: p, CutSize: cut}, nil
-			}),
+		Cut:        func(r *AlgoResult) int { return r.CutSize },
+		Checkpoint: cfg.Checkpoint,
 	})
 	if err != nil {
 		return nil, err
@@ -842,19 +833,24 @@ func PartitionPortfolio(ctx context.Context, h *Hypergraph, opts ...PortfolioOpt
 }
 
 // PartitionCheckpointed runs one registry algorithm with a crash-safe
-// journal at path: every completed start is fsynced into the journal,
-// and when resume is true and the journal already exists, the run
-// continues from the recovered progress instead of starting over.
-// Because each start is a pure function of (h, seed, start index) and
-// ties break toward the lowest start index, a resumed run returns a
-// partition and cut bit-for-bit identical to an uninterrupted run with
-// the same arguments — no matter where the previous process died.
+// journal at path: every start that finishes under a live context has
+// its index, cut and "new best" flag fsynced into the journal, and when
+// resume is true and the journal already exists, the run continues from
+// the recovered progress instead of starting over. Because each start
+// is a pure function of (h, seed, start index), the journal stores no
+// result: the resume re-runs the best journaled start first (detached
+// from ctx's cancellation), checks its cut against the journal, and
+// skips the other journaled starts. Ties break toward the lowest start
+// index, so a resumed run returns a Result identical to an
+// uninterrupted run with the same arguments — no matter where the
+// previous process died, or whether a timeout stopped it.
 //
-// The journal binds itself to (algorithm, hypergraph, seed, starts);
-// resuming with any of those changed is refused. A journal whose tail
-// was torn by the crash is truncated to its last intact record. On
-// resume the journal may also be a fresh path (the file is then
-// created), so callers can pass the same flags for first runs and
+// The journal binds itself to (algorithm, hypergraph, seed, starts,
+// constraint); resuming with any of those changed is refused, and so
+// is a journal whose best start re-runs to a different cut. A journal
+// whose tail was torn by the crash is truncated to its last intact
+// record. On resume the journal may also be a fresh path (the file is
+// then created), so callers can pass the same flags for first runs and
 // retries alike.
 func PartitionCheckpointed(ctx context.Context, h *Hypergraph, algo string, cfg AlgoConfig, path string, resume bool) (*AlgoResult, error) {
 	alg, err := resolveAlgorithm(algo)

@@ -2,10 +2,13 @@ package fasthgp
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"fasthgp/internal/checkpoint"
 )
 
 // checkpointTestHypergraph builds a small instance every registry
@@ -29,7 +32,7 @@ func checkpointTestHypergraph(t *testing.T) *Hypergraph {
 // TestPartitionCheckpointedMatchesPlain runs every registry algorithm
 // twice — plain and checkpointed — and requires identical partitions,
 // then resumes the finished journal and requires the identical result
-// again without running a single start.
+// again, re-running only the best start.
 func TestPartitionCheckpointedMatchesPlain(t *testing.T) {
 	h := checkpointTestHypergraph(t)
 	ctx := context.Background()
@@ -125,8 +128,8 @@ func TestPartitionCheckpointedUnknownAlgorithm(t *testing.T) {
 
 // TestPartitionCheckpointedConstrained is the checkpoint contract under
 // the unified balance contract: checkpointed ≡ plain bit-for-bit,
-// resume of a finished constrained journal replays the identical
-// result without re-running a start, and the result satisfies the
+// resume of a finished constrained journal returns the identical
+// result, re-running only the best start, and the result satisfies the
 // constraint oracle.
 func TestPartitionCheckpointedConstrained(t *testing.T) {
 	h := checkpointTestHypergraph(t)
@@ -220,5 +223,111 @@ func TestPartitionCheckpointedRefusesConstraintMismatch(t *testing.T) {
 	cfgB.Constraint = Constraint{Epsilon: 0.1, FixedSide: otherFixed}
 	if _, err := PartitionCheckpointed(ctx, h, "kl", cfgB, pathF, true); err == nil {
 		t.Fatal("resume under a different fixed set succeeded")
+	}
+}
+
+// TestResumedResultMatchesUninterrupted resumes Algorithm I (greedy and
+// weighted completion), spectral, FM and multilevel from the first K
+// records of a real journal, for K = 1 and K = all, and requires the
+// whole Result an uninterrupted run returns — the winner's diagnostics
+// (Losers, Boundary, BFSDepth, Fiedler, …) included. Masked are only
+// the counters of this process's own work: the engine's Wall, CPU and
+// StartsResumed, and Algorithm I's DistinctPairs and BitsetBoundaries.
+func TestResumedResultMatchesUninterrupted(t *testing.T) {
+	h := checkpointTestHypergraph(t)
+	ctx := context.Background()
+	const starts, seed = 6, 3
+	timeless := func(es *EngineStats) {
+		es.Wall, es.CPU, es.StartsResumed = 0, 0, 0
+	}
+	core := func(c Completion) func(*CheckpointIO) (any, error) {
+		return func(io *CheckpointIO) (any, error) {
+			r, err := PartitionCtx(ctx, h, Options{Starts: starts, Seed: seed, Parallelism: 1, Completion: c, Checkpoint: io})
+			if err != nil {
+				return nil, err
+			}
+			timeless(&r.Stats.Engine)
+			r.Stats.DistinctPairs, r.Stats.BitsetBoundaries = 0, 0
+			return r, nil
+		}
+	}
+	runs := map[string]func(*CheckpointIO) (any, error){
+		"algI-greedy":   core(CompletionGreedy),
+		"algI-weighted": core(CompletionWeighted),
+		"spectral": func(io *CheckpointIO) (any, error) {
+			r, err := SpectralCtx(ctx, h, SpectralOptions{Starts: starts, Seed: seed, Parallelism: 1, Checkpoint: io})
+			if err != nil {
+				return nil, err
+			}
+			timeless(&r.Engine)
+			return r, nil
+		},
+		"fm": func(io *CheckpointIO) (any, error) {
+			r, err := FMCtx(ctx, h, FMOptions{Starts: starts, Seed: seed, Parallelism: 1, Checkpoint: io})
+			if err != nil {
+				return nil, err
+			}
+			timeless(&r.Engine)
+			return r, nil
+		},
+		"multilevel": func(io *CheckpointIO) (any, error) {
+			r, err := MultilevelCtx(ctx, h, MultilevelOptions{Starts: starts, Seed: seed, Parallelism: 1, Checkpoint: io})
+			if err != nil {
+				return nil, err
+			}
+			timeless(&r.Engine)
+			return r, nil
+		},
+	}
+	for name, run := range runs {
+		t.Run(name, func(t *testing.T) {
+			want, err := run(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			meta := checkpoint.NewMeta(name, h, seed, starts)
+			full := filepath.Join(dir, "full.ckpt")
+			rj, err := checkpoint.CreateRun(full, meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = run(&CheckpointIO{Sink: rj})
+			rj.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, recs, err := checkpoint.Open(full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []int{1, len(recs) - 1} {
+				// Write the header and the first k records as a journal of
+				// their own, as a crash after k appends would leave it.
+				path := filepath.Join(dir, fmt.Sprintf("prefix%d.ckpt", k))
+				j, err := checkpoint.Create(path, recs[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, rec := range recs[1 : 1+k] {
+					if err := j.Append(rec); err != nil {
+						t.Fatal(err)
+					}
+				}
+				j.Close()
+				rj, state, err := checkpoint.Resume(path, meta)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := run(&CheckpointIO{Sink: rj, State: state})
+				rj.Close()
+				if err != nil {
+					t.Fatalf("k=%d: %v", k, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("k=%d: resumed Result differs from the uninterrupted one:\ngot  %+v\nwant %+v", k, got, want)
+				}
+			}
+		})
 	}
 }

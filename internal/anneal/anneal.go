@@ -17,7 +17,6 @@ import (
 	"math"
 	"math/rand"
 
-	"fasthgp/internal/checkpoint"
 	"fasthgp/internal/cutstate"
 	"fasthgp/internal/engine"
 	"fasthgp/internal/hypergraph"
@@ -71,7 +70,7 @@ type Options struct {
 	// historical behavior exactly.
 	Constraint partition.Constraint
 	// Checkpoint, when non-nil, journals every completed walk into its
-	// sink and resumes from its recovered state — see internal/checkpoint.
+	// sink and resumes from its recovered state — see internal/engine.
 	// A resumed run returns the same Result an uninterrupted run would.
 	Checkpoint *engine.CheckpointIO
 }
@@ -119,20 +118,8 @@ func BisectCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (*Re
 			}
 			return partition.Imbalance(h, a.Partition) < partition.Imbalance(h, b.Partition)
 		},
-		Cut: func(r *Result) int { return r.CutSize },
-		Checkpoint: engine.BindCheckpoint(opts.Checkpoint,
-			func(r *Result) []byte {
-				return checkpoint.EncodeBest(r.Partition.Sides(), r.CutSize,
-					int64(r.Temperatures), int64(r.Accepted))
-			},
-			func(b []byte) (*Result, error) {
-				p, cut, aux, err := checkpoint.DecodeBestFor(h, b, 2)
-				if err != nil {
-					return nil, fmt.Errorf("anneal: %w", err)
-				}
-				return &Result{Partition: p, CutSize: cut,
-					Temperatures: int(aux[0]), Accepted: int(aux[1])}, nil
-			}),
+		Cut:        func(r *Result) int { return r.CutSize },
+		Checkpoint: opts.Checkpoint,
 	})
 	if err != nil {
 		return nil, err

@@ -2,17 +2,19 @@ package checkpoint_test
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"fasthgp/internal/checkpoint"
 	"fasthgp/internal/engine"
 	"fasthgp/internal/faultinject"
 	"fasthgp/internal/hypergraph"
-	"fasthgp/internal/partition"
 )
 
 func testHG(t testing.TB) *hypergraph.Hypergraph {
@@ -209,19 +211,24 @@ func TestResumeReplaysRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sides := []partition.Side{0, 0, 0, 1, 1, 1}
-	best0 := checkpoint.EncodeBest(sides, 3, 2)
-	best2 := checkpoint.EncodeBest(sides, 2, 1)
-	if err := rj.StartDone(0, 3, best0); err != nil {
-		t.Fatal(err)
-	}
-	if err := rj.StartDone(1, 5, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := rj.StartDone(2, 2, best2); err != nil {
-		t.Fatal(err)
+	for _, r := range []struct {
+		start, cut int
+		best       bool
+	}{{0, 3, true}, {1, 5, false}, {2, 2, true}} {
+		if err := rj.StartDone(r.start, r.cut, r.best); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rj.Close()
+	_, recs, err := checkpoint.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range recs[1:] {
+		if len(rec) != 13 {
+			t.Errorf("record %d is %d bytes, want 13 ([type u8][start u32][cut i64])", i, len(rec))
+		}
+	}
 	rj2, state, err := checkpoint.Resume(path, meta)
 	if err != nil {
 		t.Fatal(err)
@@ -235,48 +242,52 @@ func TestResumeReplaysRecords(t *testing.T) {
 				i, state.Completed[i], state.Cuts[i], wantCompleted[i], wantCuts[i])
 		}
 	}
-	if state.BestStart != 2 || state.BestCut != 2 {
-		t.Errorf("BestStart=%d BestCut=%d, want 2 and 2 (last best record wins)", state.BestStart, state.BestCut)
-	}
-	gotSides, cut, aux, err := checkpoint.DecodeBest(state.BestPayload, h.NumVertices())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cut != 2 || len(aux) != 1 || aux[0] != 1 {
-		t.Errorf("decoded cut=%d aux=%v, want 2 and [1]", cut, aux)
-	}
-	for i, s := range gotSides {
-		if s != sides[i] {
-			t.Errorf("decoded side[%d] = %v, want %v", i, s, sides[i])
-		}
+	if state.BestStart != 2 {
+		t.Errorf("BestStart=%d, want 2 (last best record wins)", state.BestStart)
 	}
 }
 
-func TestEncodeDecodeBest(t *testing.T) {
-	sides := []partition.Side{1, 0, 1, 0}
-	b := checkpoint.EncodeBest(sides, 7)
-	got, cut, aux, err := checkpoint.DecodeBest(b, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cut != 7 || len(aux) != 0 {
-		t.Errorf("cut=%d aux=%v, want 7 and none", cut, aux)
-	}
-	for i := range sides {
-		if got[i] != sides[i] {
-			t.Errorf("side[%d] = %v, want %v", i, got[i], sides[i])
+// oldLayoutRecord is a start-completion record as version 1 of the
+// journal wrote it: [type u8][start u32][cut i64][payload length u32]
+// followed by the best start's encoded result.
+func oldLayoutRecord() []byte {
+	rec := []byte{1, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0}
+	payload := []byte{0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 1, 1, 1}
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(payload)))
+	return append(rec, payload...)
+}
+
+// TestResumeRefusesOldLayout: a journal written by version 1, which
+// stored the best start's result in its records, is refused by the
+// version check; an old-layout record under a current header is
+// refused as malformed.
+func TestResumeRefusesOldLayout(t *testing.T) {
+	h := testHG(t)
+	meta := checkpoint.NewMeta("kl", h, 1, 4)
+	old := meta
+	old.Version = 1
+	for name, tc := range map[string]struct {
+		meta checkpoint.Meta
+		want string
+	}{
+		"version 1 journal":          {old, "different run"},
+		"old record, current header": {meta, "malformed record"},
+	} {
+		hdr, err := json.Marshal(tc.meta)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	bad := [][]byte{
-		nil,
-		{1, 2, 3},
-		checkpoint.EncodeBest(sides, -1),    // negative cut
-		checkpoint.EncodeBest(sides[:3], 7), // wrong vertex count
-		checkpoint.EncodeBest([]partition.Side{1, 0, 1, partition.Unassigned}, 7), // incomplete
-	}
-	for i, b := range bad {
-		if _, _, _, err := checkpoint.DecodeBest(b, 4); err == nil {
-			t.Errorf("bad payload %d accepted", i)
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		j, err := checkpoint.Create(path, hdr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append(oldLayoutRecord()); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		if _, _, err := checkpoint.Resume(path, meta); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Resume = %v, want an error containing %q", name, err, tc.want)
 		}
 	}
 }
@@ -301,11 +312,6 @@ func TestEngineResumeThroughJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	enc := func(v int) []byte { return checkpoint.EncodeBest([]partition.Side{0, 0, 0, 1, 1, 1}, v) }
-	dec := func(b []byte) (int, error) {
-		_, cut, _, err := checkpoint.DecodeBest(b, h.NumVertices())
-		return cut, err
-	}
 	meta := checkpoint.NewMeta("toy", h, 9, starts)
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	rj, err := checkpoint.CreateRun(path, meta)
@@ -318,7 +324,7 @@ func TestEngineResumeThroughJournal(t *testing.T) {
 		{Point: faultinject.PointCheckpointWrite, Index: 6, Kind: faultinject.KindTorn},
 	}})
 	first := spec
-	first.Checkpoint = engine.BindCheckpoint(&engine.CheckpointIO{Sink: rj}, enc, dec)
+	first.Checkpoint = &engine.CheckpointIO{Sink: rj}
 	_, st1, err := engine.Run(context.Background(), first)
 	restore()
 	if err != nil {
@@ -335,7 +341,7 @@ func TestEngineResumeThroughJournal(t *testing.T) {
 	}
 	defer rj2.Close()
 	resumed := spec
-	resumed.Checkpoint = engine.BindCheckpoint(&engine.CheckpointIO{Sink: rj2, State: state}, enc, dec)
+	resumed.Checkpoint = &engine.CheckpointIO{Sink: rj2, State: state}
 	got, st2, err := engine.Run(context.Background(), resumed)
 	if err != nil {
 		t.Fatal(err)

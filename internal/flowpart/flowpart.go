@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"fasthgp/internal/checkpoint"
 	"fasthgp/internal/engine"
 	"fasthgp/internal/hypergraph"
 	"fasthgp/internal/maxflow"
@@ -46,9 +45,8 @@ type Options struct {
 	// preserves historical behavior exactly.
 	Constraint partition.Constraint
 	// Checkpoint, when non-nil, journals every solved pair into its
-	// sink and resumes from its recovered state — see internal/checkpoint.
-	// A resumed run returns the same Result an uninterrupted run would
-	// (FlowValue is journaled: the tie-break depends on it).
+	// sink and resumes from its recovered state — see internal/engine.
+	// A resumed run returns the same Result an uninterrupted run would.
 	Checkpoint *engine.CheckpointIO
 }
 
@@ -246,18 +244,8 @@ func BisectCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (*Re
 			}
 			return a.FlowValue < b.FlowValue
 		},
-		Cut: func(r *Result) int { return r.CutSize },
-		Checkpoint: engine.BindCheckpoint(opts.Checkpoint,
-			func(r *Result) []byte {
-				return checkpoint.EncodeBest(r.Partition.Sides(), r.CutSize, r.FlowValue)
-			},
-			func(b []byte) (*Result, error) {
-				p, cut, aux, err := checkpoint.DecodeBestFor(h, b, 1)
-				if err != nil {
-					return nil, fmt.Errorf("flowpart: %w", err)
-				}
-				return &Result{Partition: p, CutSize: cut, FlowValue: aux[0]}, nil
-			}),
+		Cut:        func(r *Result) int { return r.CutSize },
+		Checkpoint: opts.Checkpoint,
 	})
 	if err != nil {
 		return nil, err

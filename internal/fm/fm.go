@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"fasthgp/internal/checkpoint"
 	"fasthgp/internal/cutstate"
 	"fasthgp/internal/engine"
 	"fasthgp/internal/hypergraph"
@@ -49,7 +48,7 @@ type Options struct {
 	// odd total weights.
 	Constraint partition.Constraint
 	// Checkpoint, when non-nil, journals every completed start into its
-	// sink and resumes from its recovered state — see internal/checkpoint.
+	// sink and resumes from its recovered state — see internal/engine.
 	// A resumed run returns the same Result an uninterrupted run would.
 	Checkpoint *engine.CheckpointIO
 }
@@ -98,19 +97,9 @@ func BisectCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (*Re
 			p := kl.SeedBisection(h, rng, opts.Constraint)
 			return improveLocked(ctx, h, p, nil, opts, scratch)
 		},
-		Better: func(a, b *Result) bool { return betterResult(h, a, b) },
-		Cut:    func(r *Result) int { return r.CutSize },
-		Checkpoint: engine.BindCheckpoint(opts.Checkpoint,
-			func(r *Result) []byte {
-				return checkpoint.EncodeBest(r.Partition.Sides(), r.CutSize, int64(r.Passes))
-			},
-			func(b []byte) (*Result, error) {
-				p, cut, aux, err := checkpoint.DecodeBestFor(h, b, 1)
-				if err != nil {
-					return nil, fmt.Errorf("fm: %w", err)
-				}
-				return &Result{Partition: p, CutSize: cut, Passes: int(aux[0])}, nil
-			}),
+		Better:     func(a, b *Result) bool { return betterResult(h, a, b) },
+		Cut:        func(r *Result) int { return r.CutSize },
+		Checkpoint: opts.Checkpoint,
 	})
 	if err != nil {
 		return nil, err

@@ -23,7 +23,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"fasthgp/internal/checkpoint"
 	"fasthgp/internal/cutstate"
 	"fasthgp/internal/engine"
 	"fasthgp/internal/hypergraph"
@@ -52,7 +51,7 @@ type Options struct {
 	// behavior exactly.
 	Constraint partition.Constraint
 	// Checkpoint, when non-nil, journals every completed start into its
-	// sink and resumes from its recovered state — see internal/checkpoint.
+	// sink and resumes from its recovered state — see internal/engine.
 	// A resumed run returns the same Result an uninterrupted run would.
 	Checkpoint *engine.CheckpointIO
 }
@@ -105,19 +104,9 @@ func BisectCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (*Re
 			p := SeedBisection(h, rng, opts.Constraint)
 			return improve(ctx, h, p, opts, scratch)
 		},
-		Better: func(a, b *Result) bool { return betterResult(h, a, b) },
-		Cut:    func(r *Result) int { return r.CutSize },
-		Checkpoint: engine.BindCheckpoint(opts.Checkpoint,
-			func(r *Result) []byte {
-				return checkpoint.EncodeBest(r.Partition.Sides(), r.CutSize, int64(r.Passes))
-			},
-			func(b []byte) (*Result, error) {
-				p, cut, aux, err := checkpoint.DecodeBestFor(h, b, 1)
-				if err != nil {
-					return nil, fmt.Errorf("kl: %w", err)
-				}
-				return &Result{Partition: p, CutSize: cut, Passes: int(aux[0])}, nil
-			}),
+		Better:     func(a, b *Result) bool { return betterResult(h, a, b) },
+		Cut:        func(r *Result) int { return r.CutSize },
+		Checkpoint: opts.Checkpoint,
 	})
 	if err != nil {
 		return nil, err

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"fasthgp/internal/checkpoint"
 	"fasthgp/internal/coarsen"
 	"fasthgp/internal/core"
 	"fasthgp/internal/engine"
@@ -67,7 +66,7 @@ type Options struct {
 	DisableFlow bool
 	// Checkpoint, when non-nil, journals every completed V-cycle into
 	// its sink and resumes from its recovered state — see
-	// internal/checkpoint. A resumed run returns the same Result an
+	// internal/engine. A resumed run returns the same Result an
 	// uninterrupted run would.
 	Checkpoint *engine.CheckpointIO
 }
@@ -149,31 +148,8 @@ func BisectCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (*Re
 			}
 			return partition.Imbalance(h, a.Partition) < partition.Imbalance(h, b.Partition)
 		},
-		Cut: func(r *Result) int { return r.CutSize },
-		Checkpoint: engine.BindCheckpoint(opts.Checkpoint,
-			func(r *Result) []byte {
-				return checkpoint.EncodeBest(r.Partition.Sides(), r.CutSize,
-					int64(r.Levels), int64(r.CoarsestVertices),
-					r.VCycle.CorridorVertices, r.VCycle.FlowNodes,
-					r.VCycle.FlowAugmentations, r.VCycle.FlowRounds,
-					r.VCycle.FlowAccepted, r.VCycle.FlowGain,
-					r.VCycle.RefineGain)
-			},
-			func(b []byte) (*Result, error) {
-				p, cut, aux, err := checkpoint.DecodeBestFor(h, b, 9)
-				if err != nil {
-					return nil, fmt.Errorf("multilevel: %w", err)
-				}
-				r := &Result{Partition: p, CutSize: cut,
-					Levels: int(aux[0]), CoarsestVertices: int(aux[1])}
-				r.VCycle = VCycleStats{
-					Levels: r.Levels, CoarsestVertices: r.CoarsestVertices,
-					CorridorVertices: aux[2], FlowNodes: aux[3],
-					FlowAugmentations: aux[4], FlowRounds: aux[5],
-					FlowAccepted: aux[6], FlowGain: aux[7], RefineGain: aux[8],
-				}
-				return r, nil
-			}),
+		Cut:        func(r *Result) int { return r.CutSize },
+		Checkpoint: opts.Checkpoint,
 	})
 	if err != nil {
 		return nil, err

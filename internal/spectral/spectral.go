@@ -19,7 +19,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"fasthgp/internal/checkpoint"
 	"fasthgp/internal/cutstate"
 	"fasthgp/internal/engine"
 	"fasthgp/internal/hypergraph"
@@ -62,10 +61,8 @@ type Options struct {
 	// historical behavior exactly.
 	Constraint partition.Constraint
 	// Checkpoint, when non-nil, journals every completed start into its
-	// sink and resumes from its recovered state — see internal/checkpoint.
-	// The resumed partition and cut are identical to an uninterrupted
-	// run's; the Fiedler vector is not journaled, so Result.Fiedler is
-	// nil when the winning start was resumed rather than re-executed.
+	// sink and resumes from its recovered state — see internal/engine.
+	// A resumed run returns the same Result an uninterrupted run would.
 	Checkpoint *engine.CheckpointIO
 }
 
@@ -121,18 +118,8 @@ func BisectCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (*Re
 			}
 			return partition.Imbalance(h, a.Partition) < partition.Imbalance(h, b.Partition)
 		},
-		Cut: func(r *Result) int { return r.CutSize },
-		Checkpoint: engine.BindCheckpoint(opts.Checkpoint,
-			func(r *Result) []byte {
-				return checkpoint.EncodeBest(r.Partition.Sides(), r.CutSize, int64(r.Iterations))
-			},
-			func(b []byte) (*Result, error) {
-				p, cut, aux, err := checkpoint.DecodeBestFor(h, b, 1)
-				if err != nil {
-					return nil, fmt.Errorf("spectral: %w", err)
-				}
-				return &Result{Partition: p, CutSize: cut, Iterations: int(aux[0])}, nil
-			}),
+		Cut:        func(r *Result) int { return r.CutSize },
+		Checkpoint: opts.Checkpoint,
 	})
 	if err != nil {
 		return nil, err
