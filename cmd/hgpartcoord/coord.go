@@ -251,7 +251,7 @@ func (c *coord) handlePartition(w http.ResponseWriter, r *http.Request) {
 	}
 	key := fleet.JobKey{
 		Fingerprint: checkpoint.HashHypergraph(ct.H),
-		Opts:        canonicalOpts(r.URL.Query()),
+		Opts:        canonicalOpts(r.URL.Query(), ct.Constraint.Key()),
 	}
 
 	timeout, expired := serve.RequestTimeout(r, c.cfg.reqTimeout)
@@ -366,12 +366,16 @@ func (c *coord) runDetached(job fleet.Job) {
 }
 
 // canonicalOpts renders the result-affecting query parameters in a
-// fixed order — the options half of the dedup key. The coordinator
-// cannot default unset parameters the way a worker does (it does not
-// know the worker's flags), so the key is the literal, sorted
-// parameter set; two requests with identical parameters always share a
-// key, which is all at-least-once dedup needs.
-func canonicalOpts(q url.Values) string {
+// fixed order, followed by the balance contract's key (constraint, a
+// partition.Constraint.Key) — the options half of the single-flight
+// and dedup key. The coordinator cannot default unset parameters the
+// way a worker does (it does not know the worker's flags), so the key
+// is the literal, sorted parameter set; two requests with identical
+// parameters always share a key, which is all at-least-once dedup
+// needs. The contract joins it because the netlist fingerprint leaves
+// out inline fixed directives: two requests for one netlist pinning
+// modules differently must not share an answer.
+func canonicalOpts(q url.Values, constraint string) string {
 	keys := make([]string, 0, len(q))
 	for k := range q {
 		if k == "format" {
@@ -386,7 +390,8 @@ func canonicalOpts(q url.Values) string {
 		sort.Strings(vals)
 		fmt.Fprintf(&b, "%s=%s ", k, strings.Join(vals, ","))
 	}
-	return strings.TrimSpace(b.String())
+	fmt.Fprintf(&b, "constraint=%q", constraint)
+	return b.String()
 }
 
 // handleHealthz always answers 200 while the process serves; the body

@@ -278,7 +278,7 @@ func TestHeartbeatEjectionAndRejoin(t *testing.T) {
 	q, _ := url.ParseQuery("")
 	job := fleet.Job{
 		ID:       "j99",
-		Key:      fleet.JobKey{Fingerprint: 42, Opts: canonicalOpts(q)},
+		Key:      fleet.JobKey{Fingerprint: 42, Opts: canonicalOpts(q, "")},
 		Netlist:  testNets,
 		Worker:   "w1",
 		Detached: true,

@@ -4,8 +4,11 @@ package fleet
 // jobs and the dedup memory that makes re-enqueueing safe.
 //
 // Every accepted job is admitted with its routing key (netlist
-// fingerprint + canonical options — the same pair the workers key their
-// result caches by) and assigned to the worker it was forwarded to. A
+// fingerprint + canonical options: the literal sorted query plus the
+// balance contract's key, since the fingerprint leaves out inline fixed
+// directives; workers key their result caches by their options after
+// defaults are applied instead) and assigned to the worker it was
+// forwarded to. A
 // job whose client handler is live is "attached": the handler itself
 // retries on worker failure, so attached jobs are never reclaimed out
 // from under it. Jobs recovered from the coordinator's WAL at boot, or
