@@ -80,6 +80,10 @@ func TestErrorPathsExitNonZeroOnStderr(t *testing.T) {
 		{"unknown completion", []string{"-in", valid, "-completion", "psychic"}, 1, `unknown completion "psychic"`},
 		{"portfolio with k>2", []string{"-in", valid, "-k", "4", "-fallback", "fm"}, 1, "bipartitioning only"},
 		{"portfolio unknown tier", []string{"-in", valid, "-fallback", "quantum"}, 1, "quantum"},
+		{"portfolio with completion", []string{"-in", valid, "-fallback", "fm", "-completion", "weighted"}, 1, "-completion cannot be combined with -fallback/-budget"},
+		{"budget with vcycle", []string{"-in", valid, "-budget", "2s", "-vcycle=false"}, 1, "-vcycle cannot be combined with -fallback/-budget"},
+		{"k>2 with algo", []string{"-in", valid, "-k", "4", "-algo", "fm"}, 1, "-algo cannot be combined with -k > 2"},
+		{"k>2 with threshold", []string{"-in", valid, "-k", "3", "-threshold", "10"}, 1, "-threshold cannot be combined with -k > 2"},
 		{"bad fault spec", []string{"-in", valid, "-faultinject", "explode@nowhere:1"}, 1, `unknown kind "explode"`},
 	}
 	for _, tc := range cases {
