@@ -316,9 +316,9 @@ func checkCompletionForms(t *testing.T, name string, h *hypergraph.Hypergraph, p
 		name string
 		run  func(pb *Partial, s *engine.Scratch) []bool
 	}{
-		{"greedy", func(pb *Partial, s *engine.Scratch) []bool { return completeCut(nil, pb, s) }},
+		{"greedy", func(pb *Partial, s *engine.Scratch) []bool { w, _ := completeCut(nil, pb, s); return w }},
 		{"exact", func(pb *Partial, _ *engine.Scratch) []bool { return CompleteCutExact(pb.Boundary) }},
-		{"weighted", func(pb *Partial, s *engine.Scratch) []bool { return completeCut(h, pb, s) }},
+		{"weighted", func(pb *Partial, s *engine.Scratch) []bool { w, _ := completeCut(h, pb, s); return w }},
 	} {
 		want := slices.Clone(rule.run(pb, nil))
 		for _, s := range []*engine.Scratch{nil, scratch} {
@@ -387,6 +387,40 @@ func TestCompletionSteadyStateAllocs(t *testing.T) {
 		run()
 		if a := testing.AllocsPerRun(20, run); a > rule.want {
 			t.Errorf("%s completion on a CSR G′: %.1f allocs per call with a warmed arena, want at most %v", rule.name, a, rule.want)
+		}
+	}
+}
+
+// TestSolvePairAllocs pins the allocations of one start's solve with a
+// warmed arena, balanced BFS and the seed-1 longest path. The weighted
+// completion hands solvePair the module assignment it weighed the sides
+// with, so a weighted solve builds that assignment once, like a greedy
+// one, and allocates no more than it.
+func TestSolvePairAllocs(t *testing.T) {
+	scratch := engine.GetScratch()
+	defer engine.PutScratch(scratch)
+	for _, tc := range []struct {
+		name gen.Table2Name
+		want float64
+	}{{gen.IC2, 19}, {gen.Bd1, 15}} {
+		h, err := gen.Table2Instance(tc.name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ig := intersect.Build(h, intersect.Options{})
+		u, v, depth := ig.G.LongestBFSPath(rand.New(rand.NewSource(1)))
+		for _, c := range []Completion{CompletionGreedy, CompletionWeighted} {
+			opts := Options{Completion: c, BalancedBFS: true}
+			run := func() {
+				if _, err := solvePair(h, ig, u, v, depth, opts, scratch); err != nil {
+					t.Fatal(err)
+				}
+				scratch.Release()
+			}
+			run()
+			if a := testing.AllocsPerRun(20, run); a != tc.want {
+				t.Errorf("%s, completion %v: %.1f allocs per solve with a warmed arena, want %v", tc.name, c, a, tc.want)
+			}
 		}
 	}
 }

@@ -23,7 +23,8 @@ import (
 // loser count is within one of the optimum completion for each
 // connected component of G′.
 func CompleteCutGreedy(bg *BoundaryGraph) []bool {
-	return completeCut(nil, &Partial{Boundary: bg}, nil)
+	winner, _ := completeCut(nil, &Partial{Boundary: bg}, nil)
+	return winner
 }
 
 // completeCut runs Complete-Cut on pb's G′ in the form it is held in:
@@ -39,11 +40,15 @@ func CompleteCutGreedy(bg *BoundaryGraph) []bool {
 // set is independent in G′, like the greedy rule's, but the balance of
 // the final partition is much tighter at a small cutsize premium — the
 // trade the paper reports. The greedy rule is the weighted one with a
-// single side and no weights. Every working array leases from the
-// scratch arena when one is available (nil falls back to fresh
-// allocations); the winner slice never outlives the start that leased
-// it.
-func completeCut(h *hypergraph.Hypergraph, pb *Partial, scratch *engine.Scratch) []bool {
+// single side and no weights. The weighted rule also returns the module
+// assignment it weighed the sides with: every module of a non-boundary
+// net or a winner placed on that net's side, which is what
+// Partial.Apply builds from the winners (the winner set is independent,
+// so placement order does not matter); the greedy rule returns nil.
+// Every working array leases from the scratch arena when one is
+// available (nil falls back to fresh allocations); the winner slice
+// never outlives the start that leased it.
+func completeCut(h *hypergraph.Hypergraph, pb *Partial, scratch *engine.Scratch) ([]bool, *partition.Bipartition) {
 	if pb.Boundary.G.Bitset() {
 		return completeCutRows(h, pb, scratch)
 	}
@@ -80,7 +85,7 @@ func CompleteCutExact(bg *BoundaryGraph) []bool {
 // from the arena, and pop order is exactly the per-bucket FIFO order
 // that the golden corpus pins down. The loop stops once no vertex is
 // alive.
-func completeCutLists(h *hypergraph.Hypergraph, pb *Partial, scratch *engine.Scratch) []bool {
+func completeCutLists(h *hypergraph.Hypergraph, pb *Partial, scratch *engine.Scratch) ([]bool, *partition.Bipartition) {
 	bg := pb.Boundary
 	g := bg.G
 	n := g.NumVertices()
@@ -175,7 +180,7 @@ func completeCutLists(h *hypergraph.Hypergraph, pb *Partial, scratch *engine.Scr
 			}
 		}
 	}
-	return winner
+	return winner, p
 }
 
 // completeCutRows is completeCut over a G′ held as bitset rows.
@@ -194,7 +199,7 @@ func completeCutLists(h *hypergraph.Hypergraph, pb *Partial, scratch *engine.Scr
 //
 // The key scans cost O(n) per winner and O(n²) in all, which the
 // denseBoundary rule bounds by 32·|E′|; the decrements cost O(|E′|).
-func completeCutRows(h *hypergraph.Hypergraph, pb *Partial, scratch *engine.Scratch) []bool {
+func completeCutRows(h *hypergraph.Hypergraph, pb *Partial, scratch *engine.Scratch) ([]bool, *partition.Bipartition) {
 	bg := pb.Boundary
 	g := bg.G
 	n := g.NumVertices()
@@ -237,7 +242,7 @@ func completeCutRows(h *hypergraph.Hypergraph, pb *Partial, scratch *engine.Scra
 			v = minKey(live[s], key)
 		}
 		if v < 0 {
-			return winner
+			return winner, p
 		}
 		winner[v] = true
 		live[s][v>>6] &^= 1 << (v & 63)

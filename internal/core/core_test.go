@@ -472,10 +472,11 @@ func TestWinnersNeverCross(t *testing.T) {
 		}
 		u, v, _ := ig.G.LongestBFSPath(rng)
 		pb := PartialFromCut(h, ig, u, v)
+		weighted, _ := completeCut(h, pb, nil)
 		for name, winner := range map[string][]bool{
 			"greedy":   CompleteCutGreedy(pb.Boundary),
 			"exact":    CompleteCutExact(pb.Boundary),
-			"weighted": completeCut(h, pb, nil),
+			"weighted": weighted,
 		} {
 			if !WinnersIndependent(pb.Boundary, winner) {
 				t.Fatalf("trial %d: %s winners not independent", trial, name)
