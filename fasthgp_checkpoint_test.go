@@ -232,7 +232,8 @@ func TestPartitionCheckpointedRefusesConstraintMismatch(t *testing.T) {
 // whole Result an uninterrupted run returns — the winner's diagnostics
 // (Losers, Boundary, BFSDepth, Fiedler, …) included. Masked are only
 // the counters of this process's own work: the engine's Wall, CPU and
-// StartsResumed, and Algorithm I's DistinctPairs and BitsetBoundaries.
+// StartsResumed, and Algorithm I's DistinctPairs, BitsetBoundaries and
+// ProbeSweeps.
 func TestResumedResultMatchesUninterrupted(t *testing.T) {
 	h := checkpointTestHypergraph(t)
 	ctx := context.Background()
@@ -247,7 +248,7 @@ func TestResumedResultMatchesUninterrupted(t *testing.T) {
 				return nil, err
 			}
 			timeless(&r.Stats.Engine)
-			r.Stats.DistinctPairs, r.Stats.BitsetBoundaries = 0, 0
+			r.Stats.DistinctPairs, r.Stats.BitsetBoundaries, r.Stats.ProbeSweeps = 0, 0, 0
 			return r, nil
 		}
 	}

@@ -32,6 +32,10 @@
 // (which examined 50 random longest paths). Steps 3–5 are a pure
 // function of the endpoint pair, so each distinct pair is solved once
 // per call and later starts drawing it share that start's Result.
+// Likewise each of step 2's two BFS sweeps is a pure function of its
+// source, and most starts begin their second sweep at a far vertex an
+// earlier start already swept from, so each source is swept once per
+// call.
 package core
 
 import (
@@ -43,6 +47,7 @@ import (
 	"sync"
 
 	"fasthgp/internal/engine"
+	"fasthgp/internal/graph"
 	"fasthgp/internal/hypergraph"
 	"fasthgp/internal/intersect"
 	"fasthgp/internal/partition"
@@ -147,10 +152,10 @@ type Options struct {
 	// Checkpoint, when non-nil, journals every completed start into its
 	// sink and resumes from its recovered state — see internal/engine.
 	// A resumed run returns the same Result an uninterrupted run would,
-	// except DistinctPairs and BitsetBoundaries, which count the pairs
-	// this call solved. Disconnected instances bypass the engine (the
-	// outcome is start-independent and instant), so no journal is
-	// written for them.
+	// except DistinctPairs, BitsetBoundaries and ProbeSweeps, which
+	// count the pairs this call solved and the sources it swept.
+	// Disconnected instances bypass the engine (the outcome is
+	// start-independent and instant), so no journal is written for them.
 	Checkpoint *engine.CheckpointIO
 }
 
@@ -186,6 +191,11 @@ type Stats struct {
 	// buildBoundaryGraphBitset); their completion runs on word
 	// operations. The partition does not depend on it.
 	BitsetBoundaries int
+	// ProbeSweeps is the number of distinct BFS sources the random
+	// longest-path probe swept; each was swept once (see BipartitionCtx),
+	// so it is at most twice the starts run. Zero when the intersection
+	// graph is disconnected or fixed vertices seed every start.
+	ProbeSweeps int
 	// Repaired reports that the best start needed the degenerate-side
 	// repair: the completion placed every module on one side (possible
 	// when the G-cut leaves no non-boundary nets on a side — the
@@ -239,7 +249,10 @@ func Bipartition(h *hypergraph.Hypergraph, opts Options) (*Result, error) {
 // so the call remembers each pair's Result and a later start drawing
 // the same pair returns it instead of solving again. The engine only
 // scores and compares results, so sharing one changes no output at any
-// Parallelism.
+// Parallelism. The probe that draws a pair is remembered the same way:
+// each BFS source's Eccentricity is computed once per call, so a start
+// whose far vertex an earlier start already swept from skips its
+// second sweep.
 func BipartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (*Result, error) {
 	if h.NumVertices() < 2 {
 		return nil, fmt.Errorf("core: hypergraph has %d vertices; need at least 2 to bipartition", h.NumVertices())
@@ -284,8 +297,10 @@ func bipartitionDual(ctx context.Context, h *hypergraph.Hypergraph, ig *intersec
 		return res, nil
 	}
 
-	var memoMu sync.Mutex
+	var memoMu sync.Mutex // guards memo, sweeps and bitsetBoundaries
 	memo := make(map[[2]int]*Result)
+	sweeps := make(map[int][2]int)
+	ecc := memoEccentricity(ig.G, &memoMu, sweeps)
 	bitsetBoundaries := 0
 	best, es, err := engine.Run(ctx, engine.Spec[*Result]{
 		Name:        "algo1",
@@ -293,7 +308,7 @@ func bipartitionDual(ctx context.Context, h *hypergraph.Hypergraph, ig *intersec
 		Parallelism: opts.Parallelism,
 		Seed:        opts.Seed,
 		Run: func(_ context.Context, _ int, rng *rand.Rand, scratch *engine.Scratch) (*Result, error) {
-			u, v, depth := seedPath(h, ig, rng, opts.Constraint)
+			u, v, depth := seedPath(h, ig, rng, opts.Constraint, ecc)
 			pair := [2]int{u, v}
 			memoMu.Lock()
 			res, ok := memo[pair]
@@ -331,8 +346,27 @@ func bipartitionDual(ctx context.Context, h *hypergraph.Hypergraph, ig *intersec
 	best.Stats.StartsRun = es.StartsRun
 	best.Stats.DistinctPairs = len(memo)
 	best.Stats.BitsetBoundaries = bitsetBoundaries
+	best.Stats.ProbeSweeps = len(sweeps)
 	best.Stats.Engine = es
 	return best, nil
+}
+
+// memoEccentricity returns g.Eccentricity remembered per source in
+// sweeps, which mu guards. Two workers may sweep one source at once;
+// their answers are equal, so either may be stored.
+func memoEccentricity(g *graph.Graph, mu *sync.Mutex, sweeps map[int][2]int) func(src int) (far, dist int) {
+	return func(src int) (far, dist int) {
+		mu.Lock()
+		r, ok := sweeps[src]
+		mu.Unlock()
+		if !ok {
+			r[0], r[1] = g.Eccentricity(src)
+			mu.Lock()
+			sweeps[src] = r
+			mu.Unlock()
+		}
+		return r[0], r[1]
+	}
 }
 
 // better reports whether candidate a improves on b under the objective.
@@ -414,15 +448,16 @@ func solvePair(h *hypergraph.Hypergraph, ig *intersect.Result, u, v, depth int, 
 }
 
 // seedPath picks the double-BFS endpoints for one start. Unconstrained
-// it is the paper's random longest BFS path. With fixed vertices, u is
+// it is the paper's random longest BFS path, each sweep run by ecc (an
+// Eccentricity of ig.G). With fixed vertices, u is
 // drawn among nets touching a Left-fixed module and v among nets
 // touching a Right-fixed one, so the expanding sets grow outward from
 // the pinned regions and the completed partition starts near the
 // contract; when either side pins no included net, the longest-path
 // draw is kept.
-func seedPath(h *hypergraph.Hypergraph, ig *intersect.Result, rng *rand.Rand, c partition.Constraint) (u, v, depth int) {
+func seedPath(h *hypergraph.Hypergraph, ig *intersect.Result, rng *rand.Rand, c partition.Constraint, ecc func(int) (int, int)) (u, v, depth int) {
 	if !c.HasFixed() {
-		return ig.G.LongestBFSPath(rng)
+		return ig.G.LongestBFSPathVia(rng, ecc)
 	}
 	nG := ig.G.NumVertices()
 	inL := make([]bool, nG)
@@ -452,7 +487,7 @@ func seedPath(h *hypergraph.Hypergraph, ig *intersect.Result, rng *rand.Rand, c 
 		}
 	}
 	if len(lefts) == 0 || len(rights) == 0 {
-		return ig.G.LongestBFSPath(rng)
+		return ig.G.LongestBFSPathVia(rng, ecc)
 	}
 	u = lefts[rng.Intn(len(lefts))]
 	v = rights[rng.Intn(len(rights))]
@@ -474,7 +509,7 @@ func seedPath(h *hypergraph.Hypergraph, ig *intersect.Result, rng *rand.Rand, c 
 			}
 		}
 		if v == u {
-			return ig.G.LongestBFSPath(rng)
+			return ig.G.LongestBFSPathVia(rng, ecc)
 		}
 	}
 	dist, _ := ig.G.BFS(u)

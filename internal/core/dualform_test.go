@@ -76,6 +76,8 @@ func sameResult(a, b *Result) string {
 		return "Repaired"
 	case a.Stats.DistinctPairs != b.Stats.DistinctPairs:
 		return "DistinctPairs"
+	case a.Stats.ProbeSweeps != b.Stats.ProbeSweeps:
+		return "ProbeSweeps"
 	case a.Stats.Disconnected != b.Stats.Disconnected:
 		return "Disconnected"
 	case a.Stats.GVertices != b.Stats.GVertices || a.Stats.GEdges != b.Stats.GEdges:
@@ -139,7 +141,7 @@ func checkBothForms(t *testing.T, name string, h *hypergraph.Hypergraph, opts Op
 		var pairs [2][3]int
 		var solved [2]*Result
 		for k, f := range []*intersect.Result{ig, alt} {
-			u, v, depth := seedPath(h, f, engine.StartRNG(opts.Seed, i), opts.Constraint)
+			u, v, depth := seedPath(h, f, engine.StartRNG(opts.Seed, i), opts.Constraint, f.G.Eccentricity)
 			pairs[k] = [3]int{u, v, depth}
 			var s *engine.Scratch
 			if k == 1 {

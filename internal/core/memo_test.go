@@ -5,12 +5,16 @@ package core
 // Result. The memo must be invisible in every output — each start's
 // cut is still the cut of that start solved alone, which is the
 // identity the benchmark's replay relies on — and its size must be the
-// number of distinct pairs the starts drew, at any Parallelism.
+// number of distinct pairs the starts drew, at any Parallelism. The
+// same holds for the per-call sweep cache of the longest-path probe:
+// every start draws LongestBFSPath's pair and depth, and ProbeSweeps is
+// the number of distinct sources the starts swept.
 
 import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 	"testing"
 
 	"fasthgp/internal/engine"
@@ -61,7 +65,7 @@ func countPairs(h *hypergraph.Hypergraph, opts Options) int {
 	ig := intersect.Build(h, intersect.Options{Threshold: opts.Threshold})
 	seen := make(map[[2]int]bool)
 	for i := 0; i < opts.Starts; i++ {
-		u, v, _ := seedPath(h, ig, engine.StartRNG(opts.Seed, i), opts.Constraint)
+		u, v, _ := seedPath(h, ig, engine.StartRNG(opts.Seed, i), opts.Constraint, ig.G.Eccentricity)
 		seen[[2]int{u, v}] = true
 	}
 	return len(seen)
@@ -127,5 +131,85 @@ func TestMemoIndependentOfParallelism(t *testing.T) {
 		if a.Stats.DistinctPairs != b.Stats.DistinctPairs {
 			t.Errorf("%s: DistinctPairs %d at Parallelism 1, %d at 4", c.name, a.Stats.DistinctPairs, b.Stats.DistinctPairs)
 		}
+		if a.Stats.ProbeSweeps != b.Stats.ProbeSweeps {
+			t.Errorf("%s: ProbeSweeps %d at Parallelism 1, %d at 4", c.name, a.Stats.ProbeSweeps, b.Stats.ProbeSweeps)
+		}
+	}
+}
+
+// countSources draws every start's probe without the cache and counts
+// the distinct sources its two sweeps start from: the start vertex and
+// its far vertex.
+func countSources(ig *intersect.Result, opts Options) int {
+	seen := make(map[int]bool)
+	for i := 0; i < opts.Starts; i++ {
+		start := engine.StartRNG(opts.Seed, i).Intn(ig.G.NumVertices())
+		far, _ := ig.G.Eccentricity(start)
+		seen[start], seen[far] = true, true
+	}
+	return len(seen)
+}
+
+// TestCachedProbeMatchesLongestBFSPath runs the unconstrained probe
+// through the sweep cache on the eight Table-2 instances and the golden
+// corpus (fixed directives ignored).
+func TestCachedProbeMatchesLongestBFSPath(t *testing.T) {
+	const starts, seed = 50, 1
+	insts := pinInstances(t) // Bd1, IC2, Diff3 and the golden corpus
+	for _, name := range []gen.Table2Name{gen.Bd2, gen.Bd3, gen.IC1, gen.Diff1, gen.Diff2} {
+		h, err := gen.Table2Instance(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		insts = append(insts, pinInstance{name: string(name), h: h})
+	}
+	for _, inst := range insts {
+		name, h := inst.name, inst.h
+		ig := intersect.Build(h, intersect.Options{})
+		if ig.G.NumVertices() == 0 {
+			continue
+		}
+		var mu sync.Mutex
+		sweeps := make(map[int][2]int)
+		ecc := memoEccentricity(ig.G, &mu, sweeps)
+		for i := 0; i < starts; i++ {
+			u, v, depth := seedPath(h, ig, engine.StartRNG(seed, i), partition.Constraint{}, ecc)
+			wu, wv, wdepth := ig.G.LongestBFSPath(engine.StartRNG(seed, i))
+			if u != wu || v != wv || depth != wdepth {
+				t.Errorf("%s start %d: cached probe (%d,%d) depth %d, LongestBFSPath (%d,%d) depth %d",
+					name, i, u, v, depth, wu, wv, wdepth)
+			}
+		}
+		if want := countSources(ig, Options{Starts: starts, Seed: seed}); len(sweeps) != want {
+			t.Errorf("%s: the cache holds %d sources, counted %d", name, len(sweeps), want)
+		}
+	}
+}
+
+// TestProbeSweepsCountsDistinctSources checks the reported count on
+// every Table-2 dual: IC2's 50 starts sweep 56 sources where two sweeps
+// per start would be 100.
+func TestProbeSweepsCountsDistinctSources(t *testing.T) {
+	for _, name := range gen.Table2Names() {
+		h, err := gen.Table2Instance(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Starts: 50, Seed: 1}
+		res, err := Bipartition(h, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Stats.Disconnected {
+			t.Fatalf("%s: intersection graph is disconnected; no start sweeps", name)
+		}
+		want := countSources(intersect.Build(h, intersect.Options{}), opts)
+		if got := res.Stats.ProbeSweeps; got != want {
+			t.Errorf("%s: ProbeSweeps = %d, counted %d", name, got, want)
+		}
+		if name == gen.IC2 && res.Stats.ProbeSweeps != 56 {
+			t.Errorf("IC2: ProbeSweeps = %d, want 56", res.Stats.ProbeSweeps)
+		}
+		t.Logf("%s: %d sweeps in %d starts, %d distinct pairs", name, res.Stats.ProbeSweeps, opts.Starts, res.Stats.DistinctPairs)
 	}
 }

@@ -275,9 +275,10 @@ func (g *Graph) BFS(src int) (dist, parent []int) {
 }
 
 // bfsBuffers holds the distance and queue arrays of one BFS sweep.
-// They are pooled because Eccentricity is the hot path of every
-// Algorithm I start (two sweeps per LongestBFSPath), and parallel
-// multi-start runs would otherwise allocate two O(n) arrays per sweep.
+// They are pooled because Eccentricity is the hot path of Algorithm I's
+// longest-path probe (up to two sweeps per start; a call sweeps each
+// source once, see LongestBFSPathVia), and parallel multi-start runs
+// would otherwise allocate two O(n) arrays per sweep.
 type bfsBuffers struct {
 	dist  []int
 	queue []int
@@ -358,13 +359,20 @@ func (g *Graph) Eccentricity(src int) (far int, dist int) {
 // (the standard double-sweep refinement); the returned pair is
 // (v, w) where w is furthest from v.
 func (g *Graph) LongestBFSPath(rng *rand.Rand) (u, v int, depth int) {
+	return g.LongestBFSPathVia(rng, g.Eccentricity)
+}
+
+// LongestBFSPathVia is LongestBFSPath with both sweeps run by ecc,
+// which must answer as g.Eccentricity does. It draws the same start
+// from rng, so a caller drawing many paths on one graph can pass an
+// Eccentricity remembered per source and sweep no source twice.
+func (g *Graph) LongestBFSPathVia(rng *rand.Rand, ecc func(src int) (far, dist int)) (u, v int, depth int) {
 	n := g.NumVertices()
 	if n == 0 {
 		return 0, 0, 0
 	}
-	start := rng.Intn(n)
-	a, _ := g.Eccentricity(start)
-	b, d := g.Eccentricity(a)
+	a, _ := ecc(rng.Intn(n))
+	b, d := ecc(a)
 	return a, b, d
 }
 
