@@ -56,11 +56,14 @@
 // profile covers everything after flag parsing; the heap profile is
 // captured after a final GC on exit) for use with go tool pprof.
 //
-// -fallback/-budget, -checkpoint and -k > 2 run every algorithm with
-// its defaults, so each refuses (exit 1) the flags that tune a single
-// algorithm when they are set on the command line: -completion,
-// -threshold, -objective and -vcycle; -k > 2 also refuses -algo, since
-// K-way runs its own recursive bisection.
+// A flag that tunes one algorithm is refused (exit 1) when it is set on
+// the command line for a run it would not reach: -completion,
+// -threshold and -objective tune -algo algI, and -vcycle tunes -algo
+// multilevel. -fallback/-budget, -checkpoint and -k > 2 run every
+// algorithm with its defaults, so they refuse all four; -k > 2 also
+// refuses -algo, since K-way runs its own recursive bisection, and
+// -fallback/-budget also refuses -stats, since the portfolio reports
+// its tiers instead of one engine run.
 //
 // Every error path prints to stderr and exits non-zero (2 for flag
 // errors, 1 for everything else); partial results are never reported
@@ -244,18 +247,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer cancel()
 	}
 
-	// ignored refuses a flag tuning one algorithm, set on a path that
-	// runs the algorithms with their defaults (see the package doc).
+	// ignored refuses a flag set on the command line for a path that
+	// would not read it (see the package doc).
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	ignored := func(path string, names ...string) error {
-		for _, name := range append(names, "completion", "threshold", "objective", "vcycle") {
+		for _, name := range names {
 			if set[name] {
 				return fmt.Errorf("-%s cannot be combined with %s (it would be ignored)", name, path)
 			}
 		}
 		return nil
 	}
+	tuning := []string{"completion", "threshold", "objective", "vcycle"}
 
 	if *fallback != "" || *budget > 0 {
 		if *k > 2 {
@@ -264,7 +268,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *ckptPath != "" {
 			return fail(fmt.Errorf("-checkpoint cannot be combined with -fallback/-budget"))
 		}
-		if err := ignored("-fallback/-budget"); err != nil {
+		if err := ignored("-fallback/-budget", append(tuning, "stats")...); err != nil {
 			return fail(err)
 		}
 		return runPortfolio(ctx, h, *algo, *fallback, *budget, *starts, *seed, *parallel, constraint, *doVerify, *verbose, stdout, stderr)
@@ -277,7 +281,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *k > 2 {
 			return fail(fmt.Errorf("-checkpoint supports bipartitioning only (got -k %d)", *k))
 		}
-		if err := ignored("-checkpoint"); err != nil {
+		if err := ignored("-checkpoint", tuning...); err != nil {
 			return fail(err)
 		}
 		return runCheckpointed(ctx, h, *algo, *ckptPath, *resume,
@@ -286,7 +290,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *k > 2 {
-		if err := ignored("-k > 2", "algo"); err != nil {
+		if err := ignored("-k > 2", append(tuning, "algo")...); err != nil {
 			return fail(err)
 		}
 		start := time.Now()
@@ -322,6 +326,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	if *algo != "algI" {
+		if err := ignored("-algo "+*algo, "completion", "threshold", "objective"); err != nil {
+			return fail(err)
+		}
+	}
+	if *algo != "multilevel" {
+		if err := ignored("-algo "+*algo, "vcycle"); err != nil {
+			return fail(err)
+		}
+	}
+
 	var p *fasthgp.Bipartition
 	var es fasthgp.EngineStats
 	start := time.Now()
@@ -351,8 +366,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		p, es = res.Partition, res.Stats.Engine
-		fmt.Fprintf(stdout, "algorithm I: G = (%d vertices, %d edges), boundary %d, BFS depth %d, %d distinct endpoint pairs, %d boundary graphs as bitset rows",
-			res.Stats.GVertices, res.Stats.GEdges, res.Stats.BoundarySize, res.Stats.BFSDepth, res.Stats.DistinctPairs, res.Stats.BitsetBoundaries)
+		fmt.Fprintf(stdout, "algorithm I: G = (%d vertices, %d edges), boundary %d, BFS depth %d, %d distinct endpoint pairs, %d boundary graphs as bitset rows, %d probe sweeps",
+			res.Stats.GVertices, res.Stats.GEdges, res.Stats.BoundarySize, res.Stats.BFSDepth, res.Stats.DistinctPairs, res.Stats.BitsetBoundaries, res.Stats.ProbeSweeps)
 		if res.Stats.BitsetDual {
 			fmt.Fprint(stdout, " [dual as bitset rows]")
 		}

@@ -82,6 +82,12 @@ func TestErrorPathsExitNonZeroOnStderr(t *testing.T) {
 		{"portfolio unknown tier", []string{"-in", valid, "-fallback", "quantum"}, 1, "quantum"},
 		{"portfolio with completion", []string{"-in", valid, "-fallback", "fm", "-completion", "weighted"}, 1, "-completion cannot be combined with -fallback/-budget"},
 		{"budget with vcycle", []string{"-in", valid, "-budget", "2s", "-vcycle=false"}, 1, "-vcycle cannot be combined with -fallback/-budget"},
+		{"portfolio with stats", []string{"-in", valid, "-fallback", "fm", "-stats"}, 1, "-stats cannot be combined with -fallback/-budget"},
+		{"fm with completion", []string{"-in", valid, "-algo", "fm", "-completion", "weighted", "-threshold", "10"}, 1, "-completion cannot be combined with -algo fm"},
+		{"kl with threshold", []string{"-in", valid, "-algo", "kl", "-threshold", "10"}, 1, "-threshold cannot be combined with -algo kl"},
+		{"multilevel with objective", []string{"-in", valid, "-algo", "multilevel", "-objective", "quotient"}, 1, "-objective cannot be combined with -algo multilevel"},
+		{"algI with vcycle", []string{"-in", valid, "-vcycle=false"}, 1, "-vcycle cannot be combined with -algo algI"},
+		{"sa with vcycle", []string{"-in", valid, "-algo", "sa", "-vcycle=false"}, 1, "-vcycle cannot be combined with -algo sa"},
 		{"k>2 with algo", []string{"-in", valid, "-k", "4", "-algo", "fm"}, 1, "-algo cannot be combined with -k > 2"},
 		{"k>2 with threshold", []string{"-in", valid, "-k", "3", "-threshold", "10"}, 1, "-threshold cannot be combined with -k > 2"},
 		{"bad fault spec", []string{"-in", valid, "-faultinject", "explode@nowhere:1"}, 1, `unknown kind "explode"`},
@@ -115,6 +121,23 @@ func TestFaultInjectionSkipsStart(t *testing.T) {
 	for _, want := range []string{"1 start(s) panicked and were skipped", "verified:"} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("stdout missing %q:\n%s", want, stdout)
+		}
+	}
+}
+
+// TestTuningFlagsReachTheirAlgorithm: the flags refused for other
+// algorithms are accepted by the one they tune.
+func TestTuningFlagsReachTheirAlgorithm(t *testing.T) {
+	nets := writeNetlist(t, testNets)
+	for _, args := range [][]string{
+		{"-algo", "algI", "-completion", "weighted", "-threshold", "10", "-objective", "quotient"},
+		{"-algo", "multilevel", "-vcycle=false"},
+	} {
+		code, stdout, stderr := execHgpart(t, append([]string{"-in", nets, "-starts", "4", "-verify"}, args...)...)
+		if code != 0 {
+			t.Errorf("%v: exit code = %d, stderr = %q", args, code, stderr)
+		} else if !strings.Contains(stdout, "verified:") {
+			t.Errorf("%v: stdout missing %q:\n%s", args, "verified:", stdout)
 		}
 	}
 }
