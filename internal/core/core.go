@@ -33,9 +33,8 @@
 // function of the endpoint pair, so each distinct pair is solved once
 // per call and later starts drawing it share that start's Result.
 // Likewise each of step 2's two BFS sweeps is a pure function of its
-// source, and most starts begin their second sweep at a far vertex an
-// earlier start already swept from, so each source is swept once per
-// call.
+// source, so each source is swept once per call, and the sweeps of 64
+// starts run together as one bit-parallel BFS.
 package core
 
 import (
@@ -47,7 +46,6 @@ import (
 	"sync"
 
 	"fasthgp/internal/engine"
-	"fasthgp/internal/graph"
 	"fasthgp/internal/hypergraph"
 	"fasthgp/internal/intersect"
 	"fasthgp/internal/partition"
@@ -153,7 +151,9 @@ type Options struct {
 	// sink and resumes from its recovered state — see internal/engine.
 	// A resumed run returns the same Result an uninterrupted run would,
 	// except DistinctPairs, BitsetBoundaries and ProbeSweeps, which
-	// count the pairs this call solved and the sources it swept.
+	// count the pairs this call solved and the sources it swept: every
+	// source of each block of 64 starts it probed, skipped starts'
+	// included.
 	// Disconnected instances bypass the engine (the outcome is
 	// start-independent and instant), so no journal is written for them.
 	Checkpoint *engine.CheckpointIO
@@ -192,9 +192,13 @@ type Stats struct {
 	// operations. The partition does not depend on it.
 	BitsetBoundaries int
 	// ProbeSweeps is the number of distinct BFS sources the random
-	// longest-path probe swept; each was swept once (see BipartitionCtx),
-	// so it is at most twice the starts run. Zero when the intersection
-	// graph is disconnected or fixed vertices seed every start.
+	// longest-path probe swept; each was swept once (see BipartitionCtx).
+	// The probe draws the paths of 64 starts at a time, so a call that
+	// ran only some starts of a block (cancelled or resumed) counts the
+	// sources of all of them; a full run counts the start vertices and
+	// their far vertices, at most twice the starts. Zero when the
+	// intersection graph is disconnected or fixed vertices seed the
+	// starts.
 	ProbeSweeps int
 	// Repaired reports that the best start needed the degenerate-side
 	// repair: the completion placed every module on one side (possible
@@ -249,10 +253,10 @@ func Bipartition(h *hypergraph.Hypergraph, opts Options) (*Result, error) {
 // so the call remembers each pair's Result and a later start drawing
 // the same pair returns it instead of solving again. The engine only
 // scores and compares results, so sharing one changes no output at any
-// Parallelism. The probe that draws a pair is remembered the same way:
-// each BFS source's Eccentricity is computed once per call, so a start
-// whose far vertex an earlier start already swept from skips its
-// second sweep.
+// Parallelism. The probe that draws a pair is shared the same way:
+// the first start of each block of 64 start indices draws the random
+// longest paths of the whole block, sweeping every BFS source not yet
+// swept in one bit-parallel pass, so a call sweeps each source once.
 func BipartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (*Result, error) {
 	if h.NumVertices() < 2 {
 		return nil, fmt.Errorf("core: hypergraph has %d vertices; need at least 2 to bipartition", h.NumVertices())
@@ -297,18 +301,17 @@ func bipartitionDual(ctx context.Context, h *hypergraph.Hypergraph, ig *intersec
 		return res, nil
 	}
 
-	var memoMu sync.Mutex // guards memo, sweeps and bitsetBoundaries
+	seeds := newSeeder(h, ig, opts)
+	var memoMu sync.Mutex // guards memo and bitsetBoundaries
 	memo := make(map[[2]int]*Result)
-	sweeps := make(map[int][2]int)
-	ecc := memoEccentricity(ig.G, &memoMu, sweeps)
 	bitsetBoundaries := 0
 	best, es, err := engine.Run(ctx, engine.Spec[*Result]{
 		Name:        "algo1",
 		Starts:      opts.Starts,
 		Parallelism: opts.Parallelism,
 		Seed:        opts.Seed,
-		Run: func(_ context.Context, _ int, rng *rand.Rand, scratch *engine.Scratch) (*Result, error) {
-			u, v, depth := seedPath(h, ig, rng, opts.Constraint, ecc)
+		Run: func(_ context.Context, start int, rng *rand.Rand, scratch *engine.Scratch) (*Result, error) {
+			u, v, depth := seeds.path(start, rng)
 			pair := [2]int{u, v}
 			memoMu.Lock()
 			res, ok := memo[pair]
@@ -346,27 +349,9 @@ func bipartitionDual(ctx context.Context, h *hypergraph.Hypergraph, ig *intersec
 	best.Stats.StartsRun = es.StartsRun
 	best.Stats.DistinctPairs = len(memo)
 	best.Stats.BitsetBoundaries = bitsetBoundaries
-	best.Stats.ProbeSweeps = len(sweeps)
+	best.Stats.ProbeSweeps = seeds.probe.sweeps()
 	best.Stats.Engine = es
 	return best, nil
-}
-
-// memoEccentricity returns g.Eccentricity remembered per source in
-// sweeps, which mu guards. Two workers may sweep one source at once;
-// their answers are equal, so either may be stored.
-func memoEccentricity(g *graph.Graph, mu *sync.Mutex, sweeps map[int][2]int) func(src int) (far, dist int) {
-	return func(src int) (far, dist int) {
-		mu.Lock()
-		r, ok := sweeps[src]
-		mu.Unlock()
-		if !ok {
-			r[0], r[1] = g.Eccentricity(src)
-			mu.Lock()
-			sweeps[src] = r
-			mu.Unlock()
-		}
-		return r[0], r[1]
-	}
 }
 
 // better reports whether candidate a improves on b under the objective.
@@ -445,79 +430,6 @@ func solvePair(h *hypergraph.Hypergraph, ig *intersect.Result, u, v, depth int, 
 		res.Stats.BitsetBoundaries = 1
 	}
 	return res, nil
-}
-
-// seedPath picks the double-BFS endpoints for one start. Unconstrained
-// it is the paper's random longest BFS path, each sweep run by ecc (an
-// Eccentricity of ig.G). With fixed vertices, u is
-// drawn among nets touching a Left-fixed module and v among nets
-// touching a Right-fixed one, so the expanding sets grow outward from
-// the pinned regions and the completed partition starts near the
-// contract; when either side pins no included net, the longest-path
-// draw is kept.
-func seedPath(h *hypergraph.Hypergraph, ig *intersect.Result, rng *rand.Rand, c partition.Constraint, ecc func(int) (int, int)) (u, v, depth int) {
-	if !c.HasFixed() {
-		return ig.G.LongestBFSPathVia(rng, ecc)
-	}
-	nG := ig.G.NumVertices()
-	inL := make([]bool, nG)
-	inR := make([]bool, nG)
-	for m := 0; m < h.NumVertices(); m++ {
-		f := c.Fixed(m)
-		if f < 0 {
-			continue
-		}
-		for _, e := range h.VertexEdges(m) {
-			if gi := ig.GVertexOf[e]; gi >= 0 {
-				if f == 0 {
-					inL[gi] = true
-				} else {
-					inR[gi] = true
-				}
-			}
-		}
-	}
-	var lefts, rights []int
-	for g := 0; g < nG; g++ {
-		if inL[g] {
-			lefts = append(lefts, g)
-		}
-		if inR[g] {
-			rights = append(rights, g)
-		}
-	}
-	if len(lefts) == 0 || len(rights) == 0 {
-		return ig.G.LongestBFSPathVia(rng, ecc)
-	}
-	u = lefts[rng.Intn(len(lefts))]
-	v = rights[rng.Intn(len(rights))]
-	if v == u {
-		// The drawn net pins modules of both sides; find any distinct
-		// endpoint, else give up on fixed seeding for this start.
-		for _, g := range rights {
-			if g != u {
-				v = g
-				break
-			}
-		}
-		if v == u {
-			for _, g := range lefts {
-				if g != v {
-					u = g
-					break
-				}
-			}
-		}
-		if v == u {
-			return ig.G.LongestBFSPathVia(rng, ecc)
-		}
-	}
-	dist, _ := ig.G.BFS(u)
-	depth = dist[v]
-	if depth < 0 {
-		depth = 0
-	}
-	return u, v, depth
 }
 
 // majorityFallback assigns each module to the side held by the

@@ -137,11 +137,12 @@ func checkBothForms(t *testing.T, name string, h *hypergraph.Hypergraph, opts Op
 	}
 	scratch := engine.GetScratch()
 	defer engine.PutScratch(scratch)
+	seeds := [2]*seeder{newSeeder(h, ig, opts), newSeeder(h, alt, opts)}
 	for i := 0; i < min(engine.Normalize(opts.Starts), 3); i++ {
 		var pairs [2][3]int
 		var solved [2]*Result
 		for k, f := range []*intersect.Result{ig, alt} {
-			u, v, depth := seedPath(h, f, engine.StartRNG(opts.Seed, i), opts.Constraint, f.G.Eccentricity)
+			u, v, depth := seeds[k].path(i, engine.StartRNG(opts.Seed, i))
 			pairs[k] = [3]int{u, v, depth}
 			var s *engine.Scratch
 			if k == 1 {

@@ -6,15 +6,14 @@ package core
 // cut is still the cut of that start solved alone, which is the
 // identity the benchmark's replay relies on — and its size must be the
 // number of distinct pairs the starts drew, at any Parallelism. The
-// same holds for the per-call sweep cache of the longest-path probe:
-// every start draws LongestBFSPath's pair and depth, and ProbeSweeps is
-// the number of distinct sources the starts swept.
+// same holds for the longest-path probe, which sweeps 64 starts' BFS
+// sources at a time: every start draws LongestBFSPath's pair and depth,
+// and ProbeSweeps is the number of distinct sources the starts swept.
 
 import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sync"
 	"testing"
 
 	"fasthgp/internal/engine"
@@ -63,9 +62,10 @@ func memoCases(t *testing.T) []memoCase {
 // them and counts the distinct ones.
 func countPairs(h *hypergraph.Hypergraph, opts Options) int {
 	ig := intersect.Build(h, intersect.Options{Threshold: opts.Threshold})
+	seeds := newSeeder(h, ig, opts)
 	seen := make(map[[2]int]bool)
 	for i := 0; i < opts.Starts; i++ {
-		u, v, _ := seedPath(h, ig, engine.StartRNG(opts.Seed, i), opts.Constraint, ig.G.Eccentricity)
+		u, v, _ := seeds.path(i, engine.StartRNG(opts.Seed, i))
 		seen[[2]int{u, v}] = true
 	}
 	return len(seen)
@@ -137,9 +137,9 @@ func TestMemoIndependentOfParallelism(t *testing.T) {
 	}
 }
 
-// countSources draws every start's probe without the cache and counts
-// the distinct sources its two sweeps start from: the start vertex and
-// its far vertex.
+// countSources draws every start's probe one sweep at a time and
+// counts the distinct sources its two sweeps start from: the start
+// vertex and its far vertex.
 func countSources(ig *intersect.Result, opts Options) int {
 	seen := make(map[int]bool)
 	for i := 0; i < opts.Starts; i++ {
@@ -150,11 +150,14 @@ func countSources(ig *intersect.Result, opts Options) int {
 	return len(seen)
 }
 
-// TestCachedProbeMatchesLongestBFSPath runs the unconstrained probe
-// through the sweep cache on the eight Table-2 instances and the golden
-// corpus (fixed directives ignored).
+// TestCachedProbeMatchesLongestBFSPath runs the unconstrained probe on
+// the eight Table-2 instances and the golden corpus (fixed directives
+// ignored) over two blocks, the second partial, asking for the starts
+// in descending order so that the later block is probed first: every
+// start must get LongestBFSPath's pair and depth, and the probe must
+// sweep each distinct source once.
 func TestCachedProbeMatchesLongestBFSPath(t *testing.T) {
-	const starts, seed = 50, 1
+	const starts, seed = 100, 1
 	insts := pinInstances(t) // Bd1, IC2, Diff3 and the golden corpus
 	for _, name := range []gen.Table2Name{gen.Bd2, gen.Bd3, gen.IC1, gen.Diff1, gen.Diff2} {
 		h, err := gen.Table2Instance(name, 1)
@@ -169,19 +172,60 @@ func TestCachedProbeMatchesLongestBFSPath(t *testing.T) {
 		if ig.G.NumVertices() == 0 {
 			continue
 		}
-		var mu sync.Mutex
-		sweeps := make(map[int][2]int)
-		ecc := memoEccentricity(ig.G, &mu, sweeps)
-		for i := 0; i < starts; i++ {
-			u, v, depth := seedPath(h, ig, engine.StartRNG(seed, i), partition.Constraint{}, ecc)
+		p := newProbe(ig.G, seed, starts)
+		for i := starts - 1; i >= 0; i-- {
+			u, v, depth := p.path(i)
 			wu, wv, wdepth := ig.G.LongestBFSPath(engine.StartRNG(seed, i))
 			if u != wu || v != wv || depth != wdepth {
-				t.Errorf("%s start %d: cached probe (%d,%d) depth %d, LongestBFSPath (%d,%d) depth %d",
+				t.Errorf("%s start %d: probe (%d,%d) depth %d, LongestBFSPath (%d,%d) depth %d",
 					name, i, u, v, depth, wu, wv, wdepth)
 			}
 		}
-		if want := countSources(ig, Options{Starts: starts, Seed: seed}); len(sweeps) != want {
-			t.Errorf("%s: the cache holds %d sources, counted %d", name, len(sweeps), want)
+		if got, want := p.sweeps(), countSources(ig, Options{Starts: starts, Seed: seed}); got != want {
+			t.Errorf("%s: the probe swept %d sources, counted %d", name, got, want)
+		}
+	}
+}
+
+// TestProbeBlocksIndependentOfParallelism runs 200 starts, four probe
+// blocks, on a CSR dual (IC2) and a bitset-row dual (Bd1): the blocks
+// workers probe concurrently must give every output of a serial run,
+// and each distinct source must be swept once.
+func TestProbeBlocksIndependentOfParallelism(t *testing.T) {
+	for _, name := range []gen.Table2Name{gen.IC2, gen.Bd1} {
+		h, err := gen.Table2Instance(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Starts: 200, Seed: 1}
+		var runs [2]*Result
+		for k, par := range []int{1, 4} {
+			opts.Parallelism = par
+			if runs[k], err = Bipartition(h, opts); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		a, b := runs[0], runs[1]
+		if a.Stats.BitsetDual != (name == gen.Bd1) {
+			t.Errorf("%s: BitsetDual = %v", name, a.Stats.BitsetDual)
+		}
+		if !slices.Equal(a.Stats.Engine.Cuts, b.Stats.Engine.Cuts) {
+			t.Errorf("%s: per-start cuts differ between Parallelism 1 and 4", name)
+		}
+		if a.Stats.Engine.BestStart != b.Stats.Engine.BestStart {
+			t.Errorf("%s: best start %d at Parallelism 1, %d at 4", name, a.Stats.Engine.BestStart, b.Stats.Engine.BestStart)
+		}
+		if !slices.Equal(a.Partition.Sides(), b.Partition.Sides()) {
+			t.Errorf("%s: partitions differ between Parallelism 1 and 4", name)
+		}
+		if a.Stats.DistinctPairs != b.Stats.DistinctPairs {
+			t.Errorf("%s: DistinctPairs %d at Parallelism 1, %d at 4", name, a.Stats.DistinctPairs, b.Stats.DistinctPairs)
+		}
+		want := countSources(intersect.Build(h, intersect.Options{}), opts)
+		for k, r := range runs {
+			if r.Stats.ProbeSweeps != want {
+				t.Errorf("%s: ProbeSweeps = %d at Parallelism %d, counted %d", name, r.Stats.ProbeSweeps, []int{1, 4}[k], want)
+			}
 		}
 	}
 }

@@ -83,9 +83,13 @@ func StartSeed(seed int64, i int) int64 {
 	return int64(uint64(seed) ^ splitmix.Mix64(uint64(i)))
 }
 
-// StartRNG returns the dedicated RNG of start index i under seed.
+// StartRNG returns the dedicated RNG of start index i under seed. It
+// yields exactly the stream of rand.New(rand.NewSource(StartSeed(seed,
+// i))), but computes its first few draws from the seed alone and seeds
+// math/rand's 607-word state only when a start draws past them (see
+// startsource.go), so a start that draws once costs no seeding.
 func StartRNG(seed int64, i int) *rand.Rand {
-	return rand.New(rand.NewSource(StartSeed(seed, i)))
+	return rand.New(newStartSource(StartSeed(seed, i)))
 }
 
 // NotRun marks a start that never executed in Stats.Cuts (the run was

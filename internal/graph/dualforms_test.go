@@ -3,8 +3,9 @@ package graph
 // Differential suite for the two storage forms: on every graph, every
 // exported method must answer the same whether the graph is held as
 // CSR lists or as bitset rows — rows, degrees, edge tests, BFS
-// distances and parents, far vertices, longest-path draws, both
-// double-BFS labelings and component numbering. The fuzz target extends
+// distances and parents, far vertices (one source at a time and
+// batched), longest-path draws, both double-BFS labelings and component
+// numbering. The fuzz target extends
 // the check to arbitrary edge lists.
 
 import (
@@ -70,6 +71,7 @@ func checkDualForms(t *testing.T, name string, c *Graph, sources []int, pairs []
 			t.Fatalf("%s: Eccentricity(%d) = (%d,%d), csr (%d,%d)", name, src, bf, bx, cf, cx)
 		}
 	}
+	checkEccentricities(t, name, c, b, sources)
 	for seed := int64(0); seed < 3; seed++ {
 		bu, bv, bdep := b.LongestBFSPath(rand.New(rand.NewSource(seed)))
 		cu, cv, cdep := c.LongestBFSPath(rand.New(rand.NewSource(seed)))
@@ -109,6 +111,43 @@ func checkDualForms(t *testing.T, name string, c *Graph, sources []int, pairs []
 	}
 	if n <= 70 && b.Diameter() != c.Diameter() {
 		t.Fatalf("%s: Diameter = %d, csr %d", name, b.Diameter(), c.Diameter())
+	}
+}
+
+// checkEccentricities compares Eccentricities on both forms, and the
+// bit-parallel body on c even where Eccentricities would sweep each
+// source alone, with c.Eccentricity per source. The batches are the
+// first source alone, the first 64, and 64 cycling through the sources
+// (repeats when there are fewer).
+func checkEccentricities(t *testing.T, name string, c, b *Graph, sources []int) {
+	t.Helper()
+	if len(sources) == 0 {
+		return
+	}
+	cycled := make([]int, 64)
+	for j := range cycled {
+		cycled[j] = sources[j%len(sources)]
+	}
+	for _, srcs := range [][]int{sources[:1], sources[:min(len(sources), 64)], cycled} {
+		far, dist := make([]int, len(srcs)), make([]int, len(srcs))
+		check := func(form string) {
+			t.Helper()
+			for j, src := range srcs {
+				if wf, wd := c.Eccentricity(src); far[j] != wf || dist[j] != wd {
+					t.Fatalf("%s: %s over %d sources: source %d (#%d) = (%d,%d), Eccentricity (%d,%d)",
+						name, form, len(srcs), src, j, far[j], dist[j], wf, wd)
+				}
+			}
+		}
+		c.Eccentricities(srcs, far, dist)
+		check("csr Eccentricities")
+		b.Eccentricities(srcs, far, dist)
+		check("bitset Eccentricities")
+		if c.eccentricities(srcs, far, dist) {
+			check("bit-parallel sweep")
+		} else if len(srcs) >= batchMinSources {
+			t.Logf("%s: %d sources gave up after %d levels", name, len(srcs), 2*len(srcs)+1)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"sync"
@@ -275,14 +276,14 @@ func (g *Graph) BFS(src int) (dist, parent []int) {
 }
 
 // bfsBuffers holds the distance and queue arrays of one BFS sweep.
-// They are pooled because Eccentricity is the hot path of Algorithm I's
-// longest-path probe (up to two sweeps per start; a call sweeps each
-// source once, see LongestBFSPathVia), and parallel multi-start runs
-// would otherwise allocate two O(n) arrays per sweep.
+// They are pooled because Eccentricity and Eccentricities are the hot
+// path of Algorithm I's longest-path probe, and parallel multi-start
+// runs would otherwise allocate O(n) arrays per sweep.
 type bfsBuffers struct {
 	dist  []int
 	queue []int
 	seen  []uint64 // bitset rows: the claimed-vertex set
+	lanes []uint64 // Eccentricities: three words per vertex
 }
 
 var bfsPool = sync.Pool{New: func() any { return new(bfsBuffers) }}
@@ -349,6 +350,91 @@ func (g *Graph) Eccentricity(src int) (far int, dist int) {
 	return far, dist
 }
 
+// batchMinSources is the fewest sources Eccentricities sweeps
+// bit-parallel; fewer are swept one at a time (see Eccentricities).
+const batchMinSources = 4
+
+// Eccentricities sets far[j], dist[j] = g.Eccentricity(srcs[j]) for
+// each of at most 64 sources (repeats allowed).
+//
+// On CSR lists with at least batchMinSources sources it runs one
+// level-synchronous BFS in which every vertex carries one bit per
+// source (Then et al., "The More the Merrier: Efficient Multi-Source
+// Graph Traversal", VLDB 2014): level L is one ascending pass over the
+// vertices that settles the bits first reaching each vertex at L and
+// ORs them into its neighbours' candidates for L+1. Eccentricity's
+// answer, the largest finite distance and the lowest vertex at it,
+// depends only on the levels, and the pass meets a level's vertices in
+// ascending order, so each source gets exactly that answer. A
+// level costs a pass over every vertex, so a graph deeper than twice
+// the number of sources gives up and sweeps each source alone, as do
+// smaller batches and bitset rows, whose sweeps already expand 64
+// candidates per word operation.
+func (g *Graph) Eccentricities(srcs, far, dist []int) {
+	if len(srcs) > 64 {
+		panic(fmt.Sprintf("graph: Eccentricities: %d sources, at most 64", len(srcs)))
+	}
+	if g.bitset || len(srcs) < batchMinSources || !g.eccentricities(srcs, far, dist) {
+		for j, src := range srcs {
+			far[j], dist[j] = g.Eccentricity(src)
+		}
+	}
+}
+
+// eccentricities is the bit-parallel body of Eccentricities. It
+// reports false, leaving far and dist unspecified, when the levels
+// outnumber twice the sources.
+func (g *Graph) eccentricities(srcs, far, dist []int) bool {
+	n := g.n
+	buf := bfsPool.Get().(*bfsBuffers)
+	defer bfsPool.Put(buf)
+	if cap(buf.lanes) < 3*n {
+		buf.lanes = make([]uint64, 3*n)
+	}
+	lanes := buf.lanes[:3*n]
+	clear(lanes)
+	// seen[v]: sources that reached v; cand[v]: sources offered to v by a
+	// neighbour at the previous level; next: the offers for the next one.
+	seen, cand, next := lanes[:n], lanes[n:2*n], lanes[2*n:]
+	for j, src := range srcs {
+		cand[src] |= 1 << j
+	}
+	all := uint64(1)<<len(srcs) - 1 // all ones at 64 sources: 1<<64 is 0
+	left := n * len(srcs)           // (vertex, source) pairs not yet reached
+	for level := 0; level <= 2*len(srcs); level++ {
+		open := all // sources whose lowest vertex at this level is unset
+		reached := 0
+		for v, c := range cand {
+			if c == 0 {
+				continue
+			}
+			cand[v] = 0
+			fresh := c &^ seen[v]
+			if fresh == 0 {
+				continue
+			}
+			seen[v] |= fresh
+			for m := fresh & open; m != 0; m &= m - 1 {
+				j := bits.TrailingZeros64(m)
+				far[j], dist[j] = v, level
+			}
+			open &^= fresh
+			if reached += bits.OnesCount64(fresh); reached == left {
+				return true // every source reached every vertex
+			}
+			for _, u := range g.adj[g.start[v]:g.start[v+1]] {
+				next[u] |= fresh
+			}
+		}
+		if reached == 0 {
+			return true // the rest is unreachable from every source
+		}
+		left -= reached
+		cand, next = next, cand
+	}
+	return false
+}
+
 // LongestBFSPath starts at a random vertex drawn from rng and returns
 // the endpoints (u, v) of a longest BFS path: v is a furthest vertex
 // from the random start u. Per the paper, for connected random graphs
@@ -359,20 +445,12 @@ func (g *Graph) Eccentricity(src int) (far int, dist int) {
 // (the standard double-sweep refinement); the returned pair is
 // (v, w) where w is furthest from v.
 func (g *Graph) LongestBFSPath(rng *rand.Rand) (u, v int, depth int) {
-	return g.LongestBFSPathVia(rng, g.Eccentricity)
-}
-
-// LongestBFSPathVia is LongestBFSPath with both sweeps run by ecc,
-// which must answer as g.Eccentricity does. It draws the same start
-// from rng, so a caller drawing many paths on one graph can pass an
-// Eccentricity remembered per source and sweep no source twice.
-func (g *Graph) LongestBFSPathVia(rng *rand.Rand, ecc func(src int) (far, dist int)) (u, v int, depth int) {
 	n := g.NumVertices()
 	if n == 0 {
 		return 0, 0, 0
 	}
-	a, _ := ecc(rng.Intn(n))
-	b, d := ecc(a)
+	a, _ := g.Eccentricity(rng.Intn(n))
+	b, d := g.Eccentricity(a)
 	return a, b, d
 }
 

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -424,5 +425,55 @@ func TestDiameterOfRandomBoundedDegreeIsLogarithmic(t *testing.T) {
 	g := b.MustBuild()
 	if d := g.Diameter(); d > 20 {
 		t.Errorf("diameter of random bounded-degree graph = %d, want O(log n) ~ <= 20", d)
+	}
+}
+
+// BenchmarkEccentricities compares the bit-parallel sweep with one
+// sweep per source, at 1 to 64 sources, on a sparse random graph of
+// the size of Table-2 IC2's dual (3,496 vertices, ~21k edges) and on a
+// 23-vertex path (the dual of corpus path-24): the comparison behind
+// batchMinSources and the level cap. The batch runs even where
+// Eccentricities would not use it; on the path it gives up once its
+// levels pass twice the sources, which the timing includes.
+func BenchmarkEccentricities(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	sparse := NewBuilder(3496)
+	for i := 0; i < 3496; i++ {
+		sparse.AddEdge(i, (i+1)%3496) // a Hamilton cycle keeps it connected
+	}
+	for len(sparse.pairs) < 21321 {
+		sparse.AddEdge(rng.Intn(3496), rng.Intn(3496))
+	}
+	line := NewBuilder(23)
+	for i := 0; i+1 < 23; i++ {
+		line.AddEdge(i, i+1)
+	}
+	for _, c := range []struct {
+		name string
+		g    *Graph
+	}{{"random-3496", sparse.MustBuild()}, {"path-23", line.MustBuild()}} {
+		for _, k := range []int{1, 2, 3, 4, 8, 64} {
+			srcs := make([]int, k)
+			for j := range srcs {
+				srcs[j] = rng.Intn(c.g.NumVertices())
+			}
+			far, dist := make([]int, k), make([]int, k)
+			b.Run(fmt.Sprintf("%s/sources=%d/batch", c.name, k), func(b *testing.B) {
+				for range b.N {
+					if !c.g.eccentricities(srcs, far, dist) {
+						for j, src := range srcs {
+							far[j], dist[j] = c.g.Eccentricity(src)
+						}
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("%s/sources=%d/each", c.name, k), func(b *testing.B) {
+				for range b.N {
+					for j, src := range srcs {
+						far[j], dist[j] = c.g.Eccentricity(src)
+					}
+				}
+			})
+		}
 	}
 }
