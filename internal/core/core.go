@@ -319,7 +319,7 @@ func bipartitionDual(ctx context.Context, h *hypergraph.Hypergraph, ig *intersec
 			if ok {
 				return res, nil
 			}
-			res, err := solvePair(h, ig, u, v, depth, opts, scratch)
+			res, err := solvePair(h, ig, u, v, seeds.depth(u, v, depth), opts, scratch)
 			if err != nil {
 				return nil, err
 			}

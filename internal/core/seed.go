@@ -62,7 +62,9 @@ func newSeeder(h *hypergraph.Hypergraph, ig *intersect.Result, opts Options) *se
 }
 
 // path returns start i's endpoints (u, v) and their BFS distance; rng is
-// the start's own stream, engine.StartRNG(opts.Seed, i).
+// the start's own stream, engine.StartRNG(opts.Seed, i). Endpoints drawn
+// among the fixed vertices' nets come with depth −1: only a start that
+// solves the pair needs it, and depth then sweeps for it.
 func (s *seeder) path(i int, rng *rand.Rand) (u, v, depth int) {
 	if s.probe != nil {
 		return s.probe.path(i)
@@ -90,8 +92,16 @@ func (s *seeder) path(i int, rng *rand.Rand) (u, v, depth int) {
 			return s.g.LongestBFSPath(rng)
 		}
 	}
-	dist, _ := s.g.BFS(u)
-	return u, v, max(dist[v], 0)
+	return u, v, -1
+}
+
+// depth returns depth as path reported it for (u, v), sweeping for the
+// BFS distance when path left it −1.
+func (s *seeder) depth(u, v, depth int) int {
+	if depth < 0 {
+		depth = max(s.g.Distance(u, v), 0)
+	}
+	return depth
 }
 
 // probeBlock is the number of starts one probe block draws: one bit per

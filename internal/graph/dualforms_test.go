@@ -70,6 +70,11 @@ func checkDualForms(t *testing.T, name string, c *Graph, sources []int, pairs []
 		if bf != cf || bx != cx {
 			t.Fatalf("%s: Eccentricity(%d) = (%d,%d), csr (%d,%d)", name, src, bf, bx, cf, cx)
 		}
+		for dst := 0; dst < n; dst += max(1, n/8) {
+			if bdst, cdst := b.Distance(src, dst), c.Distance(src, dst); bdst != cd[dst] || cdst != cd[dst] {
+				t.Fatalf("%s: Distance(%d,%d) = %d, csr %d; BFS says %d", name, src, dst, bdst, cdst, cd[dst])
+			}
+		}
 	}
 	checkEccentricities(t, name, c, b, sources)
 	for seed := int64(0); seed < 3; seed++ {

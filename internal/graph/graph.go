@@ -328,9 +328,29 @@ func (g *Graph) sweep(src int, d, parent []int, buf *bfsBuffers) {
 // vertex attaining it (the lowest-numbered such vertex; src itself when
 // nothing else is reachable). Unreachable vertices are ignored.
 func (g *Graph) Eccentricity(src int) (far int, dist int) {
-	n := g.NumVertices()
 	buf := bfsPool.Get().(*bfsBuffers)
 	defer bfsPool.Put(buf)
+	far, dist = src, 0
+	for v, dv := range g.distances(src, buf) {
+		if dv > dist {
+			far, dist = v, dv
+		}
+	}
+	return far, dist
+}
+
+// Distance returns the BFS distance from src to dst, or Unreached. Like
+// Eccentricity it sweeps in pooled buffers, allocating nothing in
+// steady state.
+func (g *Graph) Distance(src, dst int) int {
+	buf := bfsPool.Get().(*bfsBuffers)
+	defer bfsPool.Put(buf)
+	return g.distances(src, buf)[dst]
+}
+
+// distances sweeps from src into buf's distance array and returns it.
+func (g *Graph) distances(src int, buf *bfsBuffers) []int {
+	n := g.NumVertices()
 	if cap(buf.dist) < n {
 		buf.dist = make([]int, n)
 		buf.queue = make([]int, 0, n)
@@ -341,13 +361,7 @@ func (g *Graph) Eccentricity(src int) (far int, dist int) {
 	}
 	d[src] = 0
 	g.sweep(src, d, nil, buf)
-	far, dist = src, 0
-	for v, dv := range d {
-		if dv > dist {
-			far, dist = v, dv
-		}
-	}
-	return far, dist
+	return d
 }
 
 // batchMinSources is the fewest sources Eccentricities sweeps

@@ -18,6 +18,7 @@ package hypergraph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -247,16 +248,17 @@ func (h *Hypergraph) FilterEdges(keep func(e int) bool) (*Hypergraph, []int) {
 // Builder incrementally assembles a Hypergraph.
 //
 // Duplicate pins within an edge are merged. Edges may be added in any
-// order; Build finalizes into CSR form.
+// order; Build finalizes into CSR form. Every edge's pins live in one
+// flat slice, so neither AddEdge nor Build allocates per edge, and the
+// name slices are allocated only once a name is set.
 type Builder struct {
 	numVertices  int
-	edges        [][]int
+	pins         []int // every edge's pins, in AddEdge order
+	ends         []int // ends[e]: end of edge e's pins in pins
 	vertexWeight []int64
 	edgeWeight   []int64
-	vertexNames  []string
-	edgeNames    []string
-	hasVNames    bool
-	hasENames    bool
+	vertexNames  []string // nil until a vertex is named
+	edgeNames    []string // nil until an edge is named, then one per edge
 }
 
 // NewBuilder returns a Builder for a hypergraph with n vertices.
@@ -266,7 +268,6 @@ func NewBuilder(n int) *Builder {
 	for i := range b.vertexWeight {
 		b.vertexWeight[i] = 1
 	}
-	b.vertexNames = make([]string, n)
 	return b
 }
 
@@ -274,18 +275,27 @@ func NewBuilder(n int) *Builder {
 func (b *Builder) NumVertices() int { return b.numVertices }
 
 // NumEdges returns the number of edges added so far.
-func (b *Builder) NumEdges() int { return len(b.edges) }
+func (b *Builder) NumEdges() int { return len(b.ends) }
+
+// Grow reserves room for edges more edges with pins more pins in all,
+// so that many AddEdge calls do not reallocate.
+func (b *Builder) Grow(edges, pins int) {
+	b.pins = slices.Grow(b.pins, pins)
+	b.ends = slices.Grow(b.ends, edges)
+	b.edgeWeight = slices.Grow(b.edgeWeight, edges)
+}
 
 // AddEdge adds a hyperedge with the given pins and returns its index.
 // Pins are copied; duplicates are merged at Build time. Out-of-range
 // pins are reported by Build.
 func (b *Builder) AddEdge(pins ...int) int {
-	cp := make([]int, len(pins))
-	copy(cp, pins)
-	b.edges = append(b.edges, cp)
+	b.pins = append(b.pins, pins...)
+	b.ends = append(b.ends, len(b.pins))
 	b.edgeWeight = append(b.edgeWeight, 1)
-	b.edgeNames = append(b.edgeNames, "")
-	return len(b.edges) - 1
+	if b.edgeNames != nil {
+		b.edgeNames = append(b.edgeNames, "")
+	}
+	return len(b.ends) - 1
 }
 
 // SetVertexWeight sets the weight of vertex v (default 1).
@@ -296,76 +306,82 @@ func (b *Builder) SetEdgeWeight(e int, w int64) { b.edgeWeight[e] = w }
 
 // SetVertexName attaches a name to vertex v.
 func (b *Builder) SetVertexName(v int, name string) {
-	b.vertexNames[v] = name
-	if name != "" {
-		b.hasVNames = true
+	if b.vertexNames == nil {
+		if name == "" {
+			_ = b.vertexWeight[v] // range check
+			return
+		}
+		b.vertexNames = make([]string, b.numVertices)
 	}
+	b.vertexNames[v] = name
 }
 
 // SetEdgeName attaches a name to edge e.
 func (b *Builder) SetEdgeName(e int, name string) {
-	b.edgeNames[e] = name
-	if name != "" {
-		b.hasENames = true
+	if b.edgeNames == nil {
+		if name == "" {
+			_ = b.edgeWeight[e] // range check
+			return
+		}
+		b.edgeNames = make([]string, len(b.ends), cap(b.ends))
 	}
+	b.edgeNames[e] = name
 }
 
 // errBuild is the sentinel prefix for all Build errors.
 var errBuild = errors.New("hypergraph: build")
 
-// Build validates and finalizes the hypergraph.
+// Build validates and finalizes the hypergraph. It copies what it
+// keeps, so the Builder stays usable: more edges may be added and Build
+// called again.
 //
 // It returns an error if any pin index is out of range, any edge is
 // empty after duplicate merging, or any weight is negative. Weights of
 // zero are permitted (a zero-weight vertex is free to place).
 func (b *Builder) Build() (*Hypergraph, error) {
-	h := &Hypergraph{numVertices: b.numVertices}
-	numEdges := len(b.edges)
+	n := b.numVertices
+	numEdges := len(b.ends)
+	h := &Hypergraph{numVertices: n}
 
+	// Copy the pins once, then sort and merge each edge in place: the
+	// merged edge e lands at pins[edgeStart[e]:], never past its own
+	// unmerged start, so it overwrites only pins already consumed.
+	pins := make([]int, len(b.pins))
+	copy(pins, b.pins)
 	h.edgeStart = make([]int, numEdges+1)
-	totalPins := 0
-	normalized := make([][]int, numEdges)
-	for e, pins := range b.edges {
-		if len(pins) == 0 {
+	out, start := 0, 0
+	for e, end := range b.ends {
+		if end == start {
 			return nil, fmt.Errorf("%w: edge %d has no pins", errBuild, e)
 		}
-		cp := make([]int, len(pins))
-		copy(cp, pins)
-		sort.Ints(cp)
-		// Merge duplicates in place.
-		out := cp[:1]
-		for _, p := range cp[1:] {
-			if p != out[len(out)-1] {
-				out = append(out, p)
+		p := pins[start:end]
+		sort.Ints(p)
+		h.edgeStart[e] = out
+		for i, v := range p {
+			if i == 0 || v != p[i-1] {
+				if v < 0 || v >= n {
+					return nil, fmt.Errorf("%w: edge %d pin %d out of range [0,%d)", errBuild, e, v, n)
+				}
+				pins[out] = v
+				out++
 			}
 		}
-		for _, p := range out {
-			if p < 0 || p >= b.numVertices {
-				return nil, fmt.Errorf("%w: edge %d pin %d out of range [0,%d)", errBuild, e, p, b.numVertices)
-			}
-		}
-		normalized[e] = out
-		totalPins += len(out)
+		start = end
 	}
-	h.pins = make([]int, 0, totalPins)
-	for e, pins := range normalized {
-		h.edgeStart[e] = len(h.pins)
-		h.pins = append(h.pins, pins...)
-	}
-	h.edgeStart[numEdges] = len(h.pins)
+	h.edgeStart[numEdges] = out
+	h.pins = pins[:out:out]
 
 	// Vertex → incident edges CSR by counting sort.
-	deg := make([]int, b.numVertices+1)
+	h.vertStart = make([]int, n+1)
 	for _, p := range h.pins {
-		deg[p+1]++
+		h.vertStart[p+1]++
 	}
-	h.vertStart = make([]int, b.numVertices+1)
-	for v := 0; v < b.numVertices; v++ {
-		h.vertStart[v+1] = h.vertStart[v] + deg[v+1]
+	for v := 0; v < n; v++ {
+		h.vertStart[v+1] += h.vertStart[v]
 	}
-	h.incident = make([]int, totalPins)
-	cursor := make([]int, b.numVertices)
-	copy(cursor, h.vertStart[:b.numVertices])
+	h.incident = make([]int, out)
+	cursor := make([]int, n)
+	copy(cursor, h.vertStart[:n])
 	for e := 0; e < numEdges; e++ {
 		for _, p := range h.pins[h.edgeStart[e]:h.edgeStart[e+1]] {
 			h.incident[cursor[p]] = e
@@ -373,7 +389,7 @@ func (b *Builder) Build() (*Hypergraph, error) {
 		}
 	}
 
-	h.vertexWeight = make([]int64, b.numVertices)
+	h.vertexWeight = make([]int64, n)
 	copy(h.vertexWeight, b.vertexWeight)
 	for v, w := range h.vertexWeight {
 		if w < 0 {
@@ -388,11 +404,11 @@ func (b *Builder) Build() (*Hypergraph, error) {
 			return nil, fmt.Errorf("%w: edge %d has negative weight %d", errBuild, e, w)
 		}
 	}
-	if b.hasVNames {
-		h.vertexNames = make([]string, b.numVertices)
+	if b.vertexNames != nil {
+		h.vertexNames = make([]string, n)
 		copy(h.vertexNames, b.vertexNames)
 	}
-	if b.hasENames {
+	if b.edgeNames != nil {
 		h.edgeNames = make([]string, numEdges)
 		copy(h.edgeNames, b.edgeNames)
 	}

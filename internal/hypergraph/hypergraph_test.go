@@ -419,3 +419,81 @@ func TestMustBuildPanics(t *testing.T) {
 	b.AddEdge(5)
 	b.MustBuild()
 }
+
+// TestBuilderFlatStorage pins the Builder's contract over its one flat
+// pin slice: per-edge sorting and merging in place, the first error in
+// edge order with the same text, and a Builder that stays usable (and
+// unaliased) after Build.
+func TestBuilderFlatStorage(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		n       int
+		edges   [][]int
+		want    [][]int // pins per edge after Build
+		wantErr string
+	}{
+		{name: "merged duplicates", n: 4,
+			edges: [][]int{{2, 0, 2, 1}, {1, 1}, {3, 0, 3}, {0}},
+			want:  [][]int{{0, 1, 2}, {1}, {0, 3}, {0}}},
+		{name: "empty edge", n: 2,
+			edges:   [][]int{{0, 1}, {}, {0, 5}},
+			wantErr: "hypergraph: build: edge 1 has no pins"},
+		{name: "out-of-range pin", n: 4,
+			edges:   [][]int{{0, 1}, {3, 1, 5, 3, 9}, {}},
+			wantErr: "hypergraph: build: edge 1 pin 5 out of range [0,4)"},
+		{name: "negative pin", n: 4,
+			edges:   [][]int{{2, -1, -3}},
+			wantErr: "hypergraph: build: edge 0 pin -3 out of range [0,4)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewBuilder(tc.n)
+			for _, e := range tc.edges {
+				b.AddEdge(e...)
+			}
+			h, err := b.Build()
+			if tc.wantErr != "" {
+				if err == nil || err.Error() != tc.wantErr {
+					t.Fatalf("Build err = %v, want %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for e, want := range tc.want {
+				if got := h.EdgePins(e); !reflect.DeepEqual(got, want) {
+					t.Errorf("EdgePins(%d) = %v, want %v", e, got, want)
+				}
+			}
+			if h.HasNames() {
+				t.Error("HasNames = true with no name set")
+			}
+		})
+	}
+
+	t.Run("Build twice, then AddEdge after Build", func(t *testing.T) {
+		b := NewBuilder(3)
+		b.AddEdge(2, 0)
+		b.SetEdgeName(0, "first")
+		h1 := b.MustBuild()
+		h2 := b.MustBuild()
+		if !reflect.DeepEqual(h1, h2) {
+			t.Fatalf("second Build differs: %+v vs %+v", h1, h2)
+		}
+		if &h1.EdgePins(0)[0] == &h2.EdgePins(0)[0] {
+			t.Fatal("two Builds share pin storage")
+		}
+		b.AddEdge(1, 2, 1)
+		b.SetVertexName(1, "mid")
+		h3 := b.MustBuild()
+		if h1.NumEdges() != 1 || h1.NumPins() != 2 || h1.VertexName(1) != "v1" {
+			t.Errorf("AddEdge after Build changed the built hypergraph: %v, vertex 1 %q", h1, h1.VertexName(1))
+		}
+		if h3.NumEdges() != 2 || !reflect.DeepEqual(h3.EdgePins(1), []int{1, 2}) {
+			t.Errorf("rebuilt hypergraph: %v, edge 1 pins %v", h3, h3.EdgePins(1))
+		}
+		if h3.EdgeName(0) != "first" || h3.EdgeName(1) != "e1" || h3.VertexName(1) != "mid" {
+			t.Errorf("rebuilt names: %q %q %q", h3.EdgeName(0), h3.EdgeName(1), h3.VertexName(1))
+		}
+	})
+}

@@ -2,9 +2,14 @@ package netio
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"fasthgp/internal/gen"
 	"fasthgp/internal/hypergraph"
 )
 
@@ -268,5 +273,129 @@ func TestHMetisFixRoundTrip(t *testing.T) {
 	}
 	if all, err := ReadHMetisFix(strings.NewReader("-1\n-1\n-1\n"), 3); err != nil || all != nil {
 		t.Errorf("all-free fix file: got %v, %v; want nil, nil", all, err)
+	}
+}
+
+// TestWriteRefusesCollidingTokens: two modules or two nets that would
+// write the same token must fail Write, naming both, with nothing
+// written — the text would read back as a different hypergraph.
+func TestWriteRefusesCollidingTokens(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		h    func() *hypergraph.Hypergraph
+		want string
+	}{
+		{"a vertex named like another's synthesized name", func() *hypergraph.Hypergraph {
+			b := hypergraph.NewBuilder(4)
+			b.SetVertexName(0, "v3")
+			b.AddEdge(0, 1)
+			b.AddEdge(2, 3)
+			return b.MustBuild()
+		}, `netio: modules 0 ("v3") and 3 ("v3") both write as "v3"`},
+		{"a space sanitized onto another name", func() *hypergraph.Hypergraph {
+			b := hypergraph.NewBuilder(2)
+			b.SetVertexName(0, "a b")
+			b.SetVertexName(1, "a_b")
+			b.AddEdge(0, 1)
+			return b.MustBuild()
+		}, `netio: modules 0 ("a b") and 1 ("a_b") both write as "a_b"`},
+		{"an edge named like another's synthesized name", func() *hypergraph.Hypergraph {
+			b := hypergraph.NewBuilder(3)
+			e := b.AddEdge(0, 1)
+			b.AddEdge(1, 2)
+			b.SetEdgeName(e, "e1")
+			return b.MustBuild()
+		}, `netio: nets 0 ("e1") and 1 ("e1") both write as "e1"`},
+	} {
+		var buf bytes.Buffer
+		err := Write(&buf, tc.h())
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Write err = %v, want %q; wrote:\n%s", tc.name, err, tc.want, buf.String())
+		} else if buf.Len() != 0 {
+			t.Errorf("%s: Write failed but wrote %q", tc.name, buf.String())
+		}
+	}
+}
+
+// TestWriteText pins Write's exact text: module lines first (weights
+// past 1 appended), then each net with its weight line, then fixed
+// directives.
+func TestWriteText(t *testing.T) {
+	b := hypergraph.NewBuilder(4)
+	b.SetVertexName(0, "in a")
+	b.SetVertexWeight(2, 7)
+	b.AddEdge(0, 1, 2)
+	e := b.AddEdge(3, 2)
+	b.SetEdgeName(e, "clk")
+	b.SetEdgeWeight(e, 12)
+	var buf bytes.Buffer
+	if err := WriteFixed(&buf, b.MustBuild(), []int8{0, -1, 5, 1}); err != nil {
+		t.Fatal(err)
+	}
+	const want = `# netlist: 4 modules, 2 nets
+module in_a
+module v1
+module v2 7
+module v3
+net e0 in_a v1 v2
+net clk v2 v3
+netweight clk 12
+fixed in_a L
+fixed v2 5
+fixed v3 R
+`
+	if got := buf.String(); got != want {
+		t.Errorf("WriteFixed wrote:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestReadFixedMatchesReference holds ReadFixed to readFixedReference
+// on the golden corpus (fixed directives included) and on the netio
+// text of the eight Table-2 instances.
+func TestReadFixedMatchesReference(t *testing.T) {
+	paths, err := filepath.Glob("../../testdata/corpus/*.nets")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no corpus netlists: %v", err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := parseBothWays(t, data); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
+	}
+	for _, name := range gen.Table2Names() {
+		h, err := gen.Table2Instance(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, h); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := parseBothWays(t, buf.Bytes()); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestReadFixedLineCap holds ReadFixed to readFixedReference at the
+// line cap, where bufio.Scanner's limit falls: a line of maxHMetisLine
+// bytes is refused, one byte shorter is read. Its pin then writes a
+// module line of maxHMetisLine bytes, which Write refuses. (Kept out
+// of the fuzz seeds: 4 MiB inputs stall the fuzzer's mutation loop.)
+func TestReadFixedLineCap(t *testing.T) {
+	long := append([]byte("net n "), bytes.Repeat([]byte("a"), maxHMetisLine-len("net n "))...)
+	if _, _, err := parseBothWays(t, long); err == nil {
+		t.Fatal("a line of maxHMetisLine bytes was accepted")
+	}
+	h, _, err := parseBothWays(t, append(long[:len(long)-1], '\n'))
+	if err != nil {
+		t.Fatalf("a line one byte under the cap: %v", err)
+	}
+	if err := Write(io.Discard, h); !errors.Is(err, errLineCap) {
+		t.Fatalf("Write of a module line at the cap: err = %v, want errLineCap", err)
 	}
 }

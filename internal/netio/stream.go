@@ -70,8 +70,18 @@ type readerLines struct {
 	done bool
 }
 
+// readerBuffer is readerLines' initial buffer size, cut down to fit a
+// reader that reports a shorter remaining length (bytes.Reader,
+// strings.Reader, bytes.Buffer): a small request body then costs a
+// small buffer.
+const readerBuffer = 1 << 16
+
 func newReaderLines(r io.Reader) *readerLines {
-	return &readerLines{r: r, buf: make([]byte, 1<<16)}
+	size := readerBuffer
+	if lr, ok := r.(interface{ Len() int }); ok {
+		size = min(size, max(lr.Len()+1, 512))
+	}
+	return &readerLines{r: r, buf: make([]byte, size)}
 }
 
 func (rl *readerLines) next() ([]byte, error) {

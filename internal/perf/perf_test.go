@@ -5,9 +5,10 @@ package perf
 //   - recomputes every family's deterministic work counters and
 //     compares them exactly against the committed BENCH_perf.json
 //     (machine-independent: only a behavior change moves them);
-//   - measures allocs/op of the production builder and fails hard on
-//     regression past the blessed value — the CI benchmark job runs
-//     exactly this;
+//   - measures allocs/op of the production builder, and of
+//     netio.ReadFixed on the family's netio.Write text, and fails hard
+//     on regression past the blessed values — the CI benchmark job
+//     runs exactly this;
 //   - always rewrites the gitignored BENCH_perf.timing.json sidecar so
 //     successive commits leave a local perf trail without wall-clock
 //     churn in the diff.
@@ -22,6 +23,7 @@ package perf
 // baseline the CI job diffs against.
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -34,7 +36,10 @@ import (
 	"time"
 
 	"fasthgp/internal/core"
+	"fasthgp/internal/gen"
+	"fasthgp/internal/hypergraph"
 	"fasthgp/internal/intersect"
+	"fasthgp/internal/netio"
 )
 
 var update = flag.Bool("update", false, "re-bless BENCH_perf.json and testdata/baseline.bench.txt")
@@ -42,8 +47,27 @@ var update = flag.Bool("update", false, "re-bless BENCH_perf.json and testdata/b
 // Benchmark sinks, so the builds cannot be optimized away.
 var (
 	sinkResult *intersect.Result
+	sinkParsed *hypergraph.Hypergraph
 	sinkCut    int
 )
+
+// netlistOf returns h as netio.Write text.
+func netlistOf(h *hypergraph.Hypergraph) []byte {
+	var buf bytes.Buffer
+	if err := netio.Write(&buf, h); err != nil {
+		panic(fmt.Sprintf("perf: writing netlist: %v", err))
+	}
+	return buf.Bytes()
+}
+
+// readFixed parses data with netio.ReadFixed, which must accept it.
+func readFixed(data []byte) *hypergraph.Hypergraph {
+	h, _, err := netio.ReadFixed(bytes.NewReader(data))
+	if err != nil {
+		panic(fmt.Sprintf("perf: parsing netlist: %v", err))
+	}
+	return h
+}
 
 // BenchmarkIntersectBuild measures the production builder on every
 // family. These are the dual-construction benchmarks the CI allocs
@@ -56,6 +80,26 @@ func BenchmarkIntersectBuild(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				sinkResult = intersect.Build(h, opts)
+			}
+		})
+	}
+}
+
+// BenchmarkReadFixed measures the netlist parser on every family's
+// netio.Write text, and on Table-2 IC2 (instance seed 1), the largest
+// netlist each paper-flat solve parses.
+func BenchmarkReadFixed(b *testing.B) {
+	ic2, err := gen.Table2Instance(gen.IC2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, f := range append([]Family{{Name: "IC2", H: ic2}}, Families()...) {
+		data := netlistOf(f.H)
+		b.Run(f.Name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkParsed = readFixed(data)
 			}
 		})
 	}
@@ -86,12 +130,15 @@ func denseFamily() Family {
 }
 
 // familyEntry is one BENCH_perf.json row: the deterministic counters
-// plus the allocs/op blessed at -update time (the regression bound).
+// plus the allocs/op blessed at -update time (the regression bounds) of
+// the dual build and of netio.ReadFixed on the family's netio.Write
+// text.
 type familyEntry struct {
 	Name      string `json:"name"`
 	Threshold int    `json:"threshold"`
 	Counters
-	AllocsPerOpNew float64 `json:"allocs_per_op_new"`
+	AllocsPerOpNew   float64 `json:"allocs_per_op_new"`
+	ParseAllocsPerOp float64 `json:"parse_allocs_per_op"`
 }
 
 // vcycleEntry is one row of BENCH_perf.json's vcycle section: the
@@ -113,8 +160,9 @@ type perfFile struct {
 // timingRow is one BENCH_perf.timing.json row — machine-dependent,
 // gitignored.
 type timingRow struct {
-	Name  string  `json:"name"`
-	NsNew float64 `json:"ns_per_op_new"`
+	Name    string  `json:"name"`
+	NsNew   float64 `json:"ns_per_op_new"`
+	NsParse float64 `json:"ns_per_op_parse"`
 }
 
 // measurement is a cheap local benchmark: minimum wall time over a few
@@ -174,14 +222,17 @@ func TestPerfBaseline(t *testing.T) {
 		opts := intersect.Options{Threshold: f.Threshold}
 		h := f.H
 		m := measure(func() { sinkResult = intersect.Build(h, opts) })
+		data := netlistOf(h)
+		pm := measure(func() { sinkParsed = readFixed(data) })
 		entries = append(entries, familyEntry{
-			Name:           f.Name,
-			Threshold:      f.Threshold,
-			Counters:       CountersFor(f),
-			AllocsPerOpNew: m.allocs,
+			Name:             f.Name,
+			Threshold:        f.Threshold,
+			Counters:         CountersFor(f),
+			AllocsPerOpNew:   m.allocs,
+			ParseAllocsPerOp: pm.allocs,
 		})
-		timings = append(timings, timingRow{Name: f.Name, NsNew: m.ns})
-		t.Logf("%-16s %8.0f ns/op %6.1f allocs/op", f.Name, m.ns, m.allocs)
+		timings = append(timings, timingRow{Name: f.Name, NsNew: m.ns, NsParse: pm.ns})
+		t.Logf("%-16s %8.0f ns/op %6.1f allocs/op; parse %8.0f ns/op %6.1f allocs/op", f.Name, m.ns, m.allocs, pm.ns, pm.allocs)
 	}
 	got.Families = entries
 
@@ -228,12 +279,16 @@ func TestPerfBaseline(t *testing.T) {
 			t.Errorf("%s: counters changed\n got %+v thr=%d\nwant %+v thr=%d — construction workload moved; re-bless with -update if intentional",
 				e.Name, e.Counters, e.Threshold, w.Counters, w.Threshold)
 		}
-		// Hard allocation gate: the live builder may not regress
-		// past the blessed allocs/op (small absolute slack absorbs pool
-		// and GC noise).
+		// Hard allocation gates: the live builder and parser may not
+		// regress past the blessed allocs/op (small absolute slack
+		// absorbs pool and GC noise).
 		if slack := math.Max(2, w.AllocsPerOpNew/2); e.AllocsPerOpNew > w.AllocsPerOpNew+slack {
 			t.Errorf("%s: allocs/op regression: %.1f > blessed %.1f (+%.1f slack)",
 				e.Name, e.AllocsPerOpNew, w.AllocsPerOpNew, slack)
+		}
+		if slack := math.Max(2, w.ParseAllocsPerOp/2); e.ParseAllocsPerOp > w.ParseAllocsPerOp+slack {
+			t.Errorf("%s: parse allocs/op regression: %.1f > blessed %.1f (+%.1f slack)",
+				e.Name, e.ParseAllocsPerOp, w.ParseAllocsPerOp, slack)
 		}
 	}
 	for name := range wantByName {
@@ -268,6 +323,18 @@ func writeBenchstatBaseline(t *testing.T, families []Family) {
 			}
 		})
 		out += fmt.Sprintf("BenchmarkIntersectBuild/%s/new-%d\t%s\t%s\n",
+			f.Name, runtime.GOMAXPROCS(0), r.String(), r.MemString())
+	}
+	for _, f := range families {
+		data := netlistOf(f.H)
+		r := testing.Benchmark(func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkParsed = readFixed(data)
+			}
+		})
+		out += fmt.Sprintf("BenchmarkReadFixed/%s-%d\t%s\t%s\n",
 			f.Name, runtime.GOMAXPROCS(0), r.String(), r.MemString())
 	}
 	if err := os.WriteFile(baselinePath, []byte(out), 0o644); err != nil {
