@@ -58,15 +58,20 @@ type pinInstance struct {
 // pinInstances returns Bd1 (a dual held as bitset rows), IC2 and Diff3
 // (duals held as CSR lists), and the golden-corpus netlists, each under
 // its inline fixed directives, so seedPath's fixed-seeded BFS runs too.
+// Bd1, IC2 and Diff3 run once more under ε = 0.1, so every start's
+// partition also passes through rebalance's mover (IC2 moves ~10³
+// vertices per repair), which the corpus's fixed-only constraints never
+// reach.
 func pinInstances(t *testing.T) []pinInstance {
 	t.Helper()
-	var insts []pinInstance
+	var insts, balanced []pinInstance
 	for _, name := range []gen.Table2Name{gen.Bd1, gen.IC2, gen.Diff3} {
 		h, err := gen.Table2Instance(name, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		insts = append(insts, pinInstance{name: string(name), h: h})
+		balanced = append(balanced, pinInstance{name: string(name) + "-eps0.1", h: h, c: partition.Constraint{Epsilon: 0.1}})
 	}
 	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "corpus", "*.nets"))
 	if err != nil || len(paths) == 0 {
@@ -88,7 +93,7 @@ func pinInstances(t *testing.T) []pinInstance {
 			c:    partition.Constraint{FixedSide: fixed},
 		})
 	}
-	return insts
+	return append(insts, balanced...)
 }
 
 // pinVariants are every completion rule under both frontier policies at

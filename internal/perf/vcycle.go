@@ -2,11 +2,13 @@ package perf
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 
 	"fasthgp/internal/gen"
 	"fasthgp/internal/hypergraph"
 	"fasthgp/internal/multilevel"
+	"fasthgp/internal/partition"
 )
 
 // VCycleFamily is one pinned huge-instance scale family, measured by
@@ -55,7 +57,8 @@ func VCycleFamilies() []VCycleFamily {
 }
 
 // VCycleCounters are the deterministic work counters of one family's
-// V-cycle run — integers only, identical on every machine and run.
+// V-cycle run — integers and a partition hash, identical on every
+// machine and run.
 type VCycleCounters struct {
 	// Modules, Nets and Pins describe the input hypergraph.
 	Modules int `json:"modules"`
@@ -77,6 +80,10 @@ type VCycleCounters struct {
 	// resulting cutsize.
 	RefineGain int64 `json:"refine_gain"`
 	FinalCut   int   `json:"final_cut"`
+	// SidesFNV is the FNV-1a hash of the final partition's sides, one
+	// byte per vertex, so a change that keeps every counter but moves a
+	// vertex still shows.
+	SidesFNV string `json:"sides_fnv"`
 }
 
 // VCycleCountersFor runs f's pinned V-cycle and extracts its counters.
@@ -99,5 +106,15 @@ func VCycleCountersFor(f VCycleFamily) (VCycleCounters, error) {
 		FlowGain:          res.VCycle.FlowGain,
 		RefineGain:        res.VCycle.RefineGain,
 		FinalCut:          res.CutSize,
+		SidesFNV:          sidesFNV(res.Partition),
 	}, nil
+}
+
+// sidesFNV hashes p's sides with FNV-1a, one byte per vertex.
+func sidesFNV(p *partition.Bipartition) string {
+	fh := fnv.New64a()
+	for _, s := range p.Sides() {
+		fh.Write([]byte{byte(s)})
+	}
+	return fmt.Sprintf("%016x", fh.Sum64())
 }
