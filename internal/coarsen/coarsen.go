@@ -12,7 +12,10 @@
 package coarsen
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"fasthgp/internal/hypergraph"
@@ -124,49 +127,46 @@ func ContractMap(h *hypergraph.Hypergraph, m []int, k int) *hypergraph.Hypergrap
 		b.SetVertexWeight(cv, w)
 	}
 	// Contract nets, dropping singletons and merging duplicates with
-	// summed weights. Duplicate detection hashes the sorted coarse pin
-	// set into buckets of candidate edge ids and confirms with an exact
-	// pin comparison — no per-net string signature allocation, which at
-	// 10⁶ pins was the dominant coarsening cost.
-	buckets := make(map[uint64][]int, h.NumEdges())
-	var coarsePins [][]int  // builder edge id → its sorted pin set
-	var edgeWeights []int64 // builder edge id → merged weight
-	scratch := make([]int, 0, 16)
-	for e := 0; e < h.NumEdges(); e++ {
-		scratch = scratch[:0]
+	// summed weights. Kept nets' sorted coarse pins live in one flat
+	// list; duplicates are found through an open-addressing index of
+	// kept-net ids keyed by a hash of the pin set, confirmed by an
+	// exact pin comparison.
+	nets := h.NumEdges()
+	idx := newNetIndex(nets)
+	pins := make([]int, 0, h.NumPins())
+	starts := make([]int, 1, nets+1)      // kept net i's pins are pins[starts[i]:starts[i+1]]
+	edgeWeights := make([]int64, 0, nets) // kept net → merged weight
+	hashes := make([]uint64, 0, nets)     // kept net → pinHash of its pins
+	for e := 0; e < nets; e++ {
+		base := len(pins)
 		for _, v := range h.EdgePins(e) {
-			scratch = append(scratch, m[v])
+			pins = append(pins, m[v])
 		}
-		sort.Ints(scratch)
-		out := scratch[:0]
-		prev := -1
-		for _, p := range scratch {
-			if p != prev {
-				out = append(out, p)
-				prev = p
-			}
-		}
+		out := pins[base:]
+		sort.Ints(out)
+		out = slices.Compact(out)
+		pins = pins[:base+len(out)]
 		if len(out) < 2 {
+			pins = pins[:base]
 			continue
 		}
 		hash := pinHash(out)
-		merged := false
-		for _, id := range buckets[hash] {
-			if pinsEqual(coarsePins[id], out) {
-				edgeWeights[id] += h.EdgeWeight(e)
-				merged = true
-				break
-			}
-		}
-		if merged {
+		slot := idx.find(hash, func(id int) bool {
+			return hashes[id] == hash && slices.Equal(pins[starts[id]:starts[id+1]], out)
+		})
+		if id := idx.slots[slot] - 1; id >= 0 {
+			edgeWeights[id] += h.EdgeWeight(e)
+			pins = pins[:base]
 			continue
 		}
-		id := b.AddEdge(out...)
-		buckets[hash] = append(buckets[hash], id)
-		coarsePins = append(coarsePins, append([]int(nil), out...))
+		idx.slots[slot] = int32(len(edgeWeights) + 1)
+		starts = append(starts, len(pins))
 		edgeWeights = append(edgeWeights, h.EdgeWeight(e))
+		hashes = append(hashes, hash)
 	}
+	b.Grow(len(edgeWeights), len(pins))
 	for id, w := range edgeWeights {
+		b.AddEdge(pins[starts[id]:starts[id+1]]...)
 		b.SetEdgeWeight(id, w)
 	}
 	coarse, err := b.Build()
@@ -174,6 +174,36 @@ func ContractMap(h *hypergraph.Hypergraph, m []int, k int) *hypergraph.Hypergrap
 		panic("coarsen: contraction produced invalid hypergraph: " + err.Error())
 	}
 	return coarse
+}
+
+// netIndex is an open-addressing hash table of kept-net ids with
+// linear probing, sized so its load stays at most one half.
+type netIndex struct {
+	// slots hold id+1 of a kept net, 0 for an empty slot.
+	slots []int32
+	mask  uint64
+}
+
+// newNetIndex returns an empty index with room for nets ids.
+func newNetIndex(nets int) *netIndex {
+	if nets >= math.MaxInt32 {
+		panic(fmt.Sprintf("coarsen: %d nets overflow the contraction index", nets))
+	}
+	size := 2
+	for size < 2*nets {
+		size *= 2
+	}
+	return &netIndex{slots: make([]int32, size), mask: uint64(size - 1)}
+}
+
+// find returns the slot holding the net with the given hash for which
+// same reports true, or else the empty slot where such a net belongs.
+func (x *netIndex) find(hash uint64, same func(id int) bool) int {
+	for i := hash & x.mask; ; i = (i + 1) & x.mask {
+		if id := x.slots[i] - 1; id < 0 || same(int(id)) {
+			return int(i)
+		}
+	}
 }
 
 // pinHash is FNV-1a over the pin ids; collisions are resolved by
@@ -189,18 +219,6 @@ func pinHash(pins []int) uint64 {
 		}
 	}
 	return h
-}
-
-func pinsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // BuildHierarchy coarsens h under opts until at most opts.MinVertices

@@ -412,7 +412,7 @@ func TestSolvePairAllocs(t *testing.T) {
 		for _, c := range []Completion{CompletionGreedy, CompletionWeighted} {
 			opts := Options{Completion: c, BalancedBFS: true}
 			run := func() {
-				if _, err := solvePair(h, ig, u, v, depth, opts, scratch); err != nil {
+				if _, err := solvePair(h, ig, u, v, depth, opts, nil, scratch); err != nil {
 					t.Fatal(err)
 				}
 				scratch.Release()

@@ -302,6 +302,12 @@ func bipartitionDual(ctx context.Context, h *hypergraph.Hypergraph, ig *intersec
 	}
 
 	seeds := newSeeder(h, ig, opts)
+	// The repair's vertex order depends on h alone; every start's
+	// repair shares one.
+	var order *rebalance.Order
+	if opts.Constraint.HasBalance() {
+		order = rebalance.NewOrder(h)
+	}
 	var memoMu sync.Mutex // guards memo and bitsetBoundaries
 	memo := make(map[[2]int]*Result)
 	bitsetBoundaries := 0
@@ -319,7 +325,7 @@ func bipartitionDual(ctx context.Context, h *hypergraph.Hypergraph, ig *intersec
 			if ok {
 				return res, nil
 			}
-			res, err := solvePair(h, ig, u, v, seeds.depth(u, v, depth), opts, scratch)
+			res, err := solvePair(h, ig, u, v, seeds.depth(u, v, depth), opts, order, scratch)
 			if err != nil {
 				return nil, err
 			}
@@ -373,9 +379,10 @@ func better(h *hypergraph.Hypergraph, a, b *Result, obj Objective) bool {
 
 // solvePair executes one start from its endpoint pair (u, v) at BFS
 // distance depth: double-BFS cut, boundary completion, module
-// assignment, repair, scoring. It draws no randomness. The scratch
+// assignment, repair, scoring. It draws no randomness. order is h's
+// repair order (nil builds one per repair when needed); the scratch
 // arena (may be nil) backs buffers that die with the start.
-func solvePair(h *hypergraph.Hypergraph, ig *intersect.Result, u, v, depth int, opts Options, scratch *engine.Scratch) (*Result, error) {
+func solvePair(h *hypergraph.Hypergraph, ig *intersect.Result, u, v, depth int, opts Options, order *rebalance.Order, scratch *engine.Scratch) (*Result, error) {
 	pb := partialFromCut(h, ig, u, v, opts.BalancedBFS, opts.Completion != CompletionExact, scratch)
 
 	var winner []bool
@@ -412,7 +419,7 @@ func solvePair(h *hypergraph.Hypergraph, ig *intersect.Result, u, v, depth int, 
 		// The paper's pipeline knows nothing of pins or ε; the shared
 		// greedy repair restores the contract before scoring, so every
 		// start competes on constraint-respecting partitions.
-		if err := rebalance.Enforce(h, p, opts.Constraint); err != nil {
+		if err := rebalance.EnforceOrdered(h, p, opts.Constraint, order); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}

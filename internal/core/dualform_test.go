@@ -148,7 +148,7 @@ func checkBothForms(t *testing.T, name string, h *hypergraph.Hypergraph, opts Op
 			if k == 1 {
 				s = scratch
 			}
-			res, err := solvePair(h, f, u, v, depth, opts, s)
+			res, err := solvePair(h, f, u, v, depth, opts, nil, s)
 			if err != nil {
 				t.Fatalf("%s start %d: %v", name, i, err)
 			}

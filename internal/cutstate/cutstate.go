@@ -139,7 +139,7 @@ func (s *State) Move(v int) int {
 	return before - s.cut
 }
 
-// MoveWithGainDeltas is Move, first reporting through bump(u, d) every
+// MoveWithGainDeltas is Move, also reporting through bump(u, d) every
 // change d to the Gain of another vertex u that the move causes, by
 // the standard Fiduccia–Mattheyses rules. For each net of v with
 // from-side count F and to-side count T before the move:
@@ -156,14 +156,18 @@ func (s *State) Move(v int) int {
 //
 // bump sees the deltas net by net in that order, each vertex possibly
 // several times, and never sees v itself: v's own Gain after the move
-// is the negation of its Gain before. O(Σ pins of v's nets).
+// is the negation of its Gain before. Each net's counts and cut status
+// are updated in the same walk that reports its deltas, so v's nets
+// are visited once. O(Σ pins of v's nets).
 func (s *State) MoveWithGainDeltas(v int, bump func(u, d int)) int {
+	before := s.cut
 	from := s.p.Side(v)
+	fromCount, toCount := s.left, s.right
+	if from == partition.Right {
+		fromCount, toCount = s.right, s.left
+	}
 	for _, e := range s.h.VertexEdges(v) {
-		f, t := s.left[e], s.right[e]
-		if from == partition.Right {
-			f, t = t, f
-		}
+		f, t := fromCount[e], toCount[e]
 		switch t {
 		case 0:
 			for _, u := range s.h.EdgePins(e) {
@@ -192,8 +196,27 @@ func (s *State) MoveWithGainDeltas(v int, bump func(u, d int)) int {
 				}
 			}
 		}
+		// The net was cut iff both counts were positive (f ≥ 1 always:
+		// v is on it), and is cut afterwards iff f − 1 > 0.
+		wasCut, isCut := t > 0, f > 1
+		if wasCut && !isCut {
+			s.cut--
+		} else if !wasCut && isCut {
+			s.cut++
+		}
+		fromCount[e] = f - 1
+		toCount[e] = t + 1
 	}
-	return s.Move(v)
+	s.p.Assign(v, from.Opposite())
+	w := s.h.VertexWeight(v)
+	if from == partition.Left {
+		s.lw -= w
+		s.rw += w
+	} else {
+		s.rw -= w
+		s.lw += w
+	}
+	return before - s.cut
 }
 
 // SwapGain returns the exact cut decrease of swapping a and b (on

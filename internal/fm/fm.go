@@ -13,6 +13,7 @@ package fm
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"fasthgp/internal/cutstate"
@@ -188,15 +189,23 @@ func improveLocked(ctx context.Context, h *hypergraph.Hypergraph, p *partition.B
 	}
 	minSide := bal.MinSideWeight(h.TotalVertexWeight())
 	// Side arrays are leased once per improvement run and re-zeroed by
+	// each pass, and the bucket queue and move sequence are reset by
 	// each pass, so repeated passes (and parallel starts) do not
 	// reallocate them.
 	n := h.NumVertices()
 	locked := scratch.Bools(n)
 	gain := scratch.Ints(n)
+	bq := newBuckets(h.MaxVertexDegree())
+	// A pass queues each free vertex once plus one entry per gain
+	// update; n + pins holds a whole pass on power-law V-cycle levels
+	// (at most 0.89 of it measured), so the list rarely regrows.
+	bq.entries = make([]bucketEntry, 0, n+h.NumPins())
+	var seq []int
 	passes := 0
 	for passes < maxPasses && ctx.Err() == nil {
 		passes++
-		if kept := runPass(s, minSide, fixed, locked, gain); kept <= 0 {
+		var kept int
+		if kept, seq = runPass(s, minSide, fixed, locked, gain, bq, seq[:0]); kept <= 0 {
 			break
 		}
 	}
@@ -205,24 +214,47 @@ func improveLocked(ctx context.Context, h *hypergraph.Hypergraph, p *partition.B
 
 // buckets is a lazy max-gain bucket queue: stale entries are skipped on
 // pop (an entry is valid only if the vertex is unlocked and its current
-// gain matches the bucket it is popped from).
+// gain matches the bucket it is popped from). Each gain's bucket is a
+// LIFO stack threaded through one flat entry list, so a pass pushes
+// without allocating once the list has grown to the pass's size, and
+// reset empties every bucket while keeping the list's capacity.
 type buckets struct {
 	offset int
-	lists  [][]int
-	maxPtr int
+	// head[g+offset] is the index in entries of gain g's top entry, −1
+	// when that bucket is empty.
+	head    []int32
+	entries []bucketEntry
+	maxPtr  int
+}
+
+// bucketEntry is one queued vertex and the entry below it in its
+// bucket (−1 at the bottom).
+type bucketEntry struct {
+	v, next int32
 }
 
 func newBuckets(maxGain int) *buckets {
-	return &buckets{
-		offset: maxGain,
-		lists:  make([][]int, 2*maxGain+1),
-		maxPtr: -1,
+	b := &buckets{offset: maxGain, head: make([]int32, 2*maxGain+1)}
+	b.reset()
+	return b
+}
+
+// reset empties every bucket.
+func (b *buckets) reset() {
+	for i := range b.head {
+		b.head[i] = -1
 	}
+	b.entries = b.entries[:0]
+	b.maxPtr = -1
 }
 
 func (b *buckets) push(v, gain int) {
+	if len(b.entries) == math.MaxInt32 {
+		panic("fm: bucket queue holds 2³¹ entries")
+	}
 	i := gain + b.offset
-	b.lists[i] = append(b.lists[i], v)
+	b.entries = append(b.entries, bucketEntry{v: int32(v), next: b.head[i]})
+	b.head[i] = int32(len(b.entries) - 1)
 	if i > b.maxPtr {
 		b.maxPtr = i
 	}
@@ -232,25 +264,26 @@ func (b *buckets) push(v, gain int) {
 // discarding stale ones.
 func (b *buckets) pop(valid func(v, gain int) bool) (int, bool) {
 	for b.maxPtr >= 0 {
-		l := b.lists[b.maxPtr]
-		if len(l) == 0 {
+		top := b.head[b.maxPtr]
+		if top < 0 {
 			b.maxPtr--
 			continue
 		}
-		v := l[len(l)-1]
-		b.lists[b.maxPtr] = l[:len(l)-1]
-		if valid(v, b.maxPtr-b.offset) {
-			return v, true
+		e := b.entries[top]
+		b.head[b.maxPtr] = e.next
+		if valid(int(e.v), b.maxPtr-b.offset) {
+			return int(e.v), true
 		}
 	}
 	return 0, false
 }
 
-// runPass executes one FM pass and returns the cut improvement kept.
-// Vertices with fixed[v] = true start locked and never move. locked
-// and gain are caller-owned length-n side arrays; the pass re-zeroes
-// them on entry.
-func runPass(s *cutstate.State, minSide int64, fixed, locked []bool, gain []int) int {
+// runPass executes one FM pass and returns the cut improvement kept
+// and the pass's move sequence, appended to seq. Vertices with
+// fixed[v] = true start locked and never move. locked and gain are
+// caller-owned length-n side arrays and bq a caller-owned queue; the
+// pass resets all three on entry.
+func runPass(s *cutstate.State, minSide int64, fixed, locked []bool, gain []int, bq *buckets, seq []int) (int, []int) {
 	h := s.Hypergraph()
 	n := h.NumVertices()
 	clear(locked)
@@ -258,8 +291,7 @@ func runPass(s *cutstate.State, minSide int64, fixed, locked []bool, gain []int)
 		copy(locked, fixed)
 	}
 	clear(gain)
-	maxDeg := h.MaxVertexDegree()
-	bq := newBuckets(maxDeg)
+	bq.reset()
 	for v := 0; v < n; v++ {
 		gain[v] = s.Gain(v)
 		if !locked[v] {
@@ -282,9 +314,7 @@ func runPass(s *cutstate.State, minSide int64, fixed, locked []bool, gain []int)
 		return rw-w >= minSide && r > 1
 	}
 
-	var seq []int
 	cum, bestCum, bestIdx := 0, 0, -1
-	// Scratch for net counts on the to-side before the move.
 	for {
 		v, ok := bq.pop(func(v, g int) bool {
 			return !locked[v] && gain[v] == g && legal(v)
@@ -308,7 +338,7 @@ func runPass(s *cutstate.State, minSide int64, fixed, locked []bool, gain []int)
 	for i := len(seq) - 1; i > bestIdx; i-- {
 		s.Move(seq[i])
 	}
-	return bestCum
+	return bestCum, seq
 }
 
 // updateGainsAndMove moves v, applying cutstate's incremental gain

@@ -24,6 +24,7 @@ type Network struct {
 	cap   []int64
 	level []int
 	iter  []int
+	queue []int // BFS queue, reused by every search
 	aug   int64 // successful augmentations across all solves
 }
 
@@ -39,6 +40,25 @@ func New(n int) *Network {
 		h[i] = -1
 	}
 	return &Network{head: h}
+}
+
+// Grow reserves room for arcs more AddArc calls, so that building a
+// network whose arc count is known up front does not reallocate.
+func (g *Network) Grow(arcs int) {
+	g.to = reserve(g.to, 2*arcs)
+	g.cap = reserve(g.cap, 2*arcs)
+	g.next = reserve(g.next, 2*arcs)
+}
+
+// reserve returns s with room for n more elements, reallocated to
+// exactly len(s)+n when it lacks them.
+func reserve[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	t := make([]T, len(s), len(s)+n)
+	copy(t, s)
+	return t
 }
 
 // NumNodes returns the node count.
@@ -68,9 +88,8 @@ func (g *Network) bfs(s, t int) bool {
 	for i := range g.level {
 		g.level[i] = -1
 	}
-	queue := make([]int, 0, n)
+	queue := g.startQueue(s)
 	g.level[s] = 0
-	queue = append(queue, s)
 	for h := 0; h < len(queue); h++ {
 		u := queue[h]
 		for a := g.head[u]; a != -1; a = g.next[a] {
@@ -82,6 +101,16 @@ func (g *Network) bfs(s, t int) bool {
 		}
 	}
 	return g.level[t] != -1
+}
+
+// startQueue returns the network's BFS queue holding only s. A search
+// enqueues each node at most once, so the queue never outgrows its
+// first allocation.
+func (g *Network) startQueue(s int) []int {
+	if g.queue == nil {
+		g.queue = make([]int, 0, g.NumNodes())
+	}
+	return append(g.queue[:0], s)
 }
 
 // dfs sends blocking flow along the level graph.
@@ -155,11 +184,9 @@ func (g *Network) MaxFlowCtx(ctx context.Context, s, t int) (int64, error) {
 // MinCutSourceSide returns, after MaxFlow, the set of nodes reachable
 // from s in the residual network — the source side of a minimum cut.
 func (g *Network) MinCutSourceSide(s int) []bool {
-	n := g.NumNodes()
-	side := make([]bool, n)
-	queue := make([]int, 0, n)
+	side := make([]bool, g.NumNodes())
+	queue := g.startQueue(s)
 	side[s] = true
-	queue = append(queue, s)
 	for h := 0; h < len(queue); h++ {
 		u := queue[h]
 		for a := g.head[u]; a != -1; a = g.next[a] {
@@ -180,11 +207,9 @@ func (g *Network) MinCutSourceSide(s int) []bool {
 // choosing between the two orientations picks whichever balances its
 // partition better at the same cut value.
 func (g *Network) MinCutSinkSide(t int) []bool {
-	n := g.NumNodes()
-	side := make([]bool, n)
-	queue := make([]int, 0, n)
+	side := make([]bool, g.NumNodes())
+	queue := g.startQueue(t)
 	side[t] = true
-	queue = append(queue, t)
 	for h := 0; h < len(queue); h++ {
 		u := queue[h]
 		// v reaches u through arc a^1 (the pair of u's arc a to v) when

@@ -31,6 +31,10 @@ type VCycleStats struct {
 	CoarsestVertices int
 	// CorridorVertices totals corridor sizes over all flow rounds.
 	CorridorVertices int64
+	// CorridorPinScans totals the pins read while growing corridors.
+	// A round reads each net at most once, so its share is at most
+	// the pin count.
+	CorridorPinScans int64
 	// FlowNodes totals flow-network node counts over all rounds.
 	FlowNodes int64
 	// FlowAugmentations totals Dinic augmenting paths over all rounds.
@@ -102,6 +106,56 @@ func flowRefine(ctx context.Context, h *hypergraph.Hypergraph, p *partition.Bipa
 	}
 }
 
+// growCorridor grows one round's corridor around p's cut: it admits
+// the free pins of every cut net, then grows breadth-first through the
+// nets of admitted vertices, each side spending at most perSide vertex
+// weight. It returns the corridor in admission order and read, which
+// marks every net it read: each net with a corridor pin, and the cut
+// nets. Buffers are leased from scratch.
+func growCorridor(h *hypergraph.Hypergraph, p *partition.Bipartition, bal partition.Constraint,
+	perSide int64, scratch *engine.Scratch, stats *VCycleStats) (queue []int, read []bool) {
+	sideBudget := [2]int64{perSide, perSide}
+	inCorridor := scratch.Bools(h.NumVertices())
+	admit := func(v int) {
+		if inCorridor[v] || bal.Fixed(v) >= 0 {
+			return
+		}
+		s := p.Side(v)
+		if w := h.VertexWeight(v); sideBudget[s] >= w {
+			sideBudget[s] -= w
+			inCorridor[v] = true
+			queue = append(queue, v)
+		}
+	}
+	// Admission fails only for a pin already in the corridor, a fixed
+	// pin, or one heavier than what its side has left of a budget that
+	// never grows back, so a second read of a net admits nothing: each
+	// net is read once per round.
+	read = scratch.Bools(h.NumEdges())
+	scan := func(e int) {
+		if read[e] {
+			return
+		}
+		read[e] = true
+		pins := h.EdgePins(e)
+		stats.CorridorPinScans += int64(len(pins))
+		for _, v := range pins {
+			admit(v)
+		}
+	}
+	for e := 0; e < h.NumEdges(); e++ {
+		if partition.Crosses(h, p, e) {
+			scan(e)
+		}
+	}
+	for head := 0; head < len(queue); head++ {
+		for _, e := range h.VertexEdges(queue[head]) {
+			scan(e)
+		}
+	}
+	return queue, read
+}
+
 // flowRound builds one corridor, solves it, and applies the best
 // acceptable min-cut assignment: one that, within the balance bound,
 // strictly improves the weighted cut or keeps it while strictly
@@ -124,8 +178,7 @@ func flowRound(ctx context.Context, h *hypergraph.Hypergraph, p *partition.Bipar
 	// the V-cycle holds scratch leases across a flow round.
 	defer scratch.Release()
 
-	// Corridor state per vertex: 0 outside, 1 queued/in corridor. Both
-	// the boundary seeds and the BFS growth ring spend the same
+	// Both the boundary seeds and the BFS growth ring spend the same
 	// per-side weight budget, so corridor size — and with it the flow
 	// network — stays bounded no matter how ragged the current cut is.
 	// The floor of ~32 average vertices per side keeps the corridor
@@ -136,37 +189,9 @@ func flowRound(ctx context.Context, h *hypergraph.Hypergraph, p *partition.Bipar
 	if minSide := 32 * total / int64(n); perSide < minSide {
 		perSide = minSide
 	}
-	sideBudget := [2]int64{perSide, perSide}
-	inCorridor := scratch.Int8s(n)
-	var queue []int
-	admit := func(v int) {
-		if inCorridor[v] != 0 || bal.Fixed(v) >= 0 {
-			return
-		}
-		s := p.Side(v)
-		if w := h.VertexWeight(v); sideBudget[s] >= w {
-			sideBudget[s] -= w
-			inCorridor[v] = 1
-			queue = append(queue, v)
-		}
-	}
-	for e := 0; e < m; e++ {
-		if partition.Crosses(h, p, e) {
-			for _, v := range h.EdgePins(e) {
-				admit(v)
-			}
-		}
-	}
+	queue, touched := growCorridor(h, p, bal, perSide, scratch, stats)
 	if len(queue) == 0 {
 		return 0, false, true
-	}
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		for _, e := range h.VertexEdges(v) {
-			for _, u := range h.EdgePins(e) {
-				admit(u)
-			}
-		}
 	}
 	stats.CorridorVertices += int64(len(queue))
 
@@ -180,30 +205,45 @@ func flowRound(ctx context.Context, h *hypergraph.Hypergraph, p *partition.Bipar
 	}
 	const s, t = 0, 1
 	nodes := 2 + len(queue)
-	// Count touched nets first so net nodes get contiguous ids.
-	type netArc struct{ e, e1 int }
-	var touched []netArc
+	// Find the touched nets first, so net nodes get contiguous ids in
+	// net order and the arc arrays are sized once. Every net of a
+	// corridor vertex was read while growing the corridor, so the
+	// touched nets are the read ones with a corridor pin.
+	arcs := 0
 	for e := 0; e < m; e++ {
-		hasCorridor := false
+		if !touched[e] {
+			continue
+		}
+		inner, sArc, tArc := 0, 0, 0
 		for _, v := range h.EdgePins(e) {
 			if nodeOf[v] != 0 {
-				hasCorridor = true
-				break
+				inner++
+			} else if p.Side(v) == partition.Left {
+				sArc = 1
+			} else {
+				tArc = 1
 			}
 		}
-		if hasCorridor {
-			touched = append(touched, netArc{e: e, e1: nodes})
-			nodes += 2
+		if inner == 0 {
+			touched[e] = false
+			continue
 		}
+		nodes += 2
+		arcs += 1 + 2*(inner+sArc+tArc)
 	}
 	stats.FlowNodes += int64(nodes)
 
 	net := maxflow.New(nodes)
-	for _, na := range touched {
-		e1, e2 := na.e1, na.e1+1
-		net.AddArc(e1, e2, h.EdgeWeight(na.e))
+	net.Grow(arcs)
+	e1 := 2 + len(queue)
+	for e := 0; e < m; e++ {
+		if !touched[e] {
+			continue
+		}
+		e2 := e1 + 1
+		net.AddArc(e1, e2, h.EdgeWeight(e))
 		sArc, tArc := false, false
-		for _, v := range h.EdgePins(na.e) {
+		for _, v := range h.EdgePins(e) {
 			if node := nodeOf[v]; node != 0 {
 				net.AddArc(node-1, e1, maxflow.Inf)
 				net.AddArc(e2, node-1, maxflow.Inf)
@@ -221,6 +261,7 @@ func flowRound(ctx context.Context, h *hypergraph.Hypergraph, p *partition.Bipar
 			net.AddArc(t, e1, maxflow.Inf)
 			net.AddArc(e2, t, maxflow.Inf)
 		}
+		e1 += 2
 	}
 	if _, err := net.MaxFlowCtx(ctx, s, t); err != nil {
 		stats.FlowAugmentations += net.Augmentations()

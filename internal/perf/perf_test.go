@@ -142,10 +142,13 @@ type familyEntry struct {
 }
 
 // vcycleEntry is one row of BENCH_perf.json's vcycle section: the
-// deterministic V-cycle scale counters (see TestVCycleBaseline).
+// deterministic V-cycle scale counters and the allocations of one
+// multilevel.Bisect of the family at Parallelism 1, blessed at -update
+// time as a regression bound (see TestVCycleBaseline).
 type vcycleEntry struct {
 	Name string `json:"name"`
 	VCycleCounters
+	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
 // perfFile mirrors BENCH_perf.json.
@@ -179,18 +182,7 @@ type measurement struct {
 const measureHeadroom = 256 << 20
 
 func measure(fn func()) measurement {
-	// The kernels lease their buffers from sync.Pools, and collections
-	// inside the counting window empty them, so the count would read GC
-	// timing instead of the code. Hold the collector off for the
-	// window, under a memory limit that caps what that can cost.
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	limit := debug.SetMemoryLimit(int64(ms.HeapAlloc) + measureHeadroom)
-	percent := debug.SetGCPercent(-1)
-	fn() // warm pools
-	allocs := testing.AllocsPerRun(5, fn)
-	debug.SetGCPercent(percent)
-	debug.SetMemoryLimit(limit)
+	allocs := countAllocs(5, fn)
 	best := time.Duration(-1)
 	var total time.Duration
 	for i := 0; i < 3 || (total < 150*time.Millisecond && i < 200); i++ {
@@ -203,6 +195,23 @@ func measure(fn func()) measurement {
 		}
 	}
 	return measurement{ns: float64(best.Nanoseconds()), allocs: allocs}
+}
+
+// countAllocs is testing.AllocsPerRun(runs, fn) with the collector
+// held off. The kernels lease their buffers from sync.Pools, and
+// collections inside the counting window empty them, so the count would
+// read GC timing instead of the code. The collector stays off under a
+// memory limit that caps what that can cost.
+func countAllocs(runs int, fn func()) float64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	limit := debug.SetMemoryLimit(int64(ms.HeapAlloc) + measureHeadroom)
+	percent := debug.SetGCPercent(-1)
+	fn() // warm pools
+	allocs := testing.AllocsPerRun(runs, fn)
+	debug.SetGCPercent(percent)
+	debug.SetMemoryLimit(limit)
+	return allocs
 }
 
 const (

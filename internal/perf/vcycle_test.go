@@ -3,11 +3,14 @@ package perf
 // TestVCycleBaseline is the scale gate: it runs the pinned power-law
 // V-cycle families and compares their deterministic work counters —
 // hierarchy depth, coarsest size, corridor sizes, flow augmentations,
-// acceptance stats, refinement gain, final cut — exactly against the
-// vcycle section of BENCH_perf.json. The counters are pure functions
-// of the pinned instances (no timing, no allocation), so the gate is
-// machine-independent and runs on every PR: under -short only the
-// reduced smoke family runs; full runs add the 10⁵-pin family.
+// acceptance stats, refinement gain, final cut, a hash of the final
+// sides — exactly against the vcycle section of BENCH_perf.json. The
+// counters are pure functions of the pinned instances (no timing, no
+// allocation), so the gate is machine-independent and runs on every
+// PR: under -short only the reduced smoke family runs; full runs add
+// the 10⁵-pin family. Outside that exact comparison, the allocations
+// of one V-cycle (allocs_per_op) may not regress past the blessed
+// value plus max(2, blessed/2), the intersect families' slack.
 //
 // Re-bless after an intentional change with
 //
@@ -17,8 +20,11 @@ package perf
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"testing"
+
+	"fasthgp/internal/multilevel"
 )
 
 func TestVCycleBaseline(t *testing.T) {
@@ -41,9 +47,14 @@ func TestVCycleBaseline(t *testing.T) {
 		if c.Levels == 0 || c.FlowRounds == 0 {
 			t.Errorf("%s: degenerate V-cycle (levels=%d flow rounds=%d)", f.Name, c.Levels, c.FlowRounds)
 		}
-		entries = append(entries, vcycleEntry{Name: f.Name, VCycleCounters: c})
-		t.Logf("%-24s %d pins, %d levels → %d coarse, %d corridor vertices, %d augmentations, cut %d",
-			f.Name, c.Pins, c.Levels, c.CoarsestVertices, c.CorridorVertices, c.FlowAugmentations, c.FinalCut)
+		allocs := countAllocs(1, func() {
+			if _, err := multilevel.Bisect(f.H, f.Opts); err != nil {
+				t.Fatalf("%s: %v", f.Name, err)
+			}
+		})
+		entries = append(entries, vcycleEntry{Name: f.Name, VCycleCounters: c, AllocsPerOp: allocs})
+		t.Logf("%-24s %d pins, %d levels → %d coarse, %d corridor vertices, %d augmentations, cut %d, %.0f allocs/op",
+			f.Name, c.Pins, c.Levels, c.CoarsestVertices, c.CorridorVertices, c.FlowAugmentations, c.FinalCut, allocs)
 	}
 
 	if *update {
@@ -93,6 +104,10 @@ func TestVCycleBaseline(t *testing.T) {
 		if e.VCycleCounters != w.VCycleCounters {
 			t.Errorf("%s: vcycle counters changed\n got %+v\nwant %+v — the V-cycle's scale workload moved; re-bless with -update if intentional",
 				e.Name, e.VCycleCounters, w.VCycleCounters)
+		}
+		if slack := math.Max(2, w.AllocsPerOp/2); e.AllocsPerOp > w.AllocsPerOp+slack {
+			t.Errorf("%s: allocs/op regression: %.0f > blessed %.0f (+%.0f slack)",
+				e.Name, e.AllocsPerOp, w.AllocsPerOp, slack)
 		}
 	}
 }

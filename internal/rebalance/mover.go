@@ -1,10 +1,83 @@
 package rebalance
 
 import (
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
+
 	"fasthgp/internal/cutstate"
 	"fasthgp/internal/hypergraph"
 	"fasthgp/internal/partition"
 )
+
+// Order is the repair's tie-break order over a hypergraph's vertices:
+// heavier first, then lower index. It depends on the hypergraph alone,
+// so a caller repairing many partitions of one hypergraph builds it
+// once with NewOrder and passes it to every EnforceOrdered call. It is
+// read-only once built, so concurrent repairs may share it.
+type Order struct {
+	n int
+	// rank[v] is v's place in the order and vertex[r] the vertex in
+	// place r; both are nil when the order is the identity (all
+	// weights equal).
+	rank, vertex []uint32
+}
+
+// NewOrder returns h's vertex order for the repair: O(n) when every
+// vertex weighs the same, one sort otherwise.
+func NewOrder(h *hypergraph.Hypergraph) *Order {
+	n := h.NumVertices()
+	if uint64(n) > math.MaxUint32 {
+		panic(fmt.Sprintf("rebalance: %d vertices overflow a 32-bit rank", n))
+	}
+	o := &Order{n: n}
+	uniform := true
+	for v := 1; v < n && uniform; v++ {
+		uniform = h.VertexWeight(v) == h.VertexWeight(0)
+	}
+	if uniform {
+		return o
+	}
+	o.vertex = make([]uint32, n)
+	for v := range o.vertex {
+		o.vertex[v] = uint32(v)
+	}
+	slices.SortFunc(o.vertex, func(a, b uint32) int {
+		if c := cmp.Compare(h.VertexWeight(int(b)), h.VertexWeight(int(a))); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	o.rank = make([]uint32, n)
+	for r, v := range o.vertex {
+		o.rank[v] = uint32(r)
+	}
+	return o
+}
+
+// key packs (gain, v) into one heap key whose numeric order is the
+// choice order: higher gain, then earlier in o (heavier, then lower
+// index). The high word is gain + 2³¹ (the sign bit flipped), the low
+// word v's rank complemented. Gains are bounded by vertex degree, so
+// they fit 32 bits.
+func (o *Order) key(v, gain int) uint64 {
+	r := uint32(v)
+	if o.rank != nil {
+		r = o.rank[v]
+	}
+	return uint64(uint32(gain)^1<<31)<<32 | uint64(^r)
+}
+
+// entry unpacks a key into its vertex and gain.
+func (o *Order) entry(key uint64) (v, gain int) {
+	r := ^uint32(key)
+	v = int(r)
+	if o.vertex != nil {
+		v = int(o.vertex[r])
+	}
+	return v, int(int32(uint32(key>>32) ^ 1<<31))
+}
 
 // mover makes the repair loops' greedy choice incrementally. Among the
 // free vertices of positive weight at most a ceiling on the side being
@@ -13,26 +86,34 @@ import (
 //
 //   - a side's gains come from cutstate.Gain once, the first time that
 //     side is drained, and afterwards from the Fiduccia–Mattheyses
-//     deltas of each move (cutstate.MoveWithGainDeltas);
-//   - each side keeps a lazy max-heap in exactly the choice order, so
-//     ties resolve as a full scan would; an entry whose vertex has
-//     since changed side or gain is stale and skipped at the top;
+//     deltas of each move (cutstate.MoveWithGainDeltas), summed per
+//     vertex so that a move queues each vertex whose gain changed once;
+//   - each side keeps a lazy max-heap of packed (gain, Order rank) keys
+//     in exactly the choice order, so ties resolve as a full scan
+//     would; an entry whose vertex has since changed side or gain is
+//     stale and skipped at the top;
 //   - a top heavier than the ceiling is dropped for good. That is
 //     exact because both repair loops only ever lower their ceiling.
 //
 // A repair thus costs O(pins + Σ gain updates · log n) rather than a
 // scan's O(pins) per move.
 type mover struct {
-	s    *cutstate.State
-	gain []int
+	s     *cutstate.State
+	order *Order
+	gain  []int
 	// dead marks vertices that can never move: fixed, weightless, or
 	// heavier than a ceiling already passed.
 	dead  []bool
-	heaps [2]gainHeap
+	heaps [2]keyHeap
 	// built[side] reports whether that side's heap exists; until then
 	// its gains are not tracked.
 	built [2]bool
 	count [2]int // vertices per side
+	// touched lists, in first-touch order, the tracked vertices whose
+	// gains the current move changed, was their gains before it, and
+	// seen marks them.
+	touched, was []int
+	seen         []bool
 	// work counts gain evaluations plus heap pushes.
 	work int
 	// check, when non-nil, sees every choice before it is made; tests
@@ -40,15 +121,22 @@ type mover struct {
 	check func(s *cutstate.State, v int)
 }
 
-func newMover(h *hypergraph.Hypergraph, p *partition.Bipartition, fixed []int8, check func(s *cutstate.State, v int)) (*mover, error) {
+// newMover starts a repair of p. A nil order is built from h when the
+// repair first needs it.
+func newMover(h *hypergraph.Hypergraph, p *partition.Bipartition, fixed []int8, order *Order, check func(s *cutstate.State, v int)) (*mover, error) {
+	if order != nil && order.n != h.NumVertices() {
+		return nil, fmt.Errorf("order covers %d vertices, hypergraph has %d", order.n, h.NumVertices())
+	}
 	s, err := cutstate.New(h, p)
 	if err != nil {
 		return nil, err
 	}
 	m := &mover{
 		s:     s,
+		order: order,
 		gain:  make([]int, h.NumVertices()),
 		dead:  make([]bool, h.NumVertices()),
+		seen:  make([]bool, h.NumVertices()),
 		check: check,
 	}
 	for v := range m.dead {
@@ -77,16 +165,17 @@ func (m *mover) top(from partition.Side, maxW int64) int {
 	if !m.built[from] {
 		m.build(from)
 	}
+	h := m.s.Hypergraph()
 	q := &m.heaps[from]
 	for len(*q) > 0 {
-		e := (*q)[0]
+		v, gain := m.order.entry((*q)[0])
 		switch {
-		case m.dead[e.v] || m.s.Side(e.v) != from || m.gain[e.v] != e.gain:
+		case m.dead[v] || m.s.Side(v) != from || m.gain[v] != gain:
 			// Stale.
-		case e.w > maxW:
-			m.dead[e.v] = true
+		case h.VertexWeight(v) > maxW:
+			m.dead[v] = true
 		default:
-			return e.v
+			return v
 		}
 		q.pop()
 	}
@@ -95,14 +184,16 @@ func (m *mover) top(from partition.Side, maxW int64) int {
 
 // build starts tracking the gains of side's movable vertices.
 func (m *mover) build(side partition.Side) {
-	h := m.s.Hypergraph()
-	var q gainHeap
+	if m.order == nil {
+		m.order = NewOrder(m.s.Hypergraph())
+	}
+	q := make(keyHeap, 0, m.count[side])
 	for v, dead := range m.dead {
 		if dead || m.s.Side(v) != side {
 			continue
 		}
 		m.gain[v] = m.s.Gain(v)
-		q = append(q, heapEntry{m.gain[v], h.VertexWeight(v), v})
+		q = append(q, m.order.key(v, m.gain[v]))
 	}
 	q.init()
 	m.heaps[side] = q
@@ -116,6 +207,15 @@ func (m *mover) move(v int) {
 	from := m.s.Side(v)
 	to := from.Opposite()
 	m.s.MoveWithGainDeltas(v, m.bump)
+	// A vertex whose deltas summed to zero keeps its queued entry,
+	// which is still valid.
+	for i, u := range m.touched {
+		m.seen[u] = false
+		if m.gain[u] != m.was[i] {
+			m.push(m.s.Side(u), u)
+		}
+	}
+	m.touched, m.was = m.touched[:0], m.was[:0]
 	m.count[from]--
 	m.count[to]++
 	m.gain[v] = -m.gain[v]
@@ -125,55 +225,38 @@ func (m *mover) move(v int) {
 }
 
 func (m *mover) bump(u, d int) {
-	side := m.s.Side(u)
-	if m.dead[u] || !m.built[side] {
+	if m.dead[u] || !m.built[m.s.Side(u)] {
 		return
 	}
+	if !m.seen[u] {
+		m.seen[u] = true
+		m.touched = append(m.touched, u)
+		m.was = append(m.was, m.gain[u])
+	}
 	m.gain[u] += d
-	m.push(side, u)
 }
 
 func (m *mover) push(side partition.Side, v int) {
-	m.heaps[side].push(heapEntry{m.gain[v], m.s.Hypergraph().VertexWeight(v), v})
+	m.heaps[side].push(m.order.key(v, m.gain[v]))
 	m.work++
 }
 
-// heapEntry is a vertex with the gain it had when queued.
-type heapEntry struct {
-	gain int
-	w    int64
-	v    int
-}
+// keyHeap is a binary max-heap of packed keys, hand-rolled because
+// container/heap would box every pushed key in an interface.
+type keyHeap []uint64
 
-// before is the choice order: higher gain, then heavier, then lower
-// index.
-func (a heapEntry) before(b heapEntry) bool {
-	if a.gain != b.gain {
-		return a.gain > b.gain
-	}
-	if a.w != b.w {
-		return a.w > b.w
-	}
-	return a.v < b.v
-}
-
-// gainHeap is a binary heap with the first entry in choice order on
-// top. It is hand-rolled because container/heap would box every
-// pushed entry in an interface.
-type gainHeap []heapEntry
-
-func (q gainHeap) init() {
+func (q keyHeap) init() {
 	for i := len(q)/2 - 1; i >= 0; i-- {
 		q.down(i)
 	}
 }
 
-func (q *gainHeap) push(e heapEntry) {
-	*q = append(*q, e)
+func (q *keyHeap) push(k uint64) {
+	*q = append(*q, k)
 	h := *q
 	for i := len(h) - 1; i > 0; {
 		parent := (i - 1) / 2
-		if !h[i].before(h[parent]) {
+		if h[i] <= h[parent] {
 			break
 		}
 		h[i], h[parent] = h[parent], h[i]
@@ -181,7 +264,7 @@ func (q *gainHeap) push(e heapEntry) {
 	}
 }
 
-func (q *gainHeap) pop() {
+func (q *keyHeap) pop() {
 	h := *q
 	last := len(h) - 1
 	h[0] = h[last]
@@ -189,16 +272,16 @@ func (q *gainHeap) pop() {
 	q.down(0)
 }
 
-func (q gainHeap) down(i int) {
+func (q keyHeap) down(i int) {
 	for {
 		c := 2*i + 1
 		if c >= len(q) {
 			return
 		}
-		if r := c + 1; r < len(q) && q[r].before(q[c]) {
+		if r := c + 1; r < len(q) && q[r] > q[c] {
 			c = r
 		}
-		if !q[c].before(q[i]) {
+		if q[c] <= q[i] {
 			return
 		}
 		q[i], q[c] = q[c], q[i]

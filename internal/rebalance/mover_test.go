@@ -143,7 +143,7 @@ func TestMoverMatchesReferenceScans(t *testing.T) {
 
 		c := partition.Constraint{Epsilon: []float64{0.01, 0.05, 0.1, 0.3}[rng.Intn(4)], FixedSide: fixed}
 		maxSide := c.MaxSideWeight(total, 2)
-		_, err := enforce(h, p.Clone(), c, func(s *cutstate.State, v int) {
+		_, err := enforce(h, p.Clone(), c, nil, func(s *cutstate.State, v int) {
 			enforceSteps++
 			lw, rw := s.Weights()
 			from, fromW := partition.Left, lw
@@ -189,7 +189,7 @@ func TestEnforceWorkIsLinear(t *testing.T) {
 	h, p := lopsided(t, n)
 	before := p.Clone()
 	// ε this small leaves maxSide at ⌈total/2⌉: an exact bisection.
-	work, err := enforce(h, p, partition.Constraint{Epsilon: 1e-6}, nil)
+	work, err := enforce(h, p, partition.Constraint{Epsilon: 1e-6}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,5 +204,91 @@ func TestEnforceWorkIsLinear(t *testing.T) {
 	}
 	if bound := 4 * (n + h.NumPins()); work > bound {
 		t.Fatalf("Enforce did %d units of work for %d moves, over the linear bound 4·(n+pins) = %d", work, moved, bound)
+	}
+}
+
+// entryBefore is the choice order the heap once compared entries by:
+// higher gain, then heavier, then lower index.
+func entryBefore(h *hypergraph.Hypergraph, ga, a, gb, b int) bool {
+	if ga != gb {
+		return ga > gb
+	}
+	if wa, wb := h.VertexWeight(a), h.VertexWeight(b); wa != wb {
+		return wa > wb
+	}
+	return a < b
+}
+
+// TestKeysFollowChoiceOrder: packed keys compare as the choice order,
+// and unpack to the vertex and gain they were packed from, for
+// uniform weights (the identity order) and mixed ones.
+func TestKeysFollowChoiceOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for trial := 0; trial < 200; trial++ {
+		h, _, _ := randomInstance(rng)
+		if trial%2 == 0 {
+			h = hypergraph.NewBuilder(h.NumVertices()).MustBuild()
+		}
+		o := NewOrder(h)
+		if (o.rank == nil) != (trial%2 == 0) {
+			t.Fatalf("trial %d: identity order %v for uniform weights %v", trial, o.rank == nil, trial%2 == 0)
+		}
+		n := h.NumVertices()
+		for i := 0; i < 200; i++ {
+			a, b := rng.Intn(n), rng.Intn(n)
+			ga, gb := rng.Intn(2001)-1000, rng.Intn(2001)-1000
+			if rng.Intn(3) == 0 {
+				gb = ga
+			}
+			ka, kb := o.key(a, ga), o.key(b, gb)
+			if v, g := o.entry(ka); v != a || g != ga {
+				t.Fatalf("trial %d: key of (%d, %d) unpacks to (%d, %d)", trial, a, ga, v, g)
+			}
+			if (ka > kb) != entryBefore(h, ga, a, gb, b) {
+				t.Fatalf("trial %d: keys of (%d, gain %d) and (%d, gain %d) compare %v, the choice order says %v",
+					trial, a, ga, b, gb, ka > kb, entryBefore(h, ga, a, gb, b))
+			}
+		}
+	}
+}
+
+// TestSharedOrderMatchesPerCallOrder: repairs sharing one Order across
+// goroutines (as Algorithm I's starts do) end where a repair building
+// its own order does. Run it under -race.
+func TestSharedOrderMatchesPerCallOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		h, p, fixed := randomInstance(rng)
+		c := partition.Constraint{Epsilon: 0.05, FixedSide: fixed}
+		want := p.Clone()
+		wantErr := Enforce(h, want, c)
+		order := NewOrder(h)
+		got := make([]*partition.Bipartition, 4)
+		errs := make([]error, len(got))
+		done := make(chan int)
+		for i := range got {
+			got[i] = p.Clone()
+			go func(i int) {
+				errs[i] = EnforceOrdered(h, got[i], c, order)
+				done <- i
+			}(i)
+		}
+		for range got {
+			<-done
+		}
+		for i := range got {
+			if (errs[i] == nil) != (wantErr == nil) {
+				t.Fatalf("trial %d: shared order error %v, per-call %v", trial, errs[i], wantErr)
+			}
+			for v := 0; v < h.NumVertices(); v++ {
+				if got[i].Side(v) != want.Side(v) {
+					t.Fatalf("trial %d: vertex %d on %v with the shared order, %v without", trial, v, got[i].Side(v), want.Side(v))
+				}
+			}
+		}
+	}
+	h, p, _ := randomInstance(rng)
+	if err := EnforceOrdered(h, p, partition.Constraint{Epsilon: 0.01}, NewOrder(hypergraph.NewBuilder(h.NumVertices()+1).MustBuild())); err == nil {
+		t.Error("accepted an order built for another hypergraph")
 	}
 }

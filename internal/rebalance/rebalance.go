@@ -51,7 +51,7 @@ func toTarget(h *hypergraph.Hypergraph, p *partition.Bipartition, targetLeft, to
 	if tolerance < 0 {
 		return 0, fmt.Errorf("%w: %d", ErrNegativeTolerance, tolerance)
 	}
-	m, err := newMover(h, p, fixed, check)
+	m, err := newMover(h, p, fixed, nil, check)
 	if err != nil {
 		return 0, fmt.Errorf("rebalance: %w", err)
 	}
@@ -91,14 +91,21 @@ func toTarget(h *hypergraph.Hypergraph, p *partition.Bipartition, targetLeft, to
 // to keep both sides populated, matching the library-wide invariant
 // that a bipartition has two nonempty sides.
 func Enforce(h *hypergraph.Hypergraph, p *partition.Bipartition, c partition.Constraint) error {
-	_, err := enforce(h, p, c, nil)
+	return EnforceOrdered(h, p, c, nil)
+}
+
+// EnforceOrdered is Enforce with the repair's vertex order built once
+// by NewOrder(h), for callers that repair many partitions of h. A nil
+// order is built per call when a repair needs it, as Enforce does.
+func EnforceOrdered(h *hypergraph.Hypergraph, p *partition.Bipartition, c partition.Constraint, order *Order) error {
+	_, err := enforce(h, p, c, order, nil)
 	return err
 }
 
-// enforce is Enforce, also returning the work count of the repair's
-// mover (zero when none was needed); check, when non-nil, sees every
-// mover choice before it is made.
-func enforce(h *hypergraph.Hypergraph, p *partition.Bipartition, c partition.Constraint, check func(s *cutstate.State, v int)) (int, error) {
+// enforce is EnforceOrdered, also returning the work count of the
+// repair's mover (zero when none was needed); check, when non-nil, sees
+// every mover choice before it is made.
+func enforce(h *hypergraph.Hypergraph, p *partition.Bipartition, c partition.Constraint, order *Order, check func(s *cutstate.State, v int)) (int, error) {
 	if err := c.Validate(h.NumVertices(), 2); err != nil {
 		return 0, fmt.Errorf("rebalance: %w", err)
 	}
@@ -123,7 +130,7 @@ func enforce(h *hypergraph.Hypergraph, p *partition.Bipartition, c partition.Con
 	}
 	total := h.TotalVertexWeight()
 	maxSide := c.MaxSideWeight(total, 2)
-	m, err := newMover(h, p, c.FixedSide, check)
+	m, err := newMover(h, p, c.FixedSide, order, check)
 	if err != nil {
 		return 0, fmt.Errorf("rebalance: %w", err)
 	}
