@@ -206,8 +206,8 @@ func (x *netIndex) find(hash uint64, same func(id int) bool) int {
 	}
 }
 
-// pinHash is FNV-1a over the pin ids; collisions are resolved by
-// pinsEqual, so quality only affects bucket fan-out.
+// pinHash is FNV-1a over the pin ids; collisions are resolved by an
+// exact pin comparison, so quality only affects probe lengths.
 func pinHash(pins []int) uint64 {
 	h := uint64(14695981039346656037)
 	for _, p := range pins {

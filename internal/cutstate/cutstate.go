@@ -107,37 +107,7 @@ func (s *State) Gain(v int) int {
 
 // Move flips v to the other side, updating all bookkeeping, and returns
 // the cut decrease realized (== Gain(v) evaluated beforehand).
-func (s *State) Move(v int) int {
-	before := s.cut
-	from := s.p.Side(v)
-	to := from.Opposite()
-	for _, e := range s.h.VertexEdges(v) {
-		wasCut := s.left[e] > 0 && s.right[e] > 0
-		if from == partition.Left {
-			s.left[e]--
-			s.right[e]++
-		} else {
-			s.right[e]--
-			s.left[e]++
-		}
-		isCut := s.left[e] > 0 && s.right[e] > 0
-		if wasCut && !isCut {
-			s.cut--
-		} else if !wasCut && isCut {
-			s.cut++
-		}
-	}
-	s.p.Assign(v, to)
-	w := s.h.VertexWeight(v)
-	if from == partition.Left {
-		s.lw -= w
-		s.rw += w
-	} else {
-		s.rw -= w
-		s.lw += w
-	}
-	return before - s.cut
-}
+func (s *State) Move(v int) int { return s.MoveWithGainDeltas(v, nil) }
 
 // MoveWithGainDeltas is Move, also reporting through bump(u, d) every
 // change d to the Gain of another vertex u that the move causes, by
@@ -158,7 +128,7 @@ func (s *State) Move(v int) int {
 // several times, and never sees v itself: v's own Gain after the move
 // is the negation of its Gain before. Each net's counts and cut status
 // are updated in the same walk that reports its deltas, so v's nets
-// are visited once. O(Σ pins of v's nets).
+// are visited once. A nil bump is Move. O(Σ pins of v's nets).
 func (s *State) MoveWithGainDeltas(v int, bump func(u, d int)) int {
 	before := s.cut
 	from := s.p.Side(v)
@@ -168,33 +138,8 @@ func (s *State) MoveWithGainDeltas(v int, bump func(u, d int)) int {
 	}
 	for _, e := range s.h.VertexEdges(v) {
 		f, t := fromCount[e], toCount[e]
-		switch t {
-		case 0:
-			for _, u := range s.h.EdgePins(e) {
-				if u != v {
-					bump(u, +1)
-				}
-			}
-		case 1:
-			for _, u := range s.h.EdgePins(e) {
-				if u != v && s.p.Side(u) != from {
-					bump(u, -1)
-				}
-			}
-		}
-		switch f - 1 {
-		case 0:
-			for _, u := range s.h.EdgePins(e) {
-				if u != v {
-					bump(u, -1)
-				}
-			}
-		case 1:
-			for _, u := range s.h.EdgePins(e) {
-				if u != v && s.p.Side(u) == from {
-					bump(u, +1)
-				}
-			}
+		if bump != nil {
+			s.reportDeltas(v, e, from, f, t, bump)
 		}
 		// The net was cut iff both counts were positive (f ≥ 1 always:
 		// v is on it), and is cut afterwards iff f − 1 > 0.
@@ -217,6 +162,40 @@ func (s *State) MoveWithGainDeltas(v int, bump func(u, d int)) int {
 		s.lw += w
 	}
 	return before - s.cut
+}
+
+// reportDeltas reports the gain deltas that moving v off side from
+// causes on net e, whose from-side and to-side counts are f and t
+// before the move.
+func (s *State) reportDeltas(v, e int, from partition.Side, f, t int, bump func(u, d int)) {
+	switch t {
+	case 0:
+		for _, u := range s.h.EdgePins(e) {
+			if u != v {
+				bump(u, +1)
+			}
+		}
+	case 1:
+		for _, u := range s.h.EdgePins(e) {
+			if u != v && s.p.Side(u) != from {
+				bump(u, -1)
+			}
+		}
+	}
+	switch f - 1 {
+	case 0:
+		for _, u := range s.h.EdgePins(e) {
+			if u != v {
+				bump(u, -1)
+			}
+		}
+	case 1:
+		for _, u := range s.h.EdgePins(e) {
+			if u != v && s.p.Side(u) == from {
+				bump(u, +1)
+			}
+		}
+	}
 }
 
 // SwapGain returns the exact cut decrease of swapping a and b (on

@@ -110,8 +110,8 @@ func flowRefine(ctx context.Context, h *hypergraph.Hypergraph, p *partition.Bipa
 // the free pins of every cut net, then grows breadth-first through the
 // nets of admitted vertices, each side spending at most perSide vertex
 // weight. It returns the corridor in admission order and read, which
-// marks every net it read: each net with a corridor pin, and the cut
-// nets. Buffers are leased from scratch.
+// marks every net it read: the cut nets and every net of a corridor
+// vertex. Buffers are leased from scratch.
 func growCorridor(h *hypergraph.Hypergraph, p *partition.Bipartition, bal partition.Constraint,
 	perSide int64, scratch *engine.Scratch, stats *VCycleStats) (queue []int, read []bool) {
 	sideBudget := [2]int64{perSide, perSide}
