@@ -8,6 +8,7 @@ package coarsen
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -47,7 +48,7 @@ func contractMapReference(h *hypergraph.Hypergraph, m []int, k int) *hypergraph.
 		hash := pinHash(out)
 		merged := false
 		for _, id := range buckets[hash] {
-			if pinsEqual(coarsePins[id], out) {
+			if slices.Equal(coarsePins[id], out) {
 				edgeWeights[id] += h.EdgeWeight(e)
 				merged = true
 				break
@@ -67,18 +68,6 @@ func contractMapReference(h *hypergraph.Hypergraph, m []int, k int) *hypergraph.
 	return b.MustBuild()
 }
 
-func pinsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // sameHypergraph reports the first difference between two hypergraphs'
 // vertex weights, nets, pins and net weights, or "" when they agree.
 func sameHypergraph(got, want *hypergraph.Hypergraph) string {
@@ -91,7 +80,7 @@ func sameHypergraph(got, want *hypergraph.Hypergraph) string {
 		}
 	}
 	for e := 0; e < got.NumEdges(); e++ {
-		if !pinsEqual(got.EdgePins(e), want.EdgePins(e)) {
+		if !slices.Equal(got.EdgePins(e), want.EdgePins(e)) {
 			return "net pins differ"
 		}
 		if got.EdgeWeight(e) != want.EdgeWeight(e) {

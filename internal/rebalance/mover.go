@@ -109,8 +109,8 @@ type mover struct {
 	// its gains are not tracked.
 	built [2]bool
 	count [2]int // vertices per side
-	// touched lists, in first-touch order, the tracked vertices whose
-	// gains the current move changed, was their gains before it, and
+	// touched lists, in first-touch order, the tracked vertices the
+	// current move's deltas reached, and was their gains before it;
 	// seen marks them.
 	touched, was []int
 	seen         []bool
