@@ -160,7 +160,7 @@ func FuzzContractMap(f *testing.F) {
 
 // TestContractMapAllocations bounds ContractMap's allocations on a
 // 6000-net input: a fixed handful (the index, the flat pin list and
-// the builder's arrays), not a few per kept net.
+// hypergraph.Builder's arrays), not a few per kept net.
 func TestContractMapAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	h := randomHG(rng, 4000, 6000)

@@ -7,8 +7,8 @@ package perf
 // sides — exactly against the vcycle section of BENCH_perf.json. The
 // counters are pure functions of the pinned instances (no timing, no
 // allocation), so the gate is machine-independent and runs on every
-// PR: under -short only the reduced smoke family runs; full runs add
-// the 10⁵-pin family. Outside that exact comparison, the allocations
+// change: under -short only the reduced smoke family runs; full runs
+// add the 10⁵-pin family. Outside that exact comparison, the allocations
 // of one V-cycle (allocs_per_op) may not regress past the blessed
 // value plus max(2, blessed/2), the intersect families' slack.
 //
