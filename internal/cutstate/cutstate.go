@@ -6,6 +6,7 @@ package cutstate
 
 import (
 	"fmt"
+	"math"
 
 	"fasthgp/internal/hypergraph"
 	"fasthgp/internal/partition"
@@ -15,35 +16,42 @@ import (
 // cut maintenance. All mutation goes through Move; the underlying
 // partition must not be modified externally while a State is live.
 type State struct {
-	h *hypergraph.Hypergraph
-	p *partition.Bipartition
-	// left[e], right[e]: pins of net e on each side.
-	left, right []int
-	cut         int
-	lw, rw      int64
+	h      *hypergraph.Hypergraph
+	p      *partition.Bipartition
+	nets   []netState
+	cut    int
+	lw, rw int64
+}
+
+// netState is one net's bookkeeping, indexed by side (partition.Left
+// is 0, partition.Right 1): count[s] is the number of the net's pins
+// on side s and xor[s] the XOR of their vertex ids, so a side holding
+// exactly one pin names it in O(1). One record per net keeps a net's
+// visit to one cache line.
+type netState struct {
+	count [2]int32
+	xor   [2]int32
 }
 
 // New builds a State from a complete bipartition. It returns an error
-// when p leaves vertices unassigned.
+// when p leaves vertices unassigned, or when the vertex ids, and with
+// them the pin counts, do not fit the int32 records.
 func New(h *hypergraph.Hypergraph, p *partition.Bipartition) (*State, error) {
 	if !p.IsComplete() {
 		return nil, fmt.Errorf("cutstate: partition incomplete")
 	}
-	s := &State{
-		h:     h,
-		p:     p,
-		left:  make([]int, h.NumEdges()),
-		right: make([]int, h.NumEdges()),
+	if err := fitInt32(h.NumVertices()); err != nil {
+		return nil, err
 	}
-	for e := 0; e < h.NumEdges(); e++ {
+	s := &State{h: h, p: p, nets: make([]netState, h.NumEdges())}
+	for e := range s.nets {
+		ns := &s.nets[e]
 		for _, v := range h.EdgePins(e) {
-			if p.Side(v) == partition.Left {
-				s.left[e]++
-			} else {
-				s.right[e]++
-			}
+			side := p.Side(v)
+			ns.count[side]++
+			ns.xor[side] ^= int32(v)
 		}
-		if s.left[e] > 0 && s.right[e] > 0 {
+		if ns.count[partition.Left] > 0 && ns.count[partition.Right] > 0 {
 			s.cut++
 		}
 	}
@@ -55,6 +63,16 @@ func New(h *hypergraph.Hypergraph, p *partition.Bipartition) (*State, error) {
 		}
 	}
 	return s, nil
+}
+
+// fitInt32 reports an error when the ids of n vertices would overflow
+// netState's int32 fields. A net's pins are distinct vertices, so no
+// count exceeds n either.
+func fitInt32(n int) error {
+	if n > math.MaxInt32 {
+		return fmt.Errorf("cutstate: %d vertices overflow int32 ids and counts", n)
+	}
+	return nil
 }
 
 // Hypergraph returns the underlying hypergraph.
@@ -81,7 +99,10 @@ func (s *State) Imbalance() int64 {
 }
 
 // Counts returns the pins of net e on each side.
-func (s *State) Counts(e int) (left, right int) { return s.left[e], s.right[e] }
+func (s *State) Counts(e int) (left, right int) {
+	c := s.nets[e].count
+	return int(c[partition.Left]), int(c[partition.Right])
+}
 
 // Gain returns the cut decrease obtained by moving v to the other side
 // (positive is good), in O(degree(v)). This is the Fiduccia–Mattheyses
@@ -90,11 +111,10 @@ func (s *State) Counts(e int) (left, right int) { return s.left[e], s.right[e] }
 func (s *State) Gain(v int) int {
 	gain := 0
 	from := s.p.Side(v)
+	to := 1 - from
 	for _, e := range s.h.VertexEdges(v) {
-		f, t := s.left[e], s.right[e]
-		if from == partition.Right {
-			f, t = t, f
-		}
+		c := &s.nets[e].count
+		f, t := c[from], c[to]
 		if f == 1 && t > 0 {
 			gain++
 		}
@@ -103,6 +123,30 @@ func (s *State) Gain(v int) int {
 		}
 	}
 	return gain
+}
+
+// Gains sets gain[v] = Gain(v) for every vertex in one pass over the
+// nets instead of one walk per vertex: a cut net credits the lone pin
+// of each side that has one, read from xor in O(1), and an uncut net
+// of two or more pins debits every pin. gain must have length n.
+func (s *State) Gains(gain []int) {
+	clear(gain)
+	for e := range s.nets {
+		ns := &s.nets[e]
+		l, r := ns.count[partition.Left], ns.count[partition.Right]
+		if l > 0 && r > 0 {
+			if l == 1 {
+				gain[ns.xor[partition.Left]]++
+			}
+			if r == 1 {
+				gain[ns.xor[partition.Right]]++
+			}
+		} else if l+r > 1 {
+			for _, u := range s.h.EdgePins(e) {
+				gain[u]--
+			}
+		}
+	}
 }
 
 // Move flips v to the other side, updating all bookkeeping, and returns
@@ -126,20 +170,21 @@ func (s *State) Move(v int) int { return s.MoveWithGainDeltas(v, nil) }
 //
 // bump sees the deltas net by net in that order, each vertex possibly
 // several times, and never sees v itself: v's own Gain after the move
-// is the negation of its Gain before. Each net's counts and cut status
-// are updated in the same walk that reports its deltas, so v's nets
-// are visited once. A nil bump is Move. O(Σ pins of v's nets).
+// is the negation of its Gain before. The two lone-cell rules name
+// their cell from the net's xor record without walking the net, and
+// each net's record and cut status are updated in the same visit that
+// reports its deltas. A nil bump is Move. O(degree(v)) plus the pins
+// of the nets that the T == 0 and F′ == 0 rules walk.
 func (s *State) MoveWithGainDeltas(v int, bump func(u, d int)) int {
 	before := s.cut
 	from := s.p.Side(v)
-	fromCount, toCount := s.left, s.right
-	if from == partition.Right {
-		fromCount, toCount = s.right, s.left
-	}
+	to := 1 - from
+	id := int32(v)
 	for _, e := range s.h.VertexEdges(v) {
-		f, t := fromCount[e], toCount[e]
+		ns := &s.nets[e]
+		f, t := ns.count[from], ns.count[to]
 		if bump != nil {
-			s.reportDeltas(v, e, from, f, t, bump)
+			s.reportDeltas(v, e, ns, from, f, t, bump)
 		}
 		// The net was cut iff both counts were positive (f ≥ 1 always:
 		// v is on it), and is cut afterwards iff f − 1 > 0.
@@ -149,10 +194,12 @@ func (s *State) MoveWithGainDeltas(v int, bump func(u, d int)) int {
 		} else if !wasCut && isCut {
 			s.cut++
 		}
-		fromCount[e] = f - 1
-		toCount[e] = t + 1
+		ns.count[from] = f - 1
+		ns.count[to] = t + 1
+		ns.xor[from] ^= id
+		ns.xor[to] ^= id
 	}
-	s.p.Assign(v, from.Opposite())
+	s.p.Assign(v, to)
 	w := s.h.VertexWeight(v)
 	if from == partition.Left {
 		s.lw -= w
@@ -165,9 +212,9 @@ func (s *State) MoveWithGainDeltas(v int, bump func(u, d int)) int {
 }
 
 // reportDeltas reports the gain deltas that moving v off side from
-// causes on net e, whose from-side and to-side counts are f and t
-// before the move.
-func (s *State) reportDeltas(v, e int, from partition.Side, f, t int, bump func(u, d int)) {
+// causes on net e, whose record ns still holds the from-side and
+// to-side counts f and t from before the move.
+func (s *State) reportDeltas(v, e int, ns *netState, from partition.Side, f, t int32, bump func(u, d int)) {
 	switch t {
 	case 0:
 		for _, u := range s.h.EdgePins(e) {
@@ -176,11 +223,7 @@ func (s *State) reportDeltas(v, e int, from partition.Side, f, t int, bump func(
 			}
 		}
 	case 1:
-		for _, u := range s.h.EdgePins(e) {
-			if u != v && s.p.Side(u) != from {
-				bump(u, -1)
-			}
-		}
+		bump(int(ns.xor[1-from]), -1)
 	}
 	switch f - 1 {
 	case 0:
@@ -190,11 +233,7 @@ func (s *State) reportDeltas(v, e int, from partition.Side, f, t int, bump func(
 			}
 		}
 	case 1:
-		for _, u := range s.h.EdgePins(e) {
-			if u != v && s.p.Side(u) == from {
-				bump(u, +1)
-			}
-		}
+		bump(int(ns.xor[from]^int32(v)), +1)
 	}
 }
 
@@ -225,9 +264,9 @@ func (s *State) Verify() error {
 	if fresh.lw != s.lw || fresh.rw != s.rw {
 		return fmt.Errorf("cutstate: weights drifted: incremental %d|%d, fresh %d|%d", s.lw, s.rw, fresh.lw, fresh.rw)
 	}
-	for e := 0; e < s.h.NumEdges(); e++ {
-		if fresh.left[e] != s.left[e] || fresh.right[e] != s.right[e] {
-			return fmt.Errorf("cutstate: net %d counts drifted", e)
+	for e, ns := range s.nets {
+		if ns != fresh.nets[e] {
+			return fmt.Errorf("cutstate: net %d record drifted: incremental %+v, fresh %+v", e, ns, fresh.nets[e])
 		}
 	}
 	return nil

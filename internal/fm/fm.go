@@ -290,10 +290,9 @@ func runPass(s *cutstate.State, minSide int64, fixed, locked []bool, gain []int,
 	if fixed != nil {
 		copy(locked, fixed)
 	}
-	clear(gain)
+	s.Gains(gain)
 	bq.reset()
 	for v := 0; v < n; v++ {
-		gain[v] = s.Gain(v)
 		if !locked[v] {
 			bq.push(v, gain[v])
 		}
