@@ -9,6 +9,8 @@ package maxflow
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 )
 
 // Inf is the capacity used for uncuttable arcs.
@@ -17,121 +19,175 @@ const Inf int64 = 1 << 60
 // Network is a directed flow network under construction and solving.
 // Nodes are 0..n-1; arcs are added with AddArc (a reverse arc of
 // capacity 0 is created automatically).
+//
+// Arcs are staged flat: arc a runs from to[a^1] to to[a] with capacity
+// cap[a]. The first solve compiles them into a forward star (CSR) in
+// which node u's arcs occupy slots off[u]..off[u+1]−1 in descending
+// arc id order, the order in which a linked list that prepends each new
+// arc would visit them. No arc may be added after that; Reset starts a
+// new network on the same arrays.
 type Network struct {
-	head  []int // per node: first arc index, -1 end
-	next  []int // per arc
-	to    []int
-	cap   []int64
-	level []int
-	iter  []int
-	queue []int // BFS queue, reused by every search
-	aug   int64 // successful augmentations across all solves
+	n   int
+	to  []int32
+	cap []int64
+
+	compiled bool
+	off      []int32 // per node: first slot; off[n] = slot count
+	target   []int32 // per slot: the arc's head node
+	rev      []int32 // per slot: the slot of the paired reverse arc
+	res      []int64 // per slot: residual capacity
+
+	level []int32
+	iter  []int32 // per node: current-arc slot of the blocking-flow DFS
+	queue []int32 // BFS queue, reused by every search
+	aug   int64   // successful augmentations since the last Reset
 }
 
 // Augmentations returns the number of successful augmenting-path
-// pushes performed so far. It is a deterministic work counter — a
-// machine-independent proxy for flow effort used by the perf baseline.
+// pushes performed since the network was created or last Reset. It is
+// a deterministic work counter — a machine-independent proxy for flow
+// effort used by the perf baseline.
 func (g *Network) Augmentations() int64 { return g.aug }
 
 // New returns a network with n nodes and no arcs.
 func New(n int) *Network {
-	h := make([]int, n)
-	for i := range h {
-		h[i] = -1
+	g := &Network{}
+	g.Reset(n)
+	return g
+}
+
+// Reset empties g into a network with n nodes and no arcs and zeroes
+// its augmentation count. It keeps every array, so a caller solving a
+// sequence of networks allocates only when one outgrows the largest
+// before it.
+func (g *Network) Reset(n int) {
+	checkInt32("nodes", n)
+	g.n = n
+	g.to, g.cap = g.to[:0], g.cap[:0]
+	g.compiled = false
+	g.aug = 0
+}
+
+// checkInt32 panics when count nodes or arc slots would overflow the
+// network's int32 indices.
+func checkInt32(what string, count int) {
+	if count > math.MaxInt32 {
+		panic(fmt.Sprintf("maxflow: %d %s overflow int32 indices", count, what))
 	}
-	return &Network{head: h}
 }
 
 // Grow reserves room for arcs more AddArc calls, so that building a
 // network whose arc count is known up front does not reallocate.
 func (g *Network) Grow(arcs int) {
-	g.to = reserve(g.to, 2*arcs)
-	g.cap = reserve(g.cap, 2*arcs)
-	g.next = reserve(g.next, 2*arcs)
+	g.to = slices.Grow(g.to, 2*arcs)
+	g.cap = slices.Grow(g.cap, 2*arcs)
 }
 
-// reserve returns s with room for n more elements, reallocated to
-// exactly len(s)+n when it lacks them.
-func reserve[T any](s []T, n int) []T {
-	if cap(s)-len(s) >= n {
-		return s
-	}
-	t := make([]T, len(s), len(s)+n)
-	copy(t, s)
-	return t
-}
+// resize returns s with length n, reallocated only when its capacity is
+// short. The contents are unspecified.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // NumNodes returns the node count.
-func (g *Network) NumNodes() int { return len(g.head) }
+func (g *Network) NumNodes() int { return g.n }
 
 // AddArc adds a directed arc u→v with the given capacity and returns
-// its arc id (the paired reverse arc is id^1).
+// its arc id (the paired reverse arc is id^1). It panics once g has
+// been solved.
 func (g *Network) AddArc(u, v int, capacity int64) int {
 	if capacity < 0 {
 		panic(fmt.Sprintf("maxflow: negative capacity %d", capacity))
 	}
+	if g.compiled {
+		panic("maxflow: AddArc after solving; Reset starts a new network")
+	}
+	if u < 0 || u >= g.n || v < 0 || v >= g.n {
+		panic(fmt.Sprintf("maxflow: arc %d→%d outside %d nodes", u, v, g.n))
+	}
 	id := len(g.to)
-	g.to = append(g.to, v, u)
+	checkInt32("arc slots", id+2)
+	g.to = append(g.to, int32(v), int32(u))
 	g.cap = append(g.cap, capacity, 0)
-	g.next = append(g.next, g.head[u], g.head[v])
-	g.head[u] = id
-	g.head[v] = id + 1
 	return id
 }
 
-// bfs builds the level graph; returns false when t is unreachable.
-func (g *Network) bfs(s, t int) bool {
-	n := g.NumNodes()
-	if g.level == nil {
-		g.level = make([]int, n)
+// compile lays the staged arcs out as the forward star by counting
+// sort. Arc pairs are placed from the highest id down, so each node's
+// slots list its arcs in descending id order, and a pair's two slots
+// are known together, which gives rev without a second pass.
+func (g *Network) compile() {
+	if g.compiled {
+		return
 	}
-	for i := range g.level {
-		g.level[i] = -1
+	g.compiled = true
+	n, m := g.n, len(g.to)
+	g.off = resize(g.off, n+1)
+	clear(g.off)
+	for a := 0; a < m; a++ {
+		g.off[g.to[a^1]+1]++ // arc a's tail
 	}
-	queue := g.startQueue(s)
-	g.level[s] = 0
+	for u := 0; u < n; u++ {
+		g.off[u+1] += g.off[u]
+	}
+	g.target, g.rev, g.res = resize(g.target, m), resize(g.rev, m), resize(g.res, m)
+	g.level, g.iter = resize(g.level, n), resize(g.iter, n)
+	g.queue = resize(g.queue, n)[:0]
+	next := g.iter // fill cursors; iter is re-armed by every phase
+	copy(next, g.off[:n])
+	for a := m - 2; a >= 0; a -= 2 {
+		// Arc a runs u→v and arc a+1 v→u; a+1 is placed first.
+		u, v := g.to[a+1], g.to[a]
+		back := next[v]
+		next[v]++
+		fwd := next[u]
+		next[u]++
+		g.target[back], g.rev[back], g.res[back] = u, fwd, g.cap[a+1]
+		g.target[fwd], g.rev[fwd], g.res[fwd] = v, back, g.cap[a]
+	}
+}
+
+// bfs builds the level graph and reports whether t is reachable. It
+// stops as soon as t is labeled: every node labeled after that sits at
+// t's level or beyond, where no shortest augmenting path passes, so the
+// blocking-flow DFS finds the same paths without them.
+func (g *Network) bfs(s, t int32) bool {
+	level := g.level
+	for i := range level {
+		level[i] = -1
+	}
+	queue := append(g.queue[:0], s)
+	level[s] = 0
 	for h := 0; h < len(queue); h++ {
 		u := queue[h]
-		for a := g.head[u]; a != -1; a = g.next[a] {
-			v := g.to[a]
-			if g.cap[a] > 0 && g.level[v] == -1 {
-				g.level[v] = g.level[u] + 1
+		next := level[u] + 1
+		for i := g.off[u]; i < g.off[u+1]; i++ {
+			v := g.target[i]
+			if g.res[i] > 0 && level[v] == -1 {
+				level[v] = next
+				if v == t {
+					return true
+				}
 				queue = append(queue, v)
 			}
 		}
 	}
-	return g.level[t] != -1
-}
-
-// startQueue returns the network's BFS queue holding only s. A search
-// enqueues each node at most once, so the queue never outgrows its
-// first allocation.
-func (g *Network) startQueue(s int) []int {
-	if g.queue == nil {
-		g.queue = make([]int, 0, g.NumNodes())
-	}
-	return append(g.queue[:0], s)
+	return false
 }
 
 // dfs sends blocking flow along the level graph.
-func (g *Network) dfs(u, t int, f int64) int64 {
+func (g *Network) dfs(u, t int32, f int64) int64 {
 	if u == t {
 		return f
 	}
-	for ; g.iter[u] != -1; g.iter[u] = g.next[g.iter[u]] {
-		a := g.iter[u]
-		v := g.to[a]
-		if g.cap[a] <= 0 || g.level[v] != g.level[u]+1 {
+	for end := g.off[u+1]; g.iter[u] < end; g.iter[u]++ {
+		i := g.iter[u]
+		v := g.target[i]
+		if g.res[i] <= 0 || g.level[v] != g.level[u]+1 {
 			continue
 		}
-		d := f
-		if g.cap[a] < d {
-			d = g.cap[a]
-		}
-		got := g.dfs(v, t, d)
+		got := g.dfs(v, t, min(f, g.res[i]))
 		if got > 0 {
-			g.cap[a] -= got
-			g.cap[a^1] += got
+			g.res[i] -= got
+			g.res[g.rev[i]] += got
 			return got
 		}
 	}
@@ -155,23 +211,21 @@ func (g *Network) MaxFlowCtx(ctx context.Context, s, t int) (int64, error) {
 	if s == t {
 		return 0, nil
 	}
-	if g.iter == nil {
-		g.iter = make([]int, g.NumNodes())
-	}
+	g.compile()
 	var total int64
 	for {
 		if err := ctx.Err(); err != nil {
 			return total, err
 		}
-		if !g.bfs(s, t) {
+		if !g.bfs(int32(s), int32(t)) {
 			return total, nil
 		}
-		copy(g.iter, g.head)
+		copy(g.iter, g.off[:g.n])
 		for {
 			if err := ctx.Err(); err != nil {
 				return total, err
 			}
-			f := g.dfs(s, t, Inf)
+			f := g.dfs(int32(s), int32(t), Inf)
 			if f == 0 {
 				break
 			}
@@ -184,20 +238,7 @@ func (g *Network) MaxFlowCtx(ctx context.Context, s, t int) (int64, error) {
 // MinCutSourceSide returns, after MaxFlow, the set of nodes reachable
 // from s in the residual network — the source side of a minimum cut.
 func (g *Network) MinCutSourceSide(s int) []bool {
-	side := make([]bool, g.NumNodes())
-	queue := g.startQueue(s)
-	side[s] = true
-	for h := 0; h < len(queue); h++ {
-		u := queue[h]
-		for a := g.head[u]; a != -1; a = g.next[a] {
-			v := g.to[a]
-			if g.cap[a] > 0 && !side[v] {
-				side[v] = true
-				queue = append(queue, v)
-			}
-		}
-	}
-	return side
+	return g.reach(s, false)
 }
 
 // MinCutSinkSide returns, after MaxFlow, the set of nodes that can
@@ -207,16 +248,26 @@ func (g *Network) MinCutSourceSide(s int) []bool {
 // choosing between the two orientations picks whichever balances its
 // partition better at the same cut value.
 func (g *Network) MinCutSinkSide(t int) []bool {
-	side := make([]bool, g.NumNodes())
-	queue := g.startQueue(t)
-	side[t] = true
+	return g.reach(t, true)
+}
+
+// reach returns the nodes reachable from x through arcs with residual
+// capacity or, with backward set, the nodes that reach x through such
+// arcs: the target v of u's slot i reaches u when the reverse slot
+// rev[i], the arc v→u, has residual capacity.
+func (g *Network) reach(x int, backward bool) []bool {
+	g.compile()
+	side := make([]bool, g.n)
+	queue := append(g.queue[:0], int32(x))
+	side[x] = true
 	for h := 0; h < len(queue); h++ {
 		u := queue[h]
-		// v reaches u through arc a^1 (the pair of u's arc a to v) when
-		// that reverse arc still has residual capacity.
-		for a := g.head[u]; a != -1; a = g.next[a] {
-			v := g.to[a]
-			if g.cap[a^1] > 0 && !side[v] {
+		for i := g.off[u]; i < g.off[u+1]; i++ {
+			v, slot := g.target[i], i
+			if backward {
+				slot = g.rev[i]
+			}
+			if g.res[slot] > 0 && !side[v] {
 				side[v] = true
 				queue = append(queue, v)
 			}

@@ -83,11 +83,14 @@ func flowRefine(ctx context.Context, h *hypergraph.Hypergraph, p *partition.Bipa
 	total := h.TotalVertexWeight()
 	maxSide := bal.MaxSideWeight(total, 2)
 	budget := corridorFraction
+	// One network serves every round: each round Resets it, so its
+	// arrays are allocated once per V-cycle, not once per round.
+	net := maxflow.New(0)
 	for round := 0; round < flowRounds; round++ {
 		if ctx.Err() != nil {
 			return
 		}
-		gain, accepted, balanced := flowRound(ctx, h, p, bal, maxSide, budget, scratch, stats)
+		gain, accepted, balanced := flowRound(ctx, h, p, bal, maxSide, budget, net, scratch, stats)
 		if accepted {
 			stats.FlowAccepted++
 			stats.FlowGain += gain
@@ -156,7 +159,7 @@ func growCorridor(h *hypergraph.Hypergraph, p *partition.Bipartition, bal partit
 	return queue, read
 }
 
-// flowRound builds one corridor, solves it, and applies the best
+// flowRound builds one corridor into net, solves it, and applies the best
 // acceptable min-cut assignment: one that, within the balance bound,
 // strictly improves the weighted cut or keeps it while strictly
 // shrinking the heavy side. A min cut that improves the cut but
@@ -168,7 +171,7 @@ func growCorridor(h *hypergraph.Hypergraph, p *partition.Bipartition, bal partit
 // candidate respected the balance bound (a false balanced return asks
 // the caller to shrink the corridor).
 func flowRound(ctx context.Context, h *hypergraph.Hypergraph, p *partition.Bipartition,
-	bal partition.Constraint, maxSide int64, budget float64,
+	bal partition.Constraint, maxSide int64, budget float64, net *maxflow.Network,
 	scratch *engine.Scratch, stats *VCycleStats) (gain int64, accepted, balanced bool) {
 	n := h.NumVertices()
 	m := h.NumEdges()
@@ -233,7 +236,7 @@ func flowRound(ctx context.Context, h *hypergraph.Hypergraph, p *partition.Bipar
 	}
 	stats.FlowNodes += int64(nodes)
 
-	net := maxflow.New(nodes)
+	net.Reset(nodes)
 	net.Grow(arcs)
 	e1 := 2 + len(queue)
 	for e := 0; e < m; e++ {
