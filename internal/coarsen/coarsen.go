@@ -118,19 +118,15 @@ func Contract(h *hypergraph.Hypergraph, rng *rand.Rand, opts Options) *Result {
 // nets merge with their weights added. Coarse nets keep the order of
 // their first fine net, with pins ascending.
 func ContractMap(h *hypergraph.Hypergraph, m []int, k int) *hypergraph.Hypergraph {
-	b := hypergraph.NewBuilder(k)
 	weights := make([]int64, k)
 	for v := 0; v < h.NumVertices(); v++ {
 		weights[m[v]] += h.VertexWeight(v)
 	}
-	for cv, w := range weights {
-		b.SetVertexWeight(cv, w)
-	}
 	// Contract nets, dropping singletons and merging duplicates with
 	// summed weights. Kept nets' sorted coarse pins live in one flat
-	// list; duplicates are found through an open-addressing index of
-	// kept-net ids keyed by a hash of the pin set, confirmed by an
-	// exact pin comparison.
+	// list, which the coarse hypergraph adopts as its CSR; duplicates
+	// are found through an open-addressing index of kept-net ids keyed
+	// by a hash of the pin set, confirmed by an exact pin comparison.
 	nets := h.NumEdges()
 	idx := newNetIndex(nets)
 	pins := make([]int, 0, h.NumPins())
@@ -164,12 +160,7 @@ func ContractMap(h *hypergraph.Hypergraph, m []int, k int) *hypergraph.Hypergrap
 		edgeWeights = append(edgeWeights, h.EdgeWeight(e))
 		hashes = append(hashes, hash)
 	}
-	b.Grow(len(edgeWeights), len(pins))
-	for id, w := range edgeWeights {
-		b.AddEdge(pins[starts[id]:starts[id+1]]...)
-		b.SetEdgeWeight(id, w)
-	}
-	coarse, err := b.Build()
+	coarse, err := hypergraph.FromCSR(k, starts, pins, weights, edgeWeights)
 	if err != nil {
 		panic("coarsen: contraction produced invalid hypergraph: " + err.Error())
 	}

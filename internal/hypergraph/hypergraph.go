@@ -10,7 +10,7 @@
 // partitioning algorithms are cache-friendly and allocation-free.
 //
 // A Hypergraph is immutable after construction; build one with a
-// Builder. Vertices and edges are identified by dense indices
+// Builder, or adopt a sorted CSR with FromCSR. Vertices and edges are identified by dense indices
 // 0..NumVertices-1 and 0..NumEdges-1. Optional names may be attached
 // for I/O and worked examples.
 package hypergraph
@@ -370,39 +370,12 @@ func (b *Builder) Build() (*Hypergraph, error) {
 	}
 	h.edgeStart[numEdges] = out
 	h.pins = pins[:out:out]
-
-	// Vertex → incident edges CSR by counting sort.
-	h.vertStart = make([]int, n+1)
-	for _, p := range h.pins {
-		h.vertStart[p+1]++
-	}
-	for v := 0; v < n; v++ {
-		h.vertStart[v+1] += h.vertStart[v]
-	}
-	h.incident = make([]int, out)
-	cursor := make([]int, n)
-	copy(cursor, h.vertStart[:n])
-	for e := 0; e < numEdges; e++ {
-		for _, p := range h.pins[h.edgeStart[e]:h.edgeStart[e+1]] {
-			h.incident[cursor[p]] = e
-			cursor[p]++
-		}
-	}
-
 	h.vertexWeight = make([]int64, n)
 	copy(h.vertexWeight, b.vertexWeight)
-	for v, w := range h.vertexWeight {
-		if w < 0 {
-			return nil, fmt.Errorf("%w: vertex %d has negative weight %d", errBuild, v, w)
-		}
-		h.totalVertexWeight += w
-	}
 	h.edgeWeight = make([]int64, numEdges)
 	copy(h.edgeWeight, b.edgeWeight)
-	for e, w := range h.edgeWeight {
-		if w < 0 {
-			return nil, fmt.Errorf("%w: edge %d has negative weight %d", errBuild, e, w)
-		}
+	if err := h.index(); err != nil {
+		return nil, err
 	}
 	if b.vertexNames != nil {
 		h.vertexNames = make([]string, n)
@@ -413,6 +386,75 @@ func (b *Builder) Build() (*Hypergraph, error) {
 		copy(h.edgeNames, b.edgeNames)
 	}
 	return h, nil
+}
+
+// FromCSR adopts a hypergraph with n vertices that is already in CSR
+// form: net e's pins are pins[starts[e]:starts[e+1]], strictly
+// ascending, and the vertex and net weights are vertexWeight (length
+// n) and edgeWeight (one per net). It checks shape, range, order, empty
+// nets and weights in O(pins) and sorts nothing. The hypergraph keeps
+// the four slices, so the caller must not modify them afterwards.
+func FromCSR(n int, starts, pins []int, vertexWeight, edgeWeight []int64) (*Hypergraph, error) {
+	m := len(starts) - 1
+	switch {
+	case m < 0 || starts[0] != 0 || starts[m] != len(pins):
+		return nil, fmt.Errorf("%w: net starts do not span the %d pins", errBuild, len(pins))
+	case len(vertexWeight) != n || len(edgeWeight) != m:
+		return nil, fmt.Errorf("%w: %d vertex and %d net weights for %d vertices and %d nets",
+			errBuild, len(vertexWeight), len(edgeWeight), n, m)
+	}
+	for e := 0; e < m; e++ {
+		if starts[e] >= starts[e+1] {
+			return nil, fmt.Errorf("%w: edge %d has no pins", errBuild, e)
+		}
+		prev := -1
+		for _, v := range pins[starts[e]:starts[e+1]] {
+			if v <= prev || v >= n {
+				return nil, fmt.Errorf("%w: edge %d pin %d out of order or range [0,%d)", errBuild, e, v, n)
+			}
+			prev = v
+		}
+	}
+	h := &Hypergraph{numVertices: n, edgeStart: starts, pins: pins, vertexWeight: vertexWeight, edgeWeight: edgeWeight}
+	if err := h.index(); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// index completes a hypergraph whose nets and weights are set: it
+// builds the vertex → incident edges CSR by counting sort, checks that
+// no weight is negative, and totals the vertex weights.
+func (h *Hypergraph) index() error {
+	n := h.numVertices
+	h.vertStart = make([]int, n+1)
+	for _, p := range h.pins {
+		h.vertStart[p+1]++
+	}
+	for v := 0; v < n; v++ {
+		h.vertStart[v+1] += h.vertStart[v]
+	}
+	h.incident = make([]int, len(h.pins))
+	cursor := make([]int, n)
+	copy(cursor, h.vertStart[:n])
+	for e := 0; e < h.NumEdges(); e++ {
+		for _, p := range h.EdgePins(e) {
+			h.incident[cursor[p]] = e
+			cursor[p]++
+		}
+	}
+	for v, w := range h.vertexWeight {
+		if w < 0 {
+			return fmt.Errorf("%w: vertex %d has negative weight %d", errBuild, v, w)
+		}
+		h.totalVertexWeight += w
+	}
+	for e, w := range h.edgeWeight {
+		if w < 0 {
+			return fmt.Errorf("%w: edge %d has negative weight %d", errBuild, e, w)
+		}
+	}
+	return nil
 }
 
 // MustBuild is Build that panics on error; intended for tests and

@@ -3,6 +3,7 @@ package hypergraph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -496,4 +497,70 @@ func TestBuilderFlatStorage(t *testing.T) {
 			t.Errorf("rebuilt names: %q %q %q", h3.EdgeName(0), h3.EdgeName(1), h3.VertexName(1))
 		}
 	})
+}
+
+// TestFromCSRMatchesBuild: adopting a built hypergraph's own CSR gives
+// back the same hypergraph, incidence and total weight included.
+func TestFromCSRMatchesBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(30)
+		b := NewBuilder(n)
+		for e := rng.Intn(40); e > 0; e-- {
+			pins := make([]int, 1+rng.Intn(6))
+			for i := range pins {
+				pins[i] = rng.Intn(n)
+			}
+			b.SetEdgeWeight(b.AddEdge(pins...), int64(rng.Intn(4)))
+		}
+		for v := 0; v < n; v++ {
+			b.SetVertexWeight(v, int64(rng.Intn(5)))
+		}
+		want := b.MustBuild()
+		got, err := FromCSR(n, slices.Clone(want.edgeStart), slices.Clone(want.pins),
+			slices.Clone(want.vertexWeight), slices.Clone(want.edgeWeight))
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: adopted %v differs from built %v", trial, got, want)
+		}
+	}
+}
+
+func TestFromCSRErrors(t *testing.T) {
+	ones := func(k int) []int64 {
+		w := make([]int64, k)
+		for i := range w {
+			w[i] = 1
+		}
+		return w
+	}
+	for _, tc := range []struct {
+		name   string
+		starts []int
+		pins   []int
+		vw, ew []int64
+	}{
+		{"no starts", nil, nil, ones(3), nil},
+		{"starts not at 0", []int{1, 2}, []int{0, 1}, ones(3), ones(1)},
+		{"starts short of the pins", []int{0, 1}, []int{0, 1}, ones(3), ones(1)},
+		{"vertex weights short", []int{0, 2}, []int{0, 1}, ones(2), ones(1)},
+		{"net weights short", []int{0, 2}, []int{0, 1}, ones(3), nil},
+		{"empty net", []int{0, 2, 2}, []int{0, 1}, ones(3), ones(2)},
+		{"unsorted pins", []int{0, 2}, []int{1, 0}, ones(3), ones(1)},
+		{"duplicate pins", []int{0, 2}, []int{1, 1}, ones(3), ones(1)},
+		{"pin out of range", []int{0, 2}, []int{0, 3}, ones(3), ones(1)},
+		{"negative pin", []int{0, 2}, []int{-1, 0}, ones(3), ones(1)},
+		{"negative vertex weight", []int{0, 2}, []int{0, 1}, []int64{1, -1, 1}, ones(1)},
+		{"negative net weight", []int{0, 2}, []int{0, 1}, ones(3), []int64{-2}},
+	} {
+		if _, err := FromCSR(3, tc.starts, tc.pins, tc.vw, tc.ew); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	h, err := FromCSR(3, []int{0}, nil, ones(3), nil)
+	if err != nil || h.NumEdges() != 0 || h.TotalVertexWeight() != 3 {
+		t.Errorf("edgeless: %v, %v", h, err)
+	}
 }

@@ -29,16 +29,30 @@ type HeavyEdgeOptions struct {
 	MaxPairWeight int64
 }
 
+// maxRatedNet is the largest net that rating reads. A net of |e| pins
+// adds at most w(e)/(|e|−1) to any pair's rating, so leaving out the
+// nets above the cap changes little, while reading them costs Σ|e|²
+// per level: one net over every module made coarsening quadratic. With
+// the cap, a level rates at most maxRatedNet·pins pins.
+const maxRatedNet = 64
+
 // HeavyEdge computes a greedy heavy-edge matching of h: vertices are
 // visited in rng.Perm order, and each unmatched vertex v is matched to
 // the unmatched neighbour u maximizing the rating Σ w(e)/(|e|−1) over
-// shared nets e (ties broken toward the lowest index). The result is
-// mate[v] = partner or Unmatched, symmetric.
+// shared nets e of 2..maxRatedNet pins (ties broken toward the lowest
+// index). The result is mate[v] = partner or Unmatched, symmetric.
 //
 // The greedy is deterministic given rng's state and, with a zero
 // options struct, reproduces the historical map-based matching
-// decisions exactly.
+// decisions exactly on hypergraphs without nets above the cap.
 func HeavyEdge(h *hypergraph.Hypergraph, rng *rand.Rand, opts HeavyEdgeOptions) []int {
+	mate, _ := heavyEdge(h, rng, opts)
+	return mate
+}
+
+// heavyEdge is HeavyEdge that also returns the number of pins it read
+// while rating, a deterministic work counter.
+func heavyEdge(h *hypergraph.Hypergraph, rng *rand.Rand, opts HeavyEdgeOptions) (mate []int, rated int) {
 	n := h.NumVertices()
 	side := func(v int) int8 {
 		if v < len(opts.Fixed) {
@@ -46,7 +60,7 @@ func HeavyEdge(h *hypergraph.Hypergraph, rng *rand.Rand, opts HeavyEdgeOptions) 
 		}
 		return partition.FreeVertex
 	}
-	mate := make([]int, n)
+	mate = make([]int, n)
 	for i := range mate {
 		mate[i] = Unmatched
 	}
@@ -62,9 +76,10 @@ func HeavyEdge(h *hypergraph.Hypergraph, rng *rand.Rand, opts HeavyEdgeOptions) 
 		touched = touched[:0]
 		for _, e := range h.VertexEdges(v) {
 			size := h.EdgeSize(e)
-			if size < 2 {
+			if size < 2 || size > maxRatedNet {
 				continue
 			}
+			rated += size
 			w := float64(h.EdgeWeight(e)) / float64(size-1)
 			for _, u := range h.EdgePins(e) {
 				if u == v || mate[u] != Unmatched {
@@ -96,5 +111,5 @@ func HeavyEdge(h *hypergraph.Hypergraph, rng *rand.Rand, opts HeavyEdgeOptions) 
 			mate[best] = v
 		}
 	}
-	return mate
+	return mate, rated
 }

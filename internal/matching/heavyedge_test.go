@@ -26,7 +26,8 @@ func randomHG(rng *rand.Rand, n, m int) *hypergraph.Hypergraph {
 }
 
 // heavyEdgeReference is the historical map-based greedy, kept as a
-// differential oracle for the array-scored implementation.
+// differential oracle for the array-scored implementation, with the
+// net-size cap on rating.
 func heavyEdgeReference(h *hypergraph.Hypergraph, rng *rand.Rand, opts HeavyEdgeOptions) []int {
 	n := h.NumVertices()
 	side := func(v int) int8 {
@@ -48,7 +49,7 @@ func heavyEdgeReference(h *hypergraph.Hypergraph, rng *rand.Rand, opts HeavyEdge
 		clear(score)
 		for _, e := range h.VertexEdges(v) {
 			size := h.EdgeSize(e)
-			if size < 2 {
+			if size < 2 || size > maxRatedNet {
 				continue
 			}
 			w := float64(h.EdgeWeight(e)) / float64(size-1)
@@ -83,7 +84,13 @@ func TestHeavyEdgeMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + rng.Intn(60)
+		if rng.Intn(4) == 0 {
+			n += 2 * maxRatedNet // room for nets on both sides of the cap
+		}
 		h := randomHG(rng, n, 2*n)
+		if n > maxRatedNet {
+			h = withNets(h, maxRatedNet-1+rng.Intn(4), rng.Intn(n-maxRatedNet)+maxRatedNet-2)
+		}
 		var fixed []int8
 		if rng.Intn(2) == 0 {
 			fixed = make([]int8, n)
@@ -108,6 +115,29 @@ func TestHeavyEdgeMatchesReference(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
 	}
+}
+
+// withNets returns h plus one net over vertices 0..a−1 and one over
+// the last b vertices.
+func withNets(h *hypergraph.Hypergraph, a, b int) *hypergraph.Hypergraph {
+	n := h.NumVertices()
+	bl := hypergraph.NewBuilder(n)
+	for v := 0; v < n; v++ {
+		bl.SetVertexWeight(v, h.VertexWeight(v))
+	}
+	for e := 0; e < h.NumEdges(); e++ {
+		bl.AddEdge(h.EdgePins(e)...)
+	}
+	var first, last []int
+	for v := 0; v < a; v++ {
+		first = append(first, v)
+	}
+	for v := n - b; v < n; v++ {
+		last = append(last, v)
+	}
+	bl.AddEdge(first...)
+	bl.AddEdge(last...)
+	return bl.MustBuild()
 }
 
 func TestHeavyEdgeSymmetric(t *testing.T) {
