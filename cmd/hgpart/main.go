@@ -22,7 +22,9 @@
 // -fallback names a comma-separated chain of cheaper algorithms to
 // degrade to when the primary -algo panics, times out, or returns an
 // oracle-rejected result, and -budget bounds the whole chain's wall
-// time; together they run the resilience portfolio:
+// time; together they run the resilience portfolio. The chain follows
+// the daemons' chain rule (fasthgp.ParseChain): names are trimmed of
+// spaces, and an empty or unknown name exits 1 before any tier runs:
 //
 //	hgpart -in netlist.nets -algo multilevel -fallback fm,core -budget 2s
 //
@@ -271,7 +273,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err := ignored("-fallback/-budget", append(tuning, "stats")...); err != nil {
 			return fail(err)
 		}
-		return runPortfolio(ctx, h, *algo, *fallback, *budget, *starts, *seed, *parallel, constraint, *doVerify, *verbose, stdout, stderr)
+		spec := *algo
+		if *fallback != "" {
+			spec += "," + *fallback
+		}
+		chain, err := fasthgp.ParseChain(spec)
+		if err != nil {
+			return fail(err)
+		}
+		// The chain line shows the names as given; ParseChain accepted
+		// them, so none is blank or holds inner space.
+		fmt.Fprintf(stdout, "portfolio: chain %s, budget %s\n", strings.Join(strings.Fields(strings.ReplaceAll(spec, ",", " ")), " -> "), *budget)
+		return runPortfolio(ctx, h, fasthgp.PortfolioOptions{
+			Chain: chain, Budget: *budget, Starts: *starts, Seed: *seed, Parallelism: *parallel, Constraint: constraint,
+		}, *doVerify, *verbose, stdout, stderr)
 	}
 
 	if *resume && *ckptPath == "" {
@@ -492,26 +507,12 @@ func runCheckpointed(ctx context.Context, h *fasthgp.Hypergraph, algo, path stri
 
 // runPortfolio executes the deadline-aware fallback chain and reports
 // the winning tier.
-func runPortfolio(ctx context.Context, h *fasthgp.Hypergraph, algo, fallback string, budget time.Duration,
-	starts int, seed int64, parallel int, constraint fasthgp.Constraint, doVerify, verbose bool, stdout, stderr io.Writer) int {
-	fail := func(err error) int {
+func runPortfolio(ctx context.Context, h *fasthgp.Hypergraph, opts fasthgp.PortfolioOptions, doVerify, verbose bool, stdout, stderr io.Writer) int {
+	start := time.Now()
+	res, err := fasthgp.PartitionPortfolio(ctx, h, opts)
+	if err != nil {
 		fmt.Fprintln(stderr, "hgpart:", err)
 		return 1
-	}
-	chain := []string{algo}
-	for _, name := range strings.Split(fallback, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			chain = append(chain, name)
-		}
-	}
-	fmt.Fprintf(stdout, "portfolio: chain %s, budget %s\n", strings.Join(chain, " -> "), budget)
-	start := time.Now()
-	res, err := fasthgp.PartitionPortfolio(ctx, h,
-		fasthgp.WithChain(chain...), fasthgp.WithBudget(budget),
-		fasthgp.WithStarts(starts), fasthgp.WithSeed(seed), fasthgp.WithParallelism(parallel),
-		fasthgp.WithConstraint(constraint))
-	if err != nil {
-		return fail(err)
 	}
 	elapsed := time.Since(start)
 	for i, tr := range res.Tiers {
@@ -531,7 +532,7 @@ func runPortfolio(ctx context.Context, h *fasthgp.Hypergraph, algo, fallback str
 	fmt.Fprintf(stdout, "winner: tier %d (%s)%s\n", res.Tier, res.TierName, degraded)
 	reportBipartition(stdout, h, res.Partition, res.CutSize, elapsed)
 	if doVerify {
-		if code := verifyBipartition(stdout, stderr, h, res.Partition, res.CutSize, constraint); code != 0 {
+		if code := verifyBipartition(stdout, stderr, h, res.Partition, res.CutSize, opts.Constraint); code != 0 {
 			return code
 		}
 	}

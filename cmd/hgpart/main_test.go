@@ -80,6 +80,8 @@ func TestErrorPathsExitNonZeroOnStderr(t *testing.T) {
 		{"unknown completion", []string{"-in", valid, "-completion", "psychic"}, 1, `unknown completion "psychic"`},
 		{"portfolio with k>2", []string{"-in", valid, "-k", "4", "-fallback", "fm"}, 1, "bipartitioning only"},
 		{"portfolio unknown tier", []string{"-in", valid, "-fallback", "quantum"}, 1, "quantum"},
+		{"portfolio blank tier", []string{"-in", valid, "-fallback", "fm, ,core"}, 1, "algorithm not in registry"},
+		{"portfolio trailing comma", []string{"-in", valid, "-algo", "fm", "-fallback", "core,"}, 1, "algorithm not in registry"},
 		{"portfolio with completion", []string{"-in", valid, "-fallback", "fm", "-completion", "weighted"}, 1, "-completion cannot be combined with -fallback/-budget"},
 		{"budget with vcycle", []string{"-in", valid, "-budget", "2s", "-vcycle=false"}, 1, "-vcycle cannot be combined with -fallback/-budget"},
 		{"portfolio with stats", []string{"-in", valid, "-fallback", "fm", "-stats"}, 1, "-stats cannot be combined with -fallback/-budget"},

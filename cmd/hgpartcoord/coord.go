@@ -8,14 +8,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"fasthgp/internal/checkpoint"
 	"fasthgp/internal/fleet"
 	"fasthgp/internal/serve"
 )
@@ -79,29 +75,44 @@ func newCoord(cfg coordConfig, registryCfg fleet.RegistryConfig, stdout io.Write
 	}
 }
 
-// requeue re-enqueues WAL-recovered pending jobs as detached handoffs,
-// keyed by the routing key journaled with them. Each runs in its own
+// requeue re-enqueues WAL-recovered pending jobs as detached handoffs
+// (their clients died with the old process). Each runs in its own
 // goroutine that waits (with backoff) for workers to register —
 // recovered work is never dropped, only delayed.
 func (c *coord) requeue(pending []serve.Record) {
 	for _, rec := range pending {
-		job := fleet.Job{
-			ID:       rec.JobID,
-			Key:      fleet.JobKey{Fingerprint: rec.Fingerprint, Opts: rec.Opts},
-			Format:   rec.Format,
-			Query:    rec.Query,
-			Netlist:  rec.Netlist,
-			Detached: true, // its client died with the old process
-		}
-		c.Jobs.Restore(fleet.JobInfo{ID: job.ID, Status: "requeued", Requeued: true})
-		if prev, dup := c.handoff.Admit(job); dup {
-			// The at-least-once duplicate: an identical job already
-			// completed, answer from memory without running.
-			c.finishFromMemory(job.ID, prev)
-			continue
-		}
-		go c.runDetached(job)
+		c.Jobs.Restore(fleet.JobInfo{ID: rec.JobID, Status: "requeued", Requeued: true})
+		c.resume(fleet.Job{ID: rec.JobID, Format: rec.Format, Query: rec.Query, Netlist: rec.Netlist})
 	}
+}
+
+// resume admits a detached job — replayed from the WAL, or taken back
+// from a worker — and drives it to completion in the background. Its
+// key is decoded again from its request, so it has the current
+// canonical form whatever journaled the request. The at-least-once
+// duplicate of a job that already completed is answered from memory
+// without running.
+func (c *coord) resume(job fleet.Job) {
+	job.Worker, job.Detached = "", true
+	req, err := requestForJob(job)
+	if err != nil {
+		c.fail(job.ID, err.Error())
+		return
+	}
+	job.Key = req.Key()
+	if prev, dup := c.handoff.Admit(job); dup {
+		c.finishFromMemory(job.ID, prev)
+		return
+	}
+	go c.runDetached(job, &req.Contract)
+}
+
+// fail marks a job permanently failed: it leaves the handoff ledger,
+// and the job table and the WAL record why.
+func (c *coord) fail(jobID, msg string) {
+	c.handoff.Fail(jobID)
+	c.Jobs.Update(jobID, func(j *fleet.JobInfo) { j.Status, j.Error = "failed", msg })
+	c.WAL.Append(serve.Record{Type: "failed", JobID: jobID, Error: msg})
 }
 
 // finishFromMemory marks a deduplicated job done with the remembered
@@ -125,13 +136,8 @@ func (c *coord) sweep() {
 		reclaimed := c.handoff.Reclaim(id)
 		fmt.Fprintf(c.Stdout, "hgpartcoord: ejected %s (heartbeat silence), reclaiming %d handoff job(s)\n", id, len(reclaimed))
 		for _, job := range reclaimed {
-			job.Worker = ""
-			if prev, dup := c.handoff.Admit(job); dup {
-				c.finishFromMemory(job.ID, prev)
-				continue
-			}
 			c.Jobs.Update(job.ID, func(j *fleet.JobInfo) { j.Status, j.Requeued = "requeued", true })
-			go c.runDetached(job)
+			c.resume(job)
 		}
 	}
 }
@@ -203,12 +209,7 @@ func (c *coord) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	// A draining worker rejects new work but finishes what it holds, so
 	// its detached jobs are reclaimed exactly like an ejection's.
 	for _, job := range c.handoff.Reclaim(msg.ID) {
-		job.Worker = ""
-		if prev, dup := c.handoff.Admit(job); dup {
-			c.finishFromMemory(job.ID, prev)
-			continue
-		}
-		go c.runDetached(job)
+		c.resume(job)
 	}
 	fmt.Fprintf(c.Stdout, "hgpartcoord: worker %s deregistered\n", msg.ID)
 	w.WriteHeader(http.StatusNoContent)
@@ -240,19 +241,17 @@ func (c *coord) handlePartition(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	format := r.URL.Query().Get("format")
-	// The coordinator parses the netlist for two jobs: the fingerprint
-	// (routing/dedup key) and the contract every worker answer is
-	// judged against before delivery. Garbage is rejected before it
-	// wastes a worker's time; the raw bytes are forwarded verbatim.
-	ct, err := serve.ParseContract(format, bytes.NewReader(raw), r.URL.Query())
+	// The coordinator decodes the request for two jobs: the routing and
+	// dedup key, and the contract every worker answer is judged against
+	// before delivery. A request any worker would refuse — garbage, or
+	// a malformed option — is a 400 here, before it has a job id or
+	// costs a worker anything; the raw bytes are forwarded verbatim.
+	req, err := serve.ParseRequest(format, bytes.NewReader(raw), r.URL.Query(), nil)
 	if err != nil {
 		c.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	key := fleet.JobKey{
-		Fingerprint: checkpoint.HashHypergraph(ct.H),
-		Opts:        canonicalOpts(r.URL.Query(), ct.Constraint.Key()),
-	}
+	ct, key := &req.Contract, req.Key()
 
 	timeout, expired := serve.RequestTimeout(r, c.cfg.reqTimeout)
 	if expired {
@@ -267,8 +266,7 @@ func (c *coord) handlePartition(w http.ResponseWriter, r *http.Request) {
 	jobID := c.Jobs.Create()
 	job := fleet.Job{ID: jobID, Key: key, Format: format, Query: r.URL.RawQuery, Netlist: string(raw)}
 	c.WAL.Append(serve.Record{Type: "accepted", JobID: jobID,
-		Format: format, Query: r.URL.RawQuery, Netlist: string(raw),
-		Fingerprint: key.Fingerprint, Opts: key.Opts})
+		Format: format, Query: r.URL.RawQuery, Netlist: string(raw)})
 	c.handoff.Admit(job)
 
 	resp, worker, ferr := c.dispatch(r.Context(), job, ct, deadline)
@@ -285,16 +283,12 @@ func (c *coord) handlePartition(w http.ResponseWriter, r *http.Request) {
 		if errors.As(ferr, &perm) {
 			// The worker judged the request itself bad: proxy its answer
 			// and forget the job (a later identical request runs afresh).
-			c.handoff.Fail(jobID)
-			c.Jobs.Update(jobID, func(j *fleet.JobInfo) { j.Status, j.Error = "failed", perm.body })
-			c.WAL.Append(serve.Record{Type: "failed", JobID: jobID, Error: perm.body})
+			c.fail(jobID, perm.body)
 			writeRaw(w, perm.status, perm.body)
 			return
 		}
 		c.failed.Add(1)
-		c.handoff.Fail(jobID)
-		c.Jobs.Update(jobID, func(j *fleet.JobInfo) { j.Status, j.Error = "failed", ferr.Error() })
-		c.WAL.Append(serve.Record{Type: "failed", JobID: jobID, Error: ferr.Error()})
+		c.fail(jobID, ferr.Error())
 		c.WriteError(w, http.StatusBadGateway, fmt.Sprintf("all forwards failed: %v", ferr))
 		return
 	}
@@ -318,18 +312,7 @@ func (c *coord) handlePartition(w http.ResponseWriter, r *http.Request) {
 // fleet is unreachable, wait with capped backoff and try again. The
 // loop only gives up on a permanent (4xx) outcome or coordinator drain
 // — an accepted job is otherwise never dropped.
-func (c *coord) runDetached(job fleet.Job) {
-	job.Detached = true
-	ct, err := contractForJob(job)
-	if err != nil {
-		// The stored request no longer parses (schema drift across a
-		// version boundary): permanently failed, never silently served
-		// unverified.
-		c.handoff.Fail(job.ID)
-		c.Jobs.Update(job.ID, func(j *fleet.JobInfo) { j.Status, j.Error = "failed", err.Error() })
-		c.WAL.Append(serve.Record{Type: "failed", JobID: job.ID, Error: err.Error()})
-		return
-	}
+func (c *coord) runDetached(job fleet.Job, ct *serve.Contract) {
 	for round := 0; ; round++ {
 		if c.Draining() {
 			return // the WAL still holds it; the next boot resumes
@@ -350,9 +333,7 @@ func (c *coord) runDetached(job fleet.Job) {
 		}
 		var perm *permanentError
 		if errors.As(err, &perm) {
-			c.handoff.Fail(job.ID)
-			c.Jobs.Update(job.ID, func(j *fleet.JobInfo) { j.Status, j.Error = "failed", perm.body })
-			c.WAL.Append(serve.Record{Type: "failed", JobID: job.ID, Error: perm.body})
+			c.fail(job.ID, perm.body)
 			return
 		}
 		// Transient: every candidate failed or no workers are registered
@@ -363,35 +344,6 @@ func (c *coord) runDetached(job fleet.Job) {
 		}
 		time.Sleep(wait)
 	}
-}
-
-// canonicalOpts renders the result-affecting query parameters in a
-// fixed order, followed by the balance contract's key (constraint, a
-// partition.Constraint.Key) — the options half of the single-flight
-// and dedup key. The coordinator cannot default unset parameters the
-// way a worker does (it does not know the worker's flags), so the key
-// is the literal, sorted parameter set; two requests with identical
-// parameters always share a key, which is all at-least-once dedup
-// needs. The contract joins it because the netlist fingerprint leaves
-// out inline fixed directives: two requests for one netlist pinning
-// modules differently must not share an answer.
-func canonicalOpts(q url.Values, constraint string) string {
-	keys := make([]string, 0, len(q))
-	for k := range q {
-		if k == "format" {
-			continue // part of the netlist identity, not the options
-		}
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		vals := append([]string(nil), q[k]...)
-		sort.Strings(vals)
-		fmt.Fprintf(&b, "%s=%s ", k, strings.Join(vals, ","))
-	}
-	fmt.Fprintf(&b, "constraint=%q", constraint)
-	return b.String()
 }
 
 // handleHealthz always answers 200 while the process serves; the body

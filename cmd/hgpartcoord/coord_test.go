@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"fasthgp"
+	"fasthgp/internal/checkpoint"
 	"fasthgp/internal/faultinject"
 	"fasthgp/internal/fleet"
 	"fasthgp/internal/resilience"
@@ -275,10 +276,9 @@ func TestHeartbeatEjectionAndRejoin(t *testing.T) {
 	register(t, h, "w2", w2.addr())
 
 	// A detached job assigned to w1 — as if recovered from the WAL.
-	q, _ := url.ParseQuery("")
 	job := fleet.Job{
 		ID:       "j99",
-		Key:      fleet.JobKey{Fingerprint: 42, Opts: canonicalOpts(q, "")},
+		Key:      fleet.JobKey{Fingerprint: 42},
 		Netlist:  testNets,
 		Worker:   "w1",
 		Detached: true,
@@ -423,22 +423,38 @@ func TestBadNetlistIsPermanent(t *testing.T) {
 	}
 }
 
+// writeParentWAL writes a coordinator WAL whose accepted records carry
+// their routing key ("fingerprint", "opts") the way coordinators did
+// before the key was decoded again on replay: the options in literal
+// query order and spelling.
+func writeParentWAL(t *testing.T, path string, records ...map[string]any) {
+	t.Helper()
+	j, err := checkpoint.Create(path, []byte(`{"version":1,"purpose":"hgpartcoord-wal"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	for _, rec := range records {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestWALRecoveryReenqueues: a coordinator killed after accepting a
 // job replays it at boot as a detached handoff and completes it once a
-// worker registers — zero dropped accepted jobs across a restart.
+// worker registers — zero dropped accepted jobs across a restart, the
+// WAL here written in the older record form.
 func TestWALRecoveryReenqueues(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "coord.wal")
 
 	// First life: accept a job, journal it, "crash" before any outcome.
-	first := testCoord(nil)
-	if _, err := first.OpenWAL(walPath); err != nil {
-		t.Fatal(err)
-	}
-	if err := first.WAL.Append(serve.Record{Type: "accepted", JobID: "j7",
-		Netlist: testNets, Fingerprint: 7, Opts: "starts=2"}); err != nil {
-		t.Fatal(err)
-	}
-	first.WAL.Close()
+	writeParentWAL(t, walPath, map[string]any{"type": "accepted", "job_id": "j7",
+		"query": "starts=2", "netlist": testNets, "fingerprint": 7, "opts": `starts=2 constraint=""`})
 
 	// Second life: replay, then register a worker; the detached runner
 	// must finish the job on its own.
@@ -448,7 +464,7 @@ func TestWALRecoveryReenqueues(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.WAL.Close()
-	if len(pending) != 1 || pending[0].JobID != "j7" || pending[0].Fingerprint != 7 {
+	if len(pending) != 1 || pending[0].JobID != "j7" || pending[0].Query != "starts=2" {
 		t.Fatalf("pending = %+v, want the interrupted j7", pending)
 	}
 	c.requeue(pending)
@@ -478,16 +494,34 @@ func TestWALRecoveryReenqueues(t *testing.T) {
 
 // TestDetachedDuplicateDeduped: a detached re-enqueue whose key
 // already completed is answered from completion memory — the
-// at-least-once duplicate runs zero times.
+// at-least-once duplicate runs zero times. The replayed record is in
+// the older form, its journaled key in the literal spelling
+// "chain=core,fm": the key is decoded again from the request, so it
+// matches the completed "chain=algo1, fm" job, and a record asking for
+// another chain does not.
 func TestDetachedDuplicateDeduped(t *testing.T) {
 	c := testCoord(nil)
-	key := fleet.JobKey{Fingerprint: 42, Opts: "starts=2"}
-	c.handoff.Admit(fleet.Job{ID: "j1", Key: key})
+	q, _ := url.ParseQuery("chain=algo1,%20fm&starts=2")
+	req, err := serve.ParseRequest("", strings.NewReader(testNets), q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.handoff.Admit(fleet.Job{ID: "j1", Key: req.Key()})
 	c.handoff.Complete("j1", fleet.Done{Cut: 9, TierName: "fm", Worker: "w1"})
 
 	// No workers registered: completing requires memory, not a forward.
-	c.requeue([]serve.Record{{Type: "accepted", JobID: "j2",
-		Fingerprint: key.Fingerprint, Opts: key.Opts, Netlist: testNets}})
+	walPath := filepath.Join(t.TempDir(), "coord.wal")
+	writeParentWAL(t, walPath,
+		map[string]any{"type": "accepted", "job_id": "j2", "query": "starts=2&chain=core,fm", "netlist": testNets,
+			"fingerprint": 7, "opts": `chain=core,fm starts=2 constraint=""`},
+		map[string]any{"type": "accepted", "job_id": "j3", "query": "starts=2&chain=fm,core", "netlist": testNets,
+			"fingerprint": 7, "opts": `chain=fm,core starts=2 constraint=""`})
+	pending, err := c.OpenWAL(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.WAL.Close()
+	c.requeue(pending)
 
 	j, ok := c.Jobs.Get("j2")
 	if !ok || j.Status != "done" || j.Cut != 9 || j.Worker != "w1" {
@@ -496,6 +530,10 @@ func TestDetachedDuplicateDeduped(t *testing.T) {
 	if stats := c.handoff.Stats(); stats["deduped"] != 1 {
 		t.Errorf("deduped = %d, want 1", stats["deduped"])
 	}
+	if j, _ := c.Jobs.Get("j3"); j.Status == "done" {
+		t.Errorf("job for another chain served from memory: %+v", j)
+	}
+	c.StartDraining() // j3's runner waits for a worker; let it stop
 }
 
 // TestCoordinatorDrain: during drain, new partition requests bounce

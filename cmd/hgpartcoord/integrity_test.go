@@ -72,11 +72,11 @@ func postUntilQuarantined(t *testing.T, c *coord, h http.Handler, liar string) {
 			t.Fatalf("netlist %d delivered by the Byzantine worker %s", i, liar)
 		}
 		// The delivered answer must itself pass the oracle.
-		ct, err := serve.ParseContract("", strings.NewReader(body), nil)
+		req, err := serve.ParseRequest("", strings.NewReader(body), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ct.Check(resp); err != nil {
+		if err := req.Check(resp); err != nil {
 			t.Fatalf("netlist %d: delivered answer fails the oracle: %v", i, err)
 		}
 		if c.registry.Quarantined(liar) {
@@ -327,7 +327,7 @@ func TestDoubleFailureHandoffExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := c1.WAL.Append(serve.Record{Type: "accepted", JobID: "j3",
-		Netlist: testNets, Fingerprint: 3}); err != nil {
+		Netlist: testNets}); err != nil {
 		t.Fatal(err)
 	}
 	c1.WAL.Close()
@@ -430,7 +430,7 @@ func TestScrubDegradesHealthOnRot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.WAL.Close()
-	if err := c.WAL.Append(serve.Record{Type: "accepted", JobID: "j1", Netlist: testNets, Fingerprint: 1}); err != nil {
+	if err := c.WAL.Append(serve.Record{Type: "accepted", JobID: "j1", Netlist: testNets}); err != nil {
 		t.Fatal(err)
 	}
 	h := c.handler()
@@ -535,5 +535,89 @@ func TestSingleFlightKeysOnInlinePins(t *testing.T) {
 	}
 	if ok != 1 {
 		t.Errorf("%d request(s) answered 200, want 1 (only the a-Left request has a valid answer)", ok)
+	}
+}
+
+// TestSingleFlightKeysOnCanonicalOptions: flights key on what a request
+// asks for, not how it spells it. A request naming the leader's chain
+// through an alias, with the same start count written differently,
+// joins the leader's flight; a request for another chain order — a
+// different run — is forwarded on its own.
+func TestSingleFlightKeysOnCanonicalOptions(t *testing.T) {
+	c := testCoord(nil)
+	h := c.handler()
+	w := newFakeWorker(t, "w1")
+	release := w.holdAnswers(t)
+	register(t, h, "w1", w.addr())
+
+	codes := make(chan int, 3)
+	var wg sync.WaitGroup
+	post := func(query string) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rec, _ := postNetlist(t, h, query, testNets)
+			codes <- rec.Code
+		}()
+	}
+	post("?chain=core,fm&starts=2")
+	waitUntil(t, "the leader's forward to reach the worker", func() bool { return w.seen() == 1 })
+	post("?starts=02&chain=algo1,%20fm")
+	waitUntil(t, "the alias spelling to join the flight", func() bool { return c.collapsed.Load() == 1 })
+	post("?chain=fm,core&starts=2")
+	waitUntil(t, "the other chain's forward to reach the worker", func() bool { return w.seen() == 2 })
+	release()
+	wg.Wait()
+	close(codes)
+	for code := range codes {
+		if code != http.StatusOK {
+			t.Errorf("status = %d, want 200", code)
+		}
+	}
+	if got := c.collapsed.Load(); got != 1 {
+		t.Errorf("collapsed = %d, want 1 (only the alias spelling joins)", got)
+	}
+	if got := w.seen(); got != 2 {
+		t.Errorf("worker saw %d request(s), want 2", got)
+	}
+}
+
+// TestMalformedOptionIs400BeforeAnyForward: a typo in an option is the
+// request's fault. It answers 400 before a job id or WAL record exists
+// and never reaches a worker, so no breaker or integrity strike moves
+// and the next valid request is served as before: one typo cannot
+// degrade the fleet.
+func TestMalformedOptionIs400BeforeAnyForward(t *testing.T) {
+	c := testCoord(nil)
+	if _, err := c.OpenWAL(filepath.Join(t.TempDir(), "coord.wal")); err != nil {
+		t.Fatal(err)
+	}
+	defer c.WAL.Close()
+	h := c.handler()
+	w1, w2 := newFakeWorker(t, "w1"), newFakeWorker(t, "w2")
+	register(t, h, "w1", w1.addr())
+	register(t, h, "w2", w2.addr())
+
+	for _, query := range []string{"?chain=nosuch", "?chain=fm,", "?starts=abc", "?chain=fm,%20,core", "?budget=0s"} {
+		if rec, _ := postNetlist(t, h, query, testNets); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400; body %s", query, rec.Code, rec.Body)
+		}
+	}
+	if n := w1.seen() + w2.seen(); n != 0 || c.fwdCounter.Load() != 0 {
+		t.Errorf("malformed requests reached workers: %d request(s), %d forward(s)", n, c.fwdCounter.Load())
+	}
+	for _, wk := range c.registry.Snapshot() {
+		if wk.Breaker != "closed" || wk.Quarantined || wk.InvalidRecent != 0 {
+			t.Errorf("worker %s after malformed requests: %+v", wk.ID, wk)
+		}
+	}
+	if counts := c.Jobs.Counts(); len(counts) != 0 {
+		t.Errorf("job table = %v, want empty", counts)
+	}
+	if rep := c.WAL.Scrub().Report; rep.Records != 1 {
+		t.Errorf("WAL holds %d record(s), want only its header", rep.Records)
+	}
+	if rec, resp := postNetlist(t, h, "?chain=fm", testNets); rec.Code != http.StatusOK || resp.JobID != "j1" {
+		t.Errorf("valid request after the typos = %d, job %q: %s", rec.Code, resp.JobID, rec.Body)
 	}
 }

@@ -4,10 +4,10 @@ package main
 // effective options) — the engine is deterministic per seed regardless
 // of parallelism — so identical resubmissions (CI pipelines re-running
 // a flow, retry storms after a timeout) can be answered from memory
-// without burning a multi-start run. Keys combine the FNV-1a hypergraph
-// fingerprint already used by crash-safe checkpointing with a canonical
-// rendering of the options that affect the result; entries are bounded
-// by an LRU list. Degraded responses (a fallback tier answered because
+// without burning a multi-start run. Keys are serve.Request.Key over
+// the daemon's defaults: the FNV-1a hypergraph fingerprint already used
+// by crash-safe checkpointing, with a canonical rendering of the
+// options that affect the result; entries are bounded by an LRU list. Degraded responses (a fallback tier answered because
 // the budget expired) are never cached: a retry deserves the full
 // chain. Hits return the originally computed body verbatim — including
 // its job_id — and are not re-journaled to the WAL.
@@ -17,40 +17,23 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"fasthgp"
-	"fasthgp/internal/checkpoint"
+	"fasthgp/internal/fleet"
 	"fasthgp/internal/serve"
 )
-
-// cacheKey identifies one (netlist, options) request class.
-type cacheKey struct {
-	// fingerprint is checkpoint.HashHypergraph over the parsed input —
-	// structure, pins, and weights, independent of wire format.
-	fingerprint uint64
-	// opts is the canonical option string from portfolioOptions:
-	// chain, starts, seed and budget (parallelism is excluded — it
-	// never affects the result, only wall time).
-	opts string
-}
-
-// fingerprintFor computes the cache fingerprint of a parsed netlist.
-func fingerprintFor(h *fasthgp.Hypergraph) uint64 {
-	return checkpoint.HashHypergraph(h)
-}
 
 // resultCache is a mutex-guarded LRU of successful partition responses.
 type resultCache struct {
 	mu    sync.Mutex
 	cap   int
 	order *list.List // front = most recently used; values are *cacheEntry
-	byKey map[cacheKey]*list.Element
+	byKey map[fleet.JobKey]*list.Element
 
 	hits   atomic.Int64
 	misses atomic.Int64
 }
 
 type cacheEntry struct {
-	key  cacheKey
+	key  fleet.JobKey
 	resp serve.PartitionResponse
 }
 
@@ -63,12 +46,12 @@ func newResultCache(capacity int) *resultCache {
 	return &resultCache{
 		cap:   capacity,
 		order: list.New(),
-		byKey: make(map[cacheKey]*list.Element, capacity),
+		byKey: make(map[fleet.JobKey]*list.Element, capacity),
 	}
 }
 
 // get returns the cached response for k, bumping it to most recent.
-func (c *resultCache) get(k cacheKey) (serve.PartitionResponse, bool) {
+func (c *resultCache) get(k fleet.JobKey) (serve.PartitionResponse, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[k]
@@ -83,7 +66,7 @@ func (c *resultCache) get(k cacheKey) (serve.PartitionResponse, bool) {
 
 // put inserts (or refreshes) k's response, evicting the least recently
 // used entry past capacity.
-func (c *resultCache) put(k cacheKey, resp serve.PartitionResponse) {
+func (c *resultCache) put(k fleet.JobKey, resp serve.PartitionResponse) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[k]; ok {

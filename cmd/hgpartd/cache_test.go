@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"fasthgp/internal/fleet"
 	"fasthgp/internal/serve"
 )
 
@@ -87,18 +88,29 @@ func TestCacheMissOnMutatedNetlistOrOptions(t *testing.T) {
 }
 
 func TestCacheKeyCanonicalizesDefaults(t *testing.T) {
-	// Spelling out the configured defaults must share a cache line with
-	// omitting them.
+	// Spelling out the configured defaults, or a chain through its
+	// aliases, must share a cache line with the first spelling; a
+	// different chain or start count must not.
 	s := testServer(func(c *serverConfig) { c.cacheSize = 8 })
 	h := s.handler()
-	if rec := post(t, h, "/partition", testNets); rec.Code != http.StatusOK {
-		t.Fatalf("defaulted = %d: %s", rec.Code, rec.Body)
-	}
-	if rec := post(t, h, "/partition?starts=2&seed=1", testNets); rec.Code != http.StatusOK {
-		t.Fatalf("explicit = %d: %s", rec.Code, rec.Body)
-	}
-	if hits, misses, _ := cacheCounters(t, s); hits != 1 || misses != 1 {
-		t.Fatalf("canonicalization: hits=%d misses=%d, want 1/1", hits, misses)
+	for i, tc := range []struct {
+		query        string
+		hits, misses int64
+	}{
+		{"", 0, 1},
+		{"?starts=2&seed=1", 1, 1},
+		{"?chain=multilevel,fm,algo1&budget=30s", 2, 1},
+		{"?chain=core,fm", 2, 2},
+		{"?chain=algo1,%20fm", 3, 2},
+		{"?chain=fm,algo1", 3, 3},
+		{"?chain=algo1,fm&starts=3", 3, 4},
+	} {
+		if rec := post(t, h, "/partition"+tc.query, testNets); rec.Code != http.StatusOK {
+			t.Fatalf("%q = %d: %s", tc.query, rec.Code, rec.Body)
+		}
+		if hits, misses, _ := cacheCounters(t, s); hits != tc.hits || misses != tc.misses {
+			t.Fatalf("request %d %q: hits=%d misses=%d, want %d/%d", i, tc.query, hits, misses, tc.hits, tc.misses)
+		}
 	}
 }
 
@@ -119,7 +131,7 @@ func TestCacheDisabledByDefaultConfigZero(t *testing.T) {
 
 func TestCacheLRUBound(t *testing.T) {
 	c := newResultCache(2)
-	k := func(i uint64) cacheKey { return cacheKey{fingerprint: i, opts: "o"} }
+	k := func(i uint64) fleet.JobKey { return fleet.JobKey{Fingerprint: i, Opts: "o"} }
 	c.put(k(1), serve.PartitionResponse{JobID: "a"})
 	c.put(k(2), serve.PartitionResponse{JobID: "b"})
 	if _, ok := c.get(k(1)); !ok { // bump 1 to most recent

@@ -8,7 +8,10 @@
 //
 //	POST /partition   netlist body -> JSON cut (with a job_id)
 //	                  query: format=nets|hgr, chain=fm,core,
-//	                  starts=N, seed=N, budget=500ms
+//	                  starts=N, seed=N, budget=500ms,
+//	                  epsilon=0.1 (each side at most (1+ε)·⌈w(V)/2⌉),
+//	                  fixed=0:L,5:R (pins vertices by index,
+//	                  overriding the netlist's fixed directives)
 //	GET  /jobs/{id}   one job's state, surviving daemon restarts
 //	GET  /healthz     liveness probe; body reports ok/degraded with
 //	                  queue depth, breaker states, WAL record age
@@ -16,11 +19,12 @@
 //
 // Overload and abuse map to status codes, not failures: a full work
 // queue answers 429 with Retry-After, a body over -max-body answers
-// 413, a malformed netlist answers 400, and with -max-heap set the
-// daemon sheds new work with a retryable 503 while the live heap sits
-// above the watermark. SIGTERM/SIGINT starts a drain: new jobs are
-// refused with 503 + Retry-After while in-flight requests finish, for
-// up to -drain-timeout, then the process exits 0.
+// 413, a malformed netlist or query parameter (an unknown or empty
+// chain name included) answers 400 before a job exists, and with
+// -max-heap set the daemon sheds new work with a retryable 503 while
+// the live heap sits above the watermark. SIGTERM/SIGINT starts a
+// drain: new jobs are refused with 503 + Retry-After while in-flight
+// requests finish, for up to -drain-timeout, then the process exits 0.
 //
 // With -coordinator the daemon joins an hgpartcoord fleet: it
 // registers itself (as -worker-id, advertising -advertise), heartbeats
@@ -65,6 +69,7 @@ import (
 	"strings"
 	"time"
 
+	"fasthgp"
 	"fasthgp/internal/serve"
 )
 
@@ -114,24 +119,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer disarm()
 
-	cfg := serverConfig{
+	chainNames, err := fasthgp.ParseChain(*chain)
+	if err != nil {
+		return fail(fmt.Errorf("-chain: %w", err))
+	}
+	s := newServer(serverConfig{
 		maxBody:          *maxBody,
 		queue:            *queue,
 		reqTimeout:       *reqTimeout,
-		starts:           *starts,
-		seed:             *seed,
-		budget:           *budget,
-		parallelism:      *parallel,
 		drainTimeout:     *drainTimeout,
 		maxHeap:          *maxHeap,
 		breakerThreshold: *brkThresh,
 		breakerCooldown:  *brkCooldown,
 		cacheSize:        *cacheSize,
-	}
-	if *chain != "" {
-		cfg.chain = strings.Split(*chain, ",")
-	}
-	s := newServer(cfg, stdout)
+		portfolio: fasthgp.PortfolioOptions{
+			Chain: chainNames, Starts: *starts, Seed: *seed, Budget: *budget, Parallelism: *parallel,
+		},
+	}, stdout)
 
 	// Boot recovery: replay the WAL, surface every journaled job on
 	// /jobs/{id}, and re-enqueue whatever the previous process accepted

@@ -233,8 +233,8 @@ func TestHealthzReportsBreakerStates(t *testing.T) {
 		c.breakerCooldown = time.Hour
 	})
 	h := s.handler()
-	s.breakers.For("fm").Allow()
-	s.breakers.For("fm").Record(false) // trip it
+	s.cfg.portfolio.Breakers.For("fm").Allow()
+	s.cfg.portfolio.Breakers.For("fm").Record(false) // trip it
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
@@ -284,10 +284,10 @@ func TestBreakerSkipsTierAcrossRequests(t *testing.T) {
 	s := testServer(func(c *serverConfig) {
 		c.breakerThreshold = 1
 		c.breakerCooldown = time.Hour
-		c.chain = []string{"multilevel", "fm"}
+		c.portfolio.Chain = []string{"multilevel", "fm"}
 	})
-	s.breakers.For("multilevel").Allow()
-	s.breakers.For("multilevel").Record(false) // open
+	s.cfg.portfolio.Breakers.For("multilevel").Allow()
+	s.cfg.portfolio.Breakers.For("multilevel").Record(false) // open
 
 	rec := post(t, s.handler(), "/partition?seed=3", testNets)
 	if rec.Code != http.StatusOK {

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -24,28 +23,27 @@ type serverConfig struct {
 	maxBody          int64         // request-body cap; beyond it the request is 413
 	queue            int           // concurrent partition requests; beyond it 429
 	reqTimeout       time.Duration // per-request wall cap
-	chain            []string      // default fallback chain (empty = library default)
-	starts           int           // default multi-start count per tier
-	seed             int64         // default seed
-	budget           time.Duration // default portfolio budget (0 = reqTimeout)
-	parallelism      int
 	drainTimeout     time.Duration // SIGTERM drain grace
 	maxHeap          uint64        // live-heap watermark; above it new work is shed with 503 (0 = off)
 	breakerThreshold int           // consecutive tier failures tripping its breaker (0 = breakers off)
 	breakerCooldown  time.Duration // open-breaker cooldown before a probe
 	cacheSize        int           // result-cache entries (0 = caching off)
+	// portfolio holds the run a request's query overrides: chain,
+	// starts, seed, budget (0 = reqTimeout) and parallelism, plus the
+	// breakers newServer builds (nil = breakers disabled).
+	portfolio fasthgp.PortfolioOptions
 }
 
 // server carries the daemon state: the shared HTTP edge (job table,
 // optional WAL, drain), the admission semaphore, the optional circuit
-// breakers, and the atomic counters behind GET /stats.
+// breakers (in cfg.portfolio), and the atomic counters behind GET
+// /stats.
 type server struct {
 	*serve.Edge
-	cfg      serverConfig
-	sem      chan struct{}       // admission tokens; full queue = 429
-	breakers *fasthgp.BreakerSet // nil = breakers disabled
-	mem      *memWatcher         // nil = shedding disabled
-	cache    *resultCache        // nil = result caching disabled
+	cfg   serverConfig
+	sem   chan struct{} // admission tokens; full queue = 429
+	mem   *memWatcher   // nil = shedding disabled
+	cache *resultCache  // nil = result caching disabled
 
 	retrySalt atomic.Uint64 // SplitMix64 counter behind Retry-After jitter
 
@@ -74,7 +72,7 @@ func newServer(cfg serverConfig, stdout io.Writer) *server {
 	}
 	s.Count = s.countStatus
 	if cfg.breakerThreshold > 0 {
-		s.breakers = fasthgp.NewBreakerSet(fasthgp.BreakerConfig{
+		s.cfg.portfolio.Breakers = fasthgp.NewBreakerSet(fasthgp.BreakerConfig{
 			Threshold: cfg.breakerThreshold,
 			Cooldown:  cfg.breakerCooldown,
 		})
@@ -111,19 +109,27 @@ func (s *server) runRecovered(p serve.Record) {
 		failJob(err)
 		return
 	}
-	ct, err := serve.ParseContract(p.Format, strings.NewReader(p.Netlist), q)
-	if err != nil {
-		failJob(err)
-		return
-	}
-	opts, _, err := s.portfolioOptions(q, ct)
+	req, err := s.decode(p.Format, strings.NewReader(p.Netlist), q)
 	if err != nil {
 		failJob(err)
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.reqTimeout)
 	defer cancel()
-	_, _ = s.execute(ctx, ct.H, opts, p.JobID)
+	_, _ = s.execute(ctx, req, p.JobID)
+}
+
+// decode parses one request over the daemon's portfolio defaults. A
+// budget left at 0, or past -req-timeout, runs under -req-timeout.
+func (s *server) decode(format string, body io.Reader, q url.Values) (*serve.Request, error) {
+	req, err := serve.ParseRequest(format, body, q, &s.cfg.portfolio)
+	if err != nil {
+		return nil, err
+	}
+	if b := req.Options.Budget; b <= 0 || b > s.cfg.reqTimeout {
+		req.Options.Budget = s.cfg.reqTimeout
+	}
+	return req, nil
 }
 
 // handler builds the route table, every route behind the panic-recovery
@@ -179,12 +185,7 @@ func (s *server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	format := r.URL.Query().Get("format")
-	ct, err := serve.ParseContract(format, bytes.NewReader(raw), r.URL.Query())
-	if err != nil {
-		s.WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	opts, optsKey, err := s.portfolioOptions(r.URL.Query(), ct)
+	req, err := s.decode(format, bytes.NewReader(raw), r.URL.Query())
 	if err != nil {
 		s.WriteError(w, http.StatusBadRequest, err.Error())
 		return
@@ -194,9 +195,9 @@ func (s *server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	// answered from memory with the originally computed body — same
 	// job_id, no WAL record, no engine run. Only non-degraded successes
 	// are ever stored, so a hit is always a full-fidelity answer.
-	var ck cacheKey
+	var ck fleet.JobKey
 	if s.cache != nil {
-		ck = cacheKey{fingerprint: fingerprintFor(ct.H), opts: optsKey}
+		ck = req.Key()
 		if resp, ok := s.cache.get(ck); ok {
 			s.writePartition(w, resp, reqIdx)
 			return
@@ -220,7 +221,7 @@ func (s *server) handlePartition(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-	resp, err := s.execute(ctx, ct.H, opts, jobID)
+	resp, err := s.execute(ctx, req, jobID)
 	if err != nil {
 		s.WriteError(w, http.StatusInternalServerError, fmt.Sprintf("partition failed: %v", err))
 		return
@@ -234,10 +235,11 @@ func (s *server) handlePartition(w http.ResponseWriter, r *http.Request) {
 // execute runs the portfolio for one accepted job, updating the job
 // table and journaling the outcome. Shared by live requests and boot
 // recovery.
-func (s *server) execute(ctx context.Context, h *fasthgp.Hypergraph, opts []fasthgp.PortfolioOption, jobID string) (serve.PartitionResponse, error) {
+func (s *server) execute(ctx context.Context, req *serve.Request, jobID string) (serve.PartitionResponse, error) {
 	s.Jobs.Update(jobID, func(j *fleet.JobInfo) { j.Status = "running" })
 	start := time.Now()
-	res, err := fasthgp.PartitionPortfolio(ctx, h, opts...)
+	h := req.H
+	res, err := fasthgp.PartitionPortfolio(ctx, h, req.Options)
 	wallMS := time.Since(start).Milliseconds()
 	if err != nil {
 		s.Jobs.Update(jobID, func(j *fleet.JobInfo) { j.Status, j.Error, j.WallMS = "failed", err.Error(), wallMS })
@@ -271,64 +273,6 @@ func (s *server) execute(ctx context.Context, h *fasthgp.Hypergraph, opts []fast
 	}, nil
 }
 
-// portfolioOptions merges per-request query parameters over the
-// daemon's configured defaults. Alongside the option list it returns
-// the canonical key string for the result cache: every parameter that
-// can change the computed partition (chain, starts, seed, budget, and
-// the balance contract — epsilon, fixed vertices from the query or
-// inline netlist directives) in a fixed rendering, after defaulting —
-// so ?starts=8 and an absent starts under the default 8 share a cache
-// line, while runs under different ε or fixed sets never share one
-// (the netlist fingerprint alone would collide: inline fixed
-// directives don't change the hypergraph). Parallelism is excluded:
-// the engine guarantees it never changes the result.
-func (s *server) portfolioOptions(q url.Values, ct *serve.Contract) ([]fasthgp.PortfolioOption, string, error) {
-	chain, starts, seed, budget := s.cfg.chain, s.cfg.starts, s.cfg.seed, s.cfg.budget
-	if v := q.Get("chain"); v != "" {
-		chain = strings.Split(v, ",")
-	}
-	if v := q.Get("starts"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			return nil, "", fmt.Errorf("bad starts %q", v)
-		}
-		starts = n
-	}
-	if v := q.Get("seed"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return nil, "", fmt.Errorf("bad seed %q", v)
-		}
-		seed = n
-	}
-	if v := q.Get("budget"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d <= 0 {
-			return nil, "", fmt.Errorf("bad budget %q", v)
-		}
-		budget = d
-	}
-	if budget <= 0 || budget > s.cfg.reqTimeout {
-		budget = s.cfg.reqTimeout
-	}
-	opts := []fasthgp.PortfolioOption{
-		fasthgp.WithStarts(starts), fasthgp.WithSeed(seed), fasthgp.WithBudget(budget),
-		fasthgp.WithParallelism(s.cfg.parallelism),
-	}
-	if len(chain) > 0 {
-		opts = append(opts, fasthgp.WithChain(chain...))
-	}
-	if s.breakers != nil {
-		opts = append(opts, fasthgp.WithBreakers(s.breakers))
-	}
-	if !ct.Constraint.IsZero() {
-		opts = append(opts, fasthgp.WithConstraint(ct.Constraint))
-	}
-	key := fmt.Sprintf("chain=%s starts=%d seed=%d budget=%s constraint=%q",
-		strings.Join(chain, ","), starts, seed, budget, ct.Constraint.Key())
-	return opts, key, nil
-}
-
 // handleHealthz is the liveness/readiness probe. It always answers
 // HTTP 200 while the process serves (liveness); degradation — open
 // breakers, the heap above the shedding watermark, WAL append errors —
@@ -341,8 +285,8 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"queue_capacity": s.cfg.queue,
 	}
 	var reasons []string
-	if s.breakers != nil {
-		states := s.breakers.States()
+	if b := s.cfg.portfolio.Breakers; b != nil {
+		states := b.States()
 		resp["breakers"] = states
 		for name, state := range states {
 			if state == "open" {

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"fasthgp"
 	"fasthgp/internal/faultinject"
 	"fasthgp/internal/serve"
 )
@@ -35,8 +36,7 @@ func testServer(mutate ...func(*serverConfig)) *server {
 		maxBody:    1 << 20,
 		queue:      2,
 		reqTimeout: 30 * time.Second,
-		starts:     2,
-		seed:       1,
+		portfolio:  fasthgp.PortfolioOptions{Starts: 2, Seed: 1},
 	}
 	for _, m := range mutate {
 		m(&cfg)
@@ -164,16 +164,49 @@ func TestPerRequestChainOverride(t *testing.T) {
 	}
 }
 
+// TestBadQueryParams400: a malformed option is the request's fault, so
+// it answers 400 before a job id or WAL record exists, and /stats
+// counts it as a bad request, never a failure — whatever the option.
 func TestBadQueryParams400(t *testing.T) {
 	s := testServer()
-	for _, url := range []string{
-		"/partition?starts=zero", "/partition?seed=x",
+	if _, err := s.OpenWAL(filepath.Join(t.TempDir(), "wal")); err != nil {
+		t.Fatal(err)
+	}
+	defer s.WAL.Close()
+	urls := []string{
+		"/partition?starts=zero", "/partition?starts=abc", "/partition?seed=x",
 		"/partition?budget=-1s", "/partition?format=xml",
-		"/partition?chain=quantum",
-	} {
-		if rec := post(t, s.handler(), url, testNets); rec.Code != http.StatusBadRequest &&
-			rec.Code != http.StatusInternalServerError {
-			t.Errorf("%s: status = %d, want 4xx/5xx", url, rec.Code)
+		"/partition?chain=quantum", "/partition?chain=nosuch", "/partition?chain=fm,",
+		"/partition?chain=fm,%20,core",
+	}
+	for _, url := range urls {
+		if rec := post(t, s.handler(), url, testNets); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400; body %s", url, rec.Code, rec.Body)
+		}
+	}
+	if counts := s.Jobs.Counts(); len(counts) != 0 {
+		t.Errorf("job table = %v after bad requests, want empty", counts)
+	}
+	if id := s.Jobs.Create(); id != "j1" {
+		t.Errorf("first job id after bad requests = %s, want j1", id)
+	}
+	if rep := s.WAL.Scrub().Report; rep.Records != 1 {
+		t.Errorf("WAL holds %d record(s), want only its header", rep.Records)
+	}
+	if bad, failed := s.bad400.Load(), s.failed500.Load(); bad != int64(len(urls)) || failed != 0 {
+		t.Errorf("bad_request = %d, failed = %d, want %d and 0", bad, failed, len(urls))
+	}
+}
+
+// TestBadChainFlagRefusedAtBoot: a -chain the decoder would refuse is
+// a configuration error, so the daemon exits 1 before listening rather
+// than answer every request with a 400 that is not the client's fault.
+func TestBadChainFlagRefusedAtBoot(t *testing.T) {
+	for _, chain := range []string{"nosuch", "fm,", "fm, ,core"} {
+		var out bytes.Buffer
+		if code := run([]string{"-addr", "127.0.0.1:0", "-chain", chain}, &out, &out); code != 1 ||
+			!strings.Contains(out.String(), "-chain") || strings.Contains(out.String(), "listening") {
+			t.Errorf("-chain %q: exit %d, output %q; want 1 naming -chain, never listening", chain, code, out.String())
 		}
 	}
 }

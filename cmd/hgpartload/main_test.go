@@ -255,3 +255,45 @@ func TestLoadRunDetectsMovedFixedVertex(t *testing.T) {
 		t.Errorf("summary = %+v, want every completed answer verify-failed and nothing else wrong", s)
 	}
 }
+
+// TestChainFlagCanonicalOrRefused: -chain goes through the daemons'
+// chain rule — sent in registry names, or refused before any request
+// when a worker would answer 400.
+func TestChainFlagCanonicalOrRefused(t *testing.T) {
+	srv := okService(t)
+	var mu sync.Mutex
+	chains := map[string]bool{} // the chain of every /partition request
+	spy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/partition" {
+			mu.Lock()
+			chains[r.URL.Query().Get("chain")] = true
+			mu.Unlock()
+		}
+		srv.Config.Handler.ServeHTTP(w, r)
+	}))
+	defer spy.Close()
+	corpus := writeCorpus(t)
+	var out, errb bytes.Buffer
+	if code := run([]string{"-target", spy.URL, "-corpus", corpus, "-rps", "100", "-duration", "50ms",
+		"-chain", "core, fm"}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d; stderr: %s", code, errb.String())
+	}
+	mu.Lock()
+	if !chains["algo1,fm"] || len(chains) != 1 {
+		t.Errorf("chains sent = %v, want only algo1,fm", chains)
+	}
+	chains = map[string]bool{}
+	mu.Unlock()
+	for _, bad := range []string{"nosuch", "fm,", "fm, ,core"} {
+		errb.Reset()
+		if code := run([]string{"-target", spy.URL, "-corpus", corpus, "-chain", bad}, &out, &errb); code != 1 ||
+			!strings.Contains(errb.String(), "-chain") {
+			t.Errorf("-chain %q: exit %d, stderr %q; want 1 naming -chain", bad, code, errb.String())
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(chains) != 0 {
+		t.Errorf("a refused -chain still sent requests: %v", chains)
+	}
+}

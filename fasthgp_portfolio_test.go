@@ -3,6 +3,7 @@ package fasthgp
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,7 +14,7 @@ import (
 func TestPartitionPortfolioHappyPath(t *testing.T) {
 	h := testNetlist(t, 3)
 	res, err := PartitionPortfolio(context.Background(), h,
-		WithBudget(30*time.Second), WithStarts(4), WithSeed(3))
+		PortfolioOptions{Budget: 30 * time.Second, Starts: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,15 +29,40 @@ func TestPartitionPortfolioHappyPath(t *testing.T) {
 func TestPartitionPortfolioChainAliases(t *testing.T) {
 	h := testNetlist(t, 1)
 	res, err := PartitionPortfolio(context.Background(), h,
-		WithChain("core"), WithStarts(2)) // "core" aliases algo1
+		PortfolioOptions{Chain: []string{"core"}, Starts: 2}) // "core" aliases algo1
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.TierName != "algo1" {
 		t.Errorf("TierName = %s, want algo1", res.TierName)
 	}
-	if _, err := PartitionPortfolio(context.Background(), h, WithChain("no-such-algo")); err == nil {
-		t.Error("unknown chain name accepted")
+	// An unknown or empty name anywhere in the chain fails the call
+	// before any tier runs, with the typed error.
+	for _, chain := range [][]string{{"no-such-algo"}, {"fm", ""}, {"multilevel", "fm", "nosuch"}} {
+		res, err := PartitionPortfolio(context.Background(), h, PortfolioOptions{Chain: chain})
+		if !errors.Is(err, ErrUnknownAlgorithm) || res != nil {
+			t.Errorf("chain %q: (%v, %v), want ErrUnknownAlgorithm and no result", chain, res, err)
+		}
+	}
+}
+
+func TestParseChain(t *testing.T) {
+	for spec, want := range map[string]string{
+		"":                     "multilevel,fm,algo1",
+		"core":                 "algo1",
+		"multilevel, fm,core ": "multilevel,fm,algo1",
+		"sa,flowpart,algI":     "anneal,flow,algo1",
+		"kl,spectral,random":   "kl,spectral,random",
+	} {
+		got, err := ParseChain(spec)
+		if err != nil || strings.Join(got, ",") != want {
+			t.Errorf("ParseChain(%q) = (%q, %v), want %q", spec, got, err, want)
+		}
+	}
+	for _, spec := range []string{"nosuch", "fm,", ",fm", "fm, ,core", " ", "fm;core"} {
+		if got, err := ParseChain(spec); !errors.Is(err, ErrUnknownAlgorithm) {
+			t.Errorf("ParseChain(%q) = (%q, %v), want ErrUnknownAlgorithm", spec, got, err)
+		}
 	}
 }
 
@@ -50,7 +76,7 @@ func TestPartitionPortfolioDegradesUnderCorruption(t *testing.T) {
 	}
 	defer faultinject.Install(plan)()
 	h := testNetlist(t, 5)
-	res, err := PartitionPortfolio(context.Background(), h, WithStarts(2), WithSeed(5))
+	res, err := PartitionPortfolio(context.Background(), h, PortfolioOptions{Starts: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,7 +96,7 @@ func BisectCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (*Re
 		Seed:        opts.Seed,
 		Run: func(ctx context.Context, _ int, rng *rand.Rand, scratch *engine.Scratch) (*Result, error) {
 			p := kl.SeedBisection(h, rng, opts.Constraint)
-			return improveLocked(ctx, h, p, nil, opts, scratch)
+			return improve(ctx, h, p, opts, scratch)
 		},
 		Better:     func(a, b *Result) bool { return betterResult(h, a, b) },
 		Cut:        func(r *Result) int { return r.CutSize },
@@ -119,60 +119,33 @@ func betterResult(h *hypergraph.Hypergraph, a, b *Result) bool {
 }
 
 // Improve runs FM passes from the given complete bipartition, modified
-// in place and returned.
+// in place and returned. The vertices opts.Constraint pins never move:
+// terminal-propagation placement (Dunlop–Kernighan) pins the anchor
+// vertices that stand for external pins this way.
 func Improve(h *hypergraph.Hypergraph, p *partition.Bipartition, opts Options) (*Result, error) {
-	return ImproveLocked(h, p, nil, opts)
+	return ImproveCtx(context.Background(), h, p, opts)
 }
 
 // ImproveCtx is Improve with cancellation: passes stop early when ctx
 // expires and the partition as improved so far is returned.
 func ImproveCtx(ctx context.Context, h *hypergraph.Hypergraph, p *partition.Bipartition, opts Options) (*Result, error) {
-	return ImproveLockedCtx(ctx, h, p, nil, opts)
-}
-
-// ImproveLocked is Improve with a set of permanently fixed vertices
-// (fixed[v] = true ⇒ v never moves). This is the hook for
-// terminal-propagation placement (Dunlop–Kernighan): anchor vertices
-// representing external pins are fixed to their side. A nil fixed
-// slice fixes nothing.
-func ImproveLocked(h *hypergraph.Hypergraph, p *partition.Bipartition, fixed []bool, opts Options) (*Result, error) {
-	return ImproveLockedCtx(context.Background(), h, p, fixed, opts)
-}
-
-// ImproveLockedCtx is ImproveLocked with cancellation between passes.
-func ImproveLockedCtx(ctx context.Context, h *hypergraph.Hypergraph, p *partition.Bipartition, fixed []bool, opts Options) (*Result, error) {
 	scratch := engine.GetScratch()
 	defer engine.PutScratch(scratch)
-	return improveLocked(ctx, h, p, fixed, opts, scratch)
+	return improve(ctx, h, p, opts, scratch)
 }
 
-func improveLocked(ctx context.Context, h *hypergraph.Hypergraph, p *partition.Bipartition, fixed []bool, opts Options, scratch *engine.Scratch) (*Result, error) {
+func improve(ctx context.Context, h *hypergraph.Hypergraph, p *partition.Bipartition, opts Options, scratch *engine.Scratch) (*Result, error) {
 	opts.defaults()
 	if err := p.Validate(h); err != nil {
 		return nil, fmt.Errorf("fm: %w", err)
 	}
-	if fixed != nil && len(fixed) != h.NumVertices() {
-		return nil, fmt.Errorf("fm: fixed covers %d vertices, hypergraph has %d", len(fixed), h.NumVertices())
-	}
 	c := opts.Constraint
+	var fixed []bool // the constraint's pins, permanent locks
 	if !c.IsZero() {
 		if err := rebalance.Enforce(h, p, c); err != nil {
 			return nil, fmt.Errorf("fm: %w", err)
 		}
-		// The constraint's pins are permanent locks, merged with any
-		// caller-supplied fixed set.
-		if cb := c.FixedBools(h.NumVertices()); cb != nil {
-			if fixed == nil {
-				fixed = cb
-			} else {
-				merged := make([]bool, len(fixed))
-				copy(merged, fixed)
-				for v := range cb {
-					merged[v] = merged[v] || cb[v]
-				}
-				fixed = merged
-			}
-		}
+		fixed = c.FixedBools(h.NumVertices())
 	}
 	s, err := cutstate.New(h, p)
 	if err != nil {

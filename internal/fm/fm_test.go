@@ -140,23 +140,26 @@ func TestMatchesBruteForceOnSmall(t *testing.T) {
 	}
 }
 
-func TestImproveLockedRespectsFixed(t *testing.T) {
+// TestImproveRespectsFixed: vertices the constraint pins never move,
+// and a pin vector longer than the hypergraph is refused.
+func TestImproveRespectsFixed(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
 		n := 10 + rng.Intn(10)
 		h := randomHG(rng, n, 2*n, 4)
 		p := kl.RandomBisection(n, rng)
-		fixed := make([]bool, n)
+		c := partition.Constraint{FixedSide: make([]int8, n)}
 		var pinnedV []int
 		var pinnedS []partition.Side
 		for v := 0; v < n; v++ {
+			c.FixedSide[v] = partition.FreeVertex
 			if rng.Intn(4) == 0 {
-				fixed[v] = true
+				c.FixedSide[v] = int8(p.Side(v))
 				pinnedV = append(pinnedV, v)
 				pinnedS = append(pinnedS, p.Side(v))
 			}
 		}
-		res, err := ImproveLocked(h, p, fixed, Options{})
+		res, err := Improve(h, p, Options{Constraint: c})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,8 +171,8 @@ func TestImproveLockedRespectsFixed(t *testing.T) {
 	}
 	h := randomHG(rng, 6, 10, 3)
 	p := kl.RandomBisection(6, rng)
-	if _, err := ImproveLocked(h, p, make([]bool, 3), Options{}); err == nil {
-		t.Error("accepted wrong-length fixed slice")
+	if _, err := Improve(h, p, Options{Constraint: partition.Constraint{FixedSide: make([]int8, 7)}}); err == nil {
+		t.Error("accepted a pin vector longer than the hypergraph")
 	}
 }
 

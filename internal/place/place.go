@@ -161,14 +161,17 @@ func (p *placer) split(modules []int, vertical bool, x0, x1, y0, y1 int) (lo, hi
 		}
 	}
 	// Pin anchors to their sides, then refine with FM.
-	fixed := make([]bool, sub.NumVertices())
+	pins := partition.Constraint{FixedSide: make([]int8, sub.NumVertices())}
+	for v := range pins.FixedSide {
+		pins.FixedSide[v] = partition.FreeVertex
+	}
 	for av, side := range anchors {
-		fixed[av] = true
+		pins.FixedSide[av] = int8(side)
 		sides.Assign(av, side)
 	}
 	if sub.NumVertices() >= 2 {
 		if l, r, _ := sides.Counts(); l > 0 && r > 0 {
-			if _, err := fm.ImproveLocked(sub, sides, fixed, fm.Options{}); err != nil {
+			if _, err := fm.Improve(sub, sides, fm.Options{Constraint: pins}); err != nil {
 				// Refinement is best-effort; the initial split stands.
 				_ = err
 			}

@@ -8,10 +8,11 @@
 //     the /healthz and /stats blocks both daemons report, fault
 //     arming, and the listen → signal → drain → shutdown sequence
 //     (edge.go);
-//   - the request contract: parsing a /partition netlist with its
-//     balance constraint, the 200 body, and the oracle check an answer
-//     must pass (contract.go), which hgpartload also uses to check
-//     answers from outside.
+//   - the request: the one decoder of a /partition netlist, its
+//     balance constraint and its portfolio options, with the canonical
+//     key both daemons cache and collapse on, the 200 body, and the
+//     oracle check an answer must pass (contract.go), which hgpartload
+//     also uses to check answers from outside.
 //
 // What stays in the binaries is what differs: hgpartd's admission,
 // result cache and portfolio; hgpartcoord's routing, handoff, hedging

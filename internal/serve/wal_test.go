@@ -6,6 +6,9 @@ package serve
 // files hold what those implementations replayed them to (the pending
 // list, the job table, the highest job sequence). The shared WAL must
 // replay both files to the same state and write both byte for byte.
+// The coordinator's file was rewritten once since, when its accepted
+// records stopped carrying their routing key ("fingerprint", "opts");
+// cmd/hgpartcoord's tests replay records in that older form.
 
 import (
 	"bytes"
@@ -44,14 +47,14 @@ var fixtureRecords = map[string][]Record{
 		{Type: "done", JobID: "j5", TierName: "algo1"},
 	},
 	"hgpartcoord": {
-		{Type: "accepted", JobID: "j1", Query: "seed=3&starts=2", Netlist: fixNets, Fingerprint: 0xfedcba9876543210, Opts: "seed=3 starts=2"},
+		{Type: "accepted", JobID: "j1", Query: "seed=3&starts=2", Netlist: fixNets},
 		{Type: "done", JobID: "j1", Cut: 2, TierName: "fm", Worker: "w1", WallMS: 7},
-		{Type: "accepted", JobID: "j2", Format: "hgr", Query: "starts=zero", Netlist: fixHgr, Fingerprint: 42, Opts: "starts=zero"},
+		{Type: "accepted", JobID: "j2", Format: "hgr", Query: "starts=zero", Netlist: fixHgr},
 		{Type: "failed", JobID: "j2", Error: "{\"error\":\"bad starts \\\"zero\\\"\",\"status\":400}\n"},
-		{Type: "accepted", JobID: "j3", Format: "nets", Query: "epsilon=0.1&seed=9", Netlist: fixFixed, Fingerprint: 7, Opts: "epsilon=0.1 seed=9"},
+		{Type: "accepted", JobID: "j3", Format: "nets", Query: "epsilon=0.1&seed=9", Netlist: fixFixed},
 		{Type: "done", JobID: "j3", Cut: 1, TierName: "multilevel", Worker: "w2", Degraded: true},
-		{Type: "accepted", JobID: "j4", Query: "seed=5", Netlist: fixNets, Fingerprint: 0xfedcba9876543210, Opts: "seed=5"},
-		{Type: "accepted", JobID: "j5", Netlist: fixNets, Fingerprint: 0xfedcba9876543210},
+		{Type: "accepted", JobID: "j4", Query: "seed=5", Netlist: fixNets},
+		{Type: "accepted", JobID: "j5", Netlist: fixNets},
 		{Type: "failed", JobID: "j5", Error: "all forwards failed: all 8 attempt(s) failed: no workers registered"},
 	},
 }
